@@ -1,10 +1,16 @@
 """Chordality recognition with certificates and the co-chordal cover number.
 
 A graph is chordal when every cycle of length at least four has a chord,
-equivalently when it admits a perfect elimination order.  The recognizer
-runs lexicographic BFS and verifies the resulting order; on failure the
-graph is peeled down to a vertex-minimal non-chordal subgraph, which is
-necessarily a chordless cycle and serves as the refutation witness.
+equivalently when it admits a perfect elimination order.  The searches run
+on adjacency bitmasks restricted to an ``alive`` vertex mask, so the
+subgraphs and complements they need are masks, not new graphs.  The
+recognizer runs lexicographic BFS (lowest index first among equal labels)
+and verifies the reversed visit order.  On failure one ascending pass over
+the vertices drops each vertex whose removal leaves the graph non-chordal.
+Chordality is inherited by induced subgraphs, so a vertex kept once stays
+needed, and what remains is vertex-minimal non-chordal: a chordless cycle,
+which serves as the refutation witness (Tarjan-Yannakakis, SIAM J. Comput.
+1984).
 
 Co-chordality is chordality of the complement.  The co-chordal cover
 number is found exactly by iterative deepening over the cover size,
@@ -22,7 +28,7 @@ from itertools import combinations
 
 from . import graph_core
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph
+from .graph_core import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,11 @@ class CochordCover:
 
 def is_chordal(g: Graph) -> ChordalityCertificate:
     """Decide chordality; always returns a validating witness."""
-    order = _lexbfs_order(g)
-    elimination = tuple(reversed(order))
-    if _verify_peo(g, elimination):
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    elimination = _elimination_order(adj, g.full_mask)
+    if elimination is not None:
         return ChordalityCertificate(True, elimination_order=elimination)
-    cycle = _find_chordless_cycle(g)
-    return ChordalityCertificate(False, chordless_cycle=cycle)
+    return ChordalityCertificate(False, chordless_cycle=_chordless_cycle(adj, g.full_mask))
 
 
 def is_cochordal(g: Graph) -> ChordalityCertificate:
@@ -70,7 +75,8 @@ def froberg_reg_two(g: Graph) -> bool:
     """
     if g.num_edges == 0:
         raise NotApplicable("regularity-two test needs at least one edge")
-    return _chordal_verdict(graph_core.complement(g))
+    co_adj = _complement([g.adj_mask(v) for v in range(g.n)], g.full_mask)
+    return _elimination_order(co_adj, g.full_mask) is not None
 
 
 def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
@@ -88,7 +94,6 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
         raise ValueError("cap must be at least 1")
     edges = g.edges
     m = len(edges)
-    adj = [g.adj_mask(v) for v in range(g.n)]
 
     # Memoized co-chordality of edge subsets, evaluated on their support.
     verdict_memo: dict[int, tuple[bool, tuple[int, ...] | None]] = {}
@@ -97,13 +102,11 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
         hit = verdict_memo.get(edge_mask)
         if hit is not None:
             return hit
-        sub = _subgraph_on_support(g, edges, edge_mask)
-        comp = graph_core.complement(sub)
-        if _chordal_verdict(comp):
+        co_adj, support = _part_complement(g.n, [edges[i] for i in _bits(edge_mask)])
+        if _elimination_order(co_adj, support) is not None:
             res: tuple[bool, tuple[int, ...] | None] = (True, None)
         else:
-            cyc = _find_chordless_cycle(comp)
-            res = (False, tuple(comp.label_of(v) for v in cyc))
+            res = (False, _chordless_cycle(co_adj, support))
         verdict_memo[edge_mask] = res
         return res
 
@@ -153,12 +156,8 @@ def validate_cover(g: Graph, cover: CochordCover) -> bool:
             if e not in g.edges:
                 return False
             union.add(e)
-        mask = 0
-        for i, e in enumerate(g.edges):
-            if e in part:
-                mask |= 1 << i
-        sub = _subgraph_on_support(g, g.edges, mask)
-        if not _chordal_verdict(graph_core.complement(sub)):
+        co_adj, support = _part_complement(g.n, part)
+        if _elimination_order(co_adj, support) is None:
             return False
     return union == set(g.edges) and cover.k == len(cover.parts)
 
@@ -193,89 +192,64 @@ def validate_chordless_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 # -- internals ----------------------------------------------------------------
 
 
-def _lexbfs_order(g: Graph) -> list[int]:
-    n = g.n
-    labels: list[list[int]] = [[] for _ in range(n)]
-    visited = [False] * n
-    order = []
-    for step in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or labels[v] > labels[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for u in g.neighbors(best):
-            if not visited[u]:
-                labels[u].append(n - step)
-    return order
+def _elimination_order(adj: list[int], alive: int) -> tuple[int, ...] | None:
+    """Perfect elimination order of the graph induced on ``alive``, or None.
 
-
-def _verify_peo(g: Graph, order: tuple[int, ...]) -> bool:
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        if not later:
-            continue
-        w = min(later, key=lambda u: pos[u])
-        wmask = g.adj_mask(w)
-        for u in later:
-            if u != w and not (wmask >> u & 1):
-                return False
-    return True
-
-
-def _chordal_verdict(g: Graph) -> bool:
-    return _verify_peo(g, tuple(reversed(_lexbfs_order(g))))
-
-
-def _find_chordless_cycle(g: Graph) -> tuple[int, ...]:
-    """A chordless cycle of length >= 4 in a non-chordal graph.
-
-    Peels vertices while non-chordality survives; a vertex-minimal
-    non-chordal graph is itself a chordless cycle.
+    Lexicographic BFS picks the lowest index among equal labels; each
+    visited vertex's earlier-visited neighbours must lie in the neighbourhood
+    of the latest-visited of them, which is the elimination test on the
+    reversed visit order.
     """
-    h = Graph(g.n, [g.adj_mask(v) for v in range(g.n)], tuple(range(g.n)))
-    changed = True
-    while changed:
-        changed = False
-        for v in range(h.n):
-            h2 = graph_core.apply_surgery(h, graph_core.DeleteVertex(v))
-            if not _chordal_verdict(h2):
-                h = h2
-                changed = True
-                break
-    assert not _chordal_verdict(h)
-    # h is 2-regular and connected: walk the unique cycle.
-    walk = [0]
-    prev = -1
-    while True:
-        nbrs = h.neighbors(walk[-1])
-        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        if nxt == walk[0]:
-            break
-        prev = walk[-1]
-        walk.append(nxt)
-    return tuple(h.label_of(v) for v in walk)
+    labels: dict[int, list[int]] = {v: [] for v in _bits(alive)}
+    order: list[int] = []
+    left = alive
+    while left:
+        v = max(_bits(left), key=labels.__getitem__)
+        left &= ~(1 << v)
+        earlier = adj[v] & alive & ~left
+        if earlier:
+            w = next(u for u in reversed(order) if earlier >> u & 1)
+            if earlier & ~adj[w] & ~(1 << w):
+                return None
+        step = -len(order)
+        order.append(v)
+        for u in _bits(adj[v] & left):
+            labels[u].append(step)
+    return tuple(reversed(order))
 
 
-def _subgraph_on_support(g: Graph, edges, edge_mask: int) -> Graph:
-    support = 0
-    chosen = []
-    for i in range(edge_mask.bit_length()):
-        if edge_mask >> i & 1:
-            u, v = edges[i]
-            support |= 1 << u | 1 << v
-            chosen.append((u, v))
-    verts = [v for v in range(g.n) if support >> v & 1]
-    index = {v: i for i, v in enumerate(verts)}
-    return graph_core.from_edges(
-        len(verts),
-        [(index[u], index[v]) for u, v in chosen],
-        labels=tuple(verts),
-    )
+def _chordless_cycle(adj: list[int], alive: int) -> tuple[int, ...]:
+    """A chordless cycle of length >= 4 in the non-chordal graph on ``alive``.
+
+    One ascending pass drops every vertex whose removal keeps the graph
+    non-chordal; the vertex-minimal remainder is a single chordless cycle,
+    walked from its lowest vertex toward that vertex's lowest neighbour.
+    """
+    for v in _bits(alive):
+        if _elimination_order(adj, alive & ~(1 << v)) is None:
+            alive &= ~(1 << v)
+    start = (alive & -alive).bit_length() - 1
+    walk = [start]
+    prev, v = start, next(_bits(adj[start] & alive))
+    while v != start:
+        walk.append(v)
+        prev, v = v, (adj[v] & alive & ~(1 << prev)).bit_length() - 1
+    return tuple(walk)
+
+
+def _complement(adj: list[int], alive: int) -> list[int]:
+    return [alive & ~a & ~(1 << v) for v, a in enumerate(adj)]
+
+
+def _part_complement(n: int, part) -> tuple[list[int], int]:
+    """Complement of the graph spanned by the edges ``part``, taken within
+    their support, together with that support mask."""
+    adj = [0] * n
+    for u, v in part:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    support = sum(1 << v for v in range(n) if adj[v])
+    return _complement(adj, support), support
 
 
 def _greedy_star_cover_bound(g: Graph) -> int:

@@ -14,13 +14,7 @@ import json
 import sys
 
 from . import bounds_engine, chordality, classifier, formats_io, harness, matchings
-from .errors import (
-    CapExceeded,
-    EilabError,
-    MalformedDocument,
-    MalformedGraph6,
-    NotApplicable,
-)
+from .errors import CapExceeded, EilabError, MalformedDocument, NotApplicable
 from .formats_io import GraphDocument, ReportRow
 from .regularity_oracle import FieldSpec, regularity
 
@@ -30,9 +24,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedGraph6, MalformedDocument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -58,12 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reg", help="regularity of the edge ideal per graph")
     add_inputs(p)
-    p.add_argument("--char", type=int, action="append", default=None)
+    p.add_argument("--char", type=_characteristic, action="append", default=None)
     p.set_defaults(func=_cmd_reg)
 
     p = sub.add_parser("classify", help="structural vs numeric classification")
     add_inputs(p)
-    p.add_argument("--char", type=int, action="append", default=None)
+    p.add_argument("--char", type=_characteristic, action="append", default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("bounds", help="certified regularity interval, no homology")
@@ -74,7 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive theorem/lemma verification sweeps")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--lemmas", default=None, help="comma list of lemma tags, or 'all'")
-    p.add_argument("--chars", default="0,2", help="comma list of field characteristics")
+    p.add_argument(
+        "--chars",
+        type=_characteristics,
+        default="0,2",
+        help="comma list of field characteristics",
+    )
     p.add_argument("--allow-skips", action="store_true")
     p.add_argument("--no-unions", action="store_true")
     p.add_argument("--from-file", metavar="FILE", help="graph6 corpus instead of enumeration")
@@ -86,6 +82,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     return parser
+
+
+def _characteristic(text: str) -> int:
+    """Argument type: a field characteristic, 0 or a prime."""
+    try:
+        return FieldSpec(int(text)).characteristic
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"characteristic must be 0 or a prime, got {text!r}"
+        ) from None
+
+
+def _characteristics(text: str) -> tuple[int, ...]:
+    """Argument type: a nonempty comma list of field characteristics."""
+    chars = tuple(_characteristic(c) for c in text.split(",") if c != "")
+    if not chars:
+        raise argparse.ArgumentTypeError("at least one characteristic is required")
+    return chars
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -137,20 +151,35 @@ def _chars(args) -> tuple[int, ...]:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _finish(rows, args, error: str | None, code: int = 0) -> int:
+def _per_graph(args, fill) -> int:
+    """Print one report row per input graph, filled in by ``fill(g, row)``.
+
+    ``fill`` returns a true value to flag its graph, which makes the exit
+    status 1.  On bad input data, or an ``EilabError`` raised for a graph,
+    the rows computed so far are printed first, then the error on stderr
+    naming the failing row, and the exit status is 1.
+    """
+    docs, error = _load_documents(args)
+    rows = []
+    flagged = False
+    for idx, doc in enumerate(docs):
+        g = doc.graph
+        row = ReportRow(_row_id(doc, idx), g.n, g.num_edges)
+        try:
+            flagged |= bool(fill(g, row))
+        except EilabError as exc:
+            error = f"{row.id}: {exc}"
+            break
+        rows.append(row)
     print(formats_io.write_report(rows, args.format), end="")
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    return code
+    return 1 if flagged else 0
 
 
 def _cmd_invariants(args) -> int:
-    docs, error = _load_documents(args)
-    rows = []
-    for idx, doc in enumerate(docs):
-        g = doc.graph
-        row = ReportRow(_row_id(doc, idx), g.n, g.num_edges)
+    def fill(g, row):
         row.nu = matchings.nu(g)
         if g.num_edges:
             row.nu0 = matchings.nu0(g)
@@ -161,16 +190,12 @@ def _cmd_invariants(args) -> int:
                 row.certificate = f"cochord > cap (bound <= {exc.best_bound})"
         else:
             row.nu0 = row.mm = 0
-        rows.append(row)
-    return _finish(rows, args, error)
+
+    return _per_graph(args, fill)
 
 
 def _cmd_reg(args) -> int:
-    docs, error = _load_documents(args)
-    rows = []
-    for idx, doc in enumerate(docs):
-        g = doc.graph
-        row = ReportRow(_row_id(doc, idx), g.n, g.num_edges)
+    def fill(g, row):
         for c in _chars(args):
             res = regularity(g, FieldSpec(c))
             row.reg[c] = res.reg_star
@@ -178,17 +203,12 @@ def _cmd_reg(args) -> int:
                 row.certificate = (
                     f"witness W={res.witness_subset} degree={res.witness_degree}"
                 )
-        rows.append(row)
-    return _finish(rows, args, error)
+
+    return _per_graph(args, fill)
 
 
 def _cmd_classify(args) -> int:
-    docs, error = _load_documents(args)
-    rows = []
-    any_disagreement = False
-    for idx, doc in enumerate(docs):
-        g = doc.graph
-        row = ReportRow(_row_id(doc, idx), g.n, g.num_edges)
+    def fill(g, row):
         row.nu = matchings.nu(g)
         row.nu0 = matchings.nu0(g)
         verdicts = []
@@ -197,41 +217,36 @@ def _cmd_classify(args) -> int:
             row.reg[c] = regularity(g, FieldSpec(c)).reg_star
             verdicts.append(v)
         agree = all(v.agreement for v in verdicts)
-        any_disagreement |= not agree
         row.verdict = (
             f"structural={verdicts[0].structural} "
             f"numeric={'/'.join(str(v.numeric) for v in verdicts)} "
             f"{'agree' if agree else 'DISAGREE'}"
         )
         row.certificate = ",".join(verdicts[0].component_shapes)
-        rows.append(row)
-    return _finish(rows, args, error, 1 if any_disagreement else 0)
+        return not agree
+
+    return _per_graph(args, fill)
 
 
 def _cmd_bounds(args) -> int:
-    docs, error = _load_documents(args)
-    rows = []
-    for idx, doc in enumerate(docs):
-        g = doc.graph
-        row = ReportRow(_row_id(doc, idx), g.n, g.num_edges)
+    def fill(g, row):
         try:
             iv = bounds_engine.refine_bounds(g, budget=args.budget)
         except NotApplicable:
             row.verdict = "edgeless"
-            rows.append(row)
-            continue
+            return
         row.nu = matchings.nu(g)
         row.nu0 = matchings.nu0(g)
         row.mm = matchings.mm(g)
         flag = " (budget exhausted)" if iv.budget_exhausted else ""
         row.verdict = f"reg in [{iv.lo},{iv.hi}]{flag}"
         row.certificate = "; ".join(f"{rule}:{contrib}" for rule, _, contrib in iv.trace)
-        rows.append(row)
-    return _finish(rows, args, error)
+
+    return _per_graph(args, fill)
 
 
 def _cmd_verify(args) -> int:
-    chars = tuple(int(c) for c in args.chars.split(",") if c != "")
+    chars = args.chars
     if args.from_file:
         corpus = harness.corpus_from_graph6(_read(args.from_file))
     else:

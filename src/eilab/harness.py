@@ -490,10 +490,10 @@ _LEMMA_CHECKS = {
 
 
 def default_workers() -> int:
-    env = os.environ.get("EILAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
+    """Worker count from ``EILAB_THREADS``, clamped to the CPU count; 1 when
+    unset, not a number or below 1."""
+    try:
+        requested = int(os.environ.get("EILAB_THREADS", "1"))
+    except ValueError:
+        return 1
+    return max(1, min(requested, os.cpu_count() or 1))

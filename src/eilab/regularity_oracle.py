@@ -98,25 +98,32 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    """Regularity in both bookkeeping conventions, with a homology witness.
+    """Regularity, stored once, with a homology witness.
 
     ``reg_star`` follows the three-case convention used throughout this
     package's verdicts: 0 for the empty graph, 1 for an edgeless nonempty
-    graph, and the regularity of the edge ideal otherwise.  ``reg_quotient``
-    is the regularity of ``R/I(G)`` (0 in both degenerate cases), and
-    ``reg_ideal`` is ``reg_quotient + 1`` whenever at least one edge exists.
+    graph, and the regularity of the edge ideal otherwise.  The other
+    conventions are derived from it.
 
     The witness is a subset ``W`` and homology degree ``t`` attaining the
     maximum, so ``reg_ideal = t + 2``; ties resolve to the smallest then
-    lexicographically first ``W``.
+    lexicographically first ``W``.  It exists exactly when an edge does.
     """
 
     reg_star: int
-    reg_quotient: int
-    reg_ideal: int | None
     characteristic: int
     witness_subset: tuple[int, ...] | None
     witness_degree: int | None
+
+    @property
+    def reg_quotient(self) -> int:
+        """Regularity of ``R/I(G)``: 0 in both degenerate cases."""
+        return max(self.reg_star - 1, 0)
+
+    @property
+    def reg_ideal(self) -> int | None:
+        """Regularity of the edge ideal; None when there is no edge."""
+        return self.reg_star if self.witness_subset is not None else None
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:
@@ -164,12 +171,10 @@ def regularity(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VERT
     reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
     if g.num_edges == 0:
         reg_star = 0 if g.n == 0 else 1
-        return RegularityResult(reg_star, 0, None, field.characteristic, None, None)
+        return RegularityResult(reg_star, field.characteristic, None, None)
     w_subset, w_degree = witness
     return RegularityResult(
         reg_star=reg_q + 1,
-        reg_quotient=reg_q,
-        reg_ideal=reg_q + 1,
         characteristic=field.characteristic,
         witness_subset=w_subset,
         witness_degree=w_degree,

@@ -85,8 +85,11 @@ def test_cochord_matches_brute_cover_minimum(corpus5):
         m = g.num_edges
         subsets = []
         for mask in range(1, 1 << m):
-            sub = ch._subgraph_on_support(g, g.edges, mask)
-            if ch._chordal_verdict(gc.complement(sub)):
+            chosen = [g.edges[i] for i in range(m) if mask >> i & 1]
+            support = sorted({v for e in chosen for v in e})
+            index = {v: i for i, v in enumerate(support)}
+            sub = gc.from_edges(len(support), [(index[u], index[v]) for u, v in chosen])
+            if not brute_has_chordless_cycle(gc.complement(sub)):
                 subsets.append(mask)
         maximal = [
             s for s in subsets if not any(s != t and s & t == s for t in subsets)
@@ -105,6 +108,32 @@ def test_cochord_matches_brute_cover_minimum(corpus5):
         if g.num_edges == 0:
             continue
         assert ch.cochord_number(g, cap=4).k == brute(g)
+
+
+def test_certificates_golden():
+    """Exact witnesses, pinned so that kernel rewrites keep them byte for byte."""
+    bull = gc.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+    c5_chord = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    cases = [
+        (cycle(4), (None, (0, 1, 2, 3)), ((3, 1, 2, 0), None)),
+        (cycle(6), (None, (0, 1, 2, 3, 4, 5)), (None, (1, 4, 2, 5))),
+        (c5_chord, (None, (0, 2, 3, 4)), ((2, 4, 1, 3, 0), None)),
+        (path(5), ((4, 3, 2, 1, 0), None), (None, (0, 3, 1, 4))),
+        (bull, ((4, 3, 2, 1, 0), None), ((1, 3, 2, 4, 0), None)),
+    ]
+    for g, chordal, cochordal in cases:
+        for cert, (order, cyc) in ((ch.is_chordal(g), chordal), (ch.is_cochordal(g), cochordal)):
+            assert cert.verdict == (order is not None)
+            assert (cert.elimination_order, cert.chordless_cycle) == (order, cyc)
+    assert ch.cochord_number(cycle(5)).parts == (
+        ((0, 1), (0, 4), (1, 2)),
+        ((2, 3), (3, 4)),
+    )
+    assert ch.cochord_number(cycle(7)).parts == (
+        ((0, 1), (0, 6), (1, 2)),
+        ((2, 3), (3, 4), (4, 5)),
+        ((5, 6),),
+    )
 
 
 def test_cochord_c7_and_cap():

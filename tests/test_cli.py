@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from eilab import cli
+from eilab import cli, formats_io
+
+from helpers import cycle, path
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -87,6 +89,24 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reg", "--g6", "-", "--char", "4"],
+        ["verify", "--chars", "x"],
+        ["verify", "--chars", "4"],
+        ["verify", "--chars", ","],
+    ],
+)
+def test_bad_characteristic_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "characteristic" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_is_error(capsys):
     code = cli.main(["reg"])
     assert code == 1
@@ -101,6 +121,19 @@ def test_malformed_graph6_reports_line_and_flushes_partials(capsys, tmp_path):
     captured = capsys.readouterr()
     assert "line 2" in captured.err
     assert "A_,2,1" in captured.out  # the good line still produced its row
+
+
+def test_per_graph_error_flushes_earlier_rows(capsys, tmp_path):
+    pentagon = formats_io.encode_graph6(cycle(5))
+    too_big = formats_io.encode_graph6(path(17))  # past the oracle's vertex cap
+    f = tmp_path / "two.g6"
+    f.write_text(f"{pentagon}\n{too_big}\n")
+    code = cli.main(["reg", "--g6", str(f)])
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\r\n")
+    assert len(lines) == 2 and lines[1].startswith(f"{pentagon},5,5,,,,,3")
+    assert captured.err.startswith(f"error: {too_big}: ")
 
 
 def test_json_format_output(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from eilab import formats_io as fio
@@ -119,3 +121,13 @@ def test_sweep_reports_are_deterministic(corpus5):
     a = harness.verify_theorem(corpus5, chars=(0,), include_unions=False)
     b = harness.verify_theorem(corpus5, chars=(0,), include_unions=False)
     assert a.violations == b.violations and a.checked == b.checked
+
+
+def test_default_workers_clamped(monkeypatch):
+    monkeypatch.setenv("EILAB_THREADS", "100000")
+    assert harness.default_workers() == os.cpu_count()
+    for value in ("x", "0", "-3", ""):
+        monkeypatch.setenv("EILAB_THREADS", value)
+        assert harness.default_workers() == 1
+    monkeypatch.delenv("EILAB_THREADS")
+    assert harness.default_workers() == 1
