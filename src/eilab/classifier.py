@@ -26,6 +26,7 @@ class ClassificationVerdict:
     characteristic: int
     component_shapes: tuple[str, ...]
     agreement: bool
+    reg_star: int  # the oracle's value that ``numeric`` compared
 
 
 def pentagon_test(g: Graph) -> bool:
@@ -85,4 +86,5 @@ def classify(
         characteristic=field.characteristic,
         component_shapes=shapes,
         agreement=structural == numeric,
+        reg_star=reg.reg_star,
     )

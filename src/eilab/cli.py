@@ -214,7 +214,7 @@ def _cmd_classify(args) -> int:
         verdicts = []
         for c in _chars(args):
             v = classifier.classify(g, FieldSpec(c))
-            row.reg[c] = regularity(g, FieldSpec(c)).reg_star
+            row.reg[c] = v.reg_star
             verdicts.append(v)
         agree = all(v.agreement for v in verdicts)
         row.verdict = (

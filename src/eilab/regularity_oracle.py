@@ -7,29 +7,38 @@ homology yields ``reg I(G) = t + 2``.  The same sweep yields the graded
 Betti table of the quotient ring ``R/I(G)``, whose ``(i, j)`` entry counts
 homology in degree ``j - i - 1`` over subsets of size ``j``.
 
-Two exact linear-algebra kernels back the rank computations: fraction-free
-integer elimination for characteristic zero and dense modular elimination
-for prime fields (with a bit-parallel fast path at characteristic two).
-Floating point is never used.
-
-Two observations keep the subset sweep cheap enough to run over whole
-corpora of small graphs:
+Four observations keep the subset sweep cheap enough to run over whole
+corpora of small graphs and single graphs up to the vertex cap:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
   so such ``W`` contribute nothing and are skipped;
 * the independence complex of a disjoint union is the join of the factors'
   complexes, so homology is only ever computed on connected pieces (and
   memoized on their relabeled edge sets), then combined by the join rule
-  ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``.
+  ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``;
+* before its complex is built, each piece is folded: by Engstrom's fold
+  lemma, if ``N(u)`` is contained in ``N(v)`` for another vertex ``u``,
+  then ``Ind(G)`` and ``Ind(G - v)`` are homotopy equivalent, so ``v`` is
+  dropped.  A folded piece is split again; an isolated vertex makes it a
+  cone, otherwise its parts are evaluated as pieces in their own right;
+* boundary ranks outside characteristic two start with sparse elimination
+  on pivots equal to +1 or -1.  Those steps are unimodular, so they keep
+  the rank over the integers and over every field.
+
+Only the core left without a unit pivot reaches a dense exact kernel:
+fraction-free integer elimination for characteristic zero, modular
+elimination for odd primes.  Characteristic two uses a bit-parallel
+elimination throughout.  Floating point is never used, and every evaluated
+complex is checked against its Euler characteristic.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph
+from .graph_core import Graph, _bits
 
 ORACLE_VERTEX_CAP = 16
 
@@ -71,7 +80,7 @@ class SimplicialComplex:
         out: dict[int, list[tuple[int, ...]]] = {}
         for m in seen:
             d = m.bit_count() - 1
-            out.setdefault(d, []).append(_tuple_of(m))
+            out.setdefault(d, []).append(tuple(_bits(m)))
         for d in out:
             out[d].sort()
         return out
@@ -128,20 +137,12 @@ class RegularityResult:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent vertex sets of ``g``."""
-    facets = []
-    full = g.full_mask
-    for mask in _independent_masks(g):
-        maximal = True
-        rest = full & ~mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if g.adj_mask(v) & mask == 0:
-                maximal = False
-                break
-            rest ^= low
-        if maximal:
-            facets.append(_tuple_of(mask))
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    facets = [
+        tuple(_bits(mask))
+        for mask in _independent_masks(adj)
+        if all(adj[v] & mask for v in _bits(g.full_mask & ~mask))
+    ]
     facets.sort(key=lambda f: (len(f), f))
     return SimplicialComplex(g.n, tuple(facets))
 
@@ -224,19 +225,11 @@ def _hochster_sweep(g: Graph, char: int):
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-t, |W|, W)
     betti: dict[tuple[int, int], int] = {}
     for w_mask in range(1, 1 << n):
-        pieces = _split_connected(adj, w_mask)
-        if pieces is None:
-            continue
-        dims = None
-        for piece_mask in pieces:
-            piece_dims = _piece_dims(adj, piece_mask, char)
-            dims = piece_dims if dims is None else _join_dims(dims, piece_dims)
-            if not any(dims):
-                break
-        if dims is None or not any(dims):
+        dims = _join_pieces(adj, _split_connected(adj, w_mask), char)
+        if not any(dims):
             continue
         size = w_mask.bit_count()
-        w_tuple = _tuple_of(w_mask)
+        w_tuple = tuple(_bits(w_mask))
         for t, d in enumerate(dims):
             if d:
                 betti[(size - t - 1, size)] = betti.get((size - t - 1, size), 0) + d
@@ -278,10 +271,23 @@ def _split_connected(adj: list[int], w_mask: int) -> list[int] | None:
     return pieces
 
 
+def _join_pieces(adj: list[int], pieces: list[int] | None, char: int) -> tuple[int, ...]:
+    """Homology dims of the join of the pieces' complexes; () for a cone."""
+    if pieces is None:
+        return ()
+    dims = None
+    for piece_mask in pieces:
+        piece_dims = _piece_dims(adj, piece_mask, char)
+        dims = piece_dims if dims is None else _join_dims(dims, piece_dims)
+        if not any(dims):
+            return ()
+    return dims
+
+
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
     """Homology dims of the independence complex of one connected piece,
     memoized on its order-preserving relabeled edge set."""
-    verts = _tuple_of(piece_mask)
+    verts = tuple(_bits(piece_mask))
     k = len(verts)
     index = {v: i for i, v in enumerate(verts)}
     ekey = 0
@@ -299,25 +305,41 @@ def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
     hit = _PIECE_MEMO.get(mkey)
     if hit is not None:
         return hit
-    by_dim: list[list[int]] = [[] for _ in range(k)]
-    for mask in range(1, 1 << k):
-        ok = True
-        m = mask
-        while m:
-            lo = m & -m
-            if local_adj[lo.bit_length() - 1] & mask:
-                ok = False
-                break
-            m ^= lo
-        if ok:
+    folded = _fold(adj, piece_mask)
+    if folded != piece_mask:
+        dims = _join_pieces(adj, _split_connected(adj, folded), char)
+    else:
+        by_dim: list[list[int]] = [[] for _ in range(k)]
+        for mask in _independent_masks(local_adj)[1:]:
             by_dim[mask.bit_count() - 1].append(mask)
-    while by_dim and not by_dim[-1]:
-        by_dim.pop()
-    for faces in by_dim:
-        faces.sort()
-    dims = _homology_from_masks(by_dim, char)
+        while by_dim and not by_dim[-1]:
+            by_dim.pop()
+        dims = _homology_from_masks(by_dim, char)
     _PIECE_MEMO[mkey] = dims
     return dims
+
+
+def _fold(adj: list[int], alive: int) -> int:
+    """Drop vertices by the fold lemma until none can be dropped.
+
+    A vertex ``v`` is dropped when another live vertex ``u`` has ``N(u)``,
+    within ``alive``, contained in ``N(v)``: ``v`` is then adjacent to every
+    live neighbour of ``u`` (so never to ``u`` itself), and the independence
+    complex keeps its homotopy type.  Returns the mask that is left.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for u in _bits(alive):
+            if not alive >> u & 1:
+                continue  # dropped earlier in this pass
+            dominating = alive & ~(1 << u)
+            for w in _bits(adj[u] & alive):
+                dominating &= adj[w]
+            if dominating:
+                alive &= ~dominating
+                changed = True
+    return alive
 
 
 def _join_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -368,21 +390,69 @@ def _boundary_rank(rows_faces: list[int], cols_faces: list[int], char: int) -> i
                 m ^= lo
             cols.append(vec)
         return _rank_gf2(cols)
-    vectors = []
+    cols = []
     for face in cols_faces:
-        vec = [0] * len(rows_faces)
+        col = {}
         sign = 1
-        m = face
-        # iterate vertices in ascending order to apply the alternating sign
-        while m:
-            lo = m & -m
-            vec[row_index[face ^ lo]] = sign
+        for v in _bits(face):  # ascending vertices carry the alternating sign
+            col[row_index[face ^ (1 << v)]] = sign
             sign = -sign
-            m ^= lo
-        vectors.append(vec)
+        cols.append(col)
+    rank, core = _eliminate_units(cols)
+    if not core:
+        return rank
+    core_rows = sorted({r for col in core for r in col})
+    vectors = [[col.get(r, 0) for r in core_rows] for col in core]
     if char == 0:
-        return _rank_exact(vectors)
-    return _rank_gfp(vectors, char)
+        return rank + _rank_exact(vectors)
+    return rank + _rank_gfp(vectors, char)
+
+
+def _eliminate_units(cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Sparse integer elimination that pivots only on entries equal to +-1.
+
+    Columns are ``{row: value}`` maps and are updated in place.  The
+    shortest column with a unit entry is taken first, and within it the
+    unit whose row has the fewest entries; that row is then cleared from
+    the other columns, and the pivot's row and column leave the matrix.
+    Each step is unimodular, so the rank over the integers and over every
+    field is the pivot count plus the rank of the returned nonzero columns.
+    """
+    row_cols: dict[int, set[int]] = {}
+    for c, col in enumerate(cols):
+        for r in col:
+            row_cols.setdefault(r, set()).add(c)
+    live = set(range(len(cols)))
+    heap = [(len(col), c) for c, col in enumerate(cols)]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        size, c = heapq.heappop(heap)
+        col = cols[c]
+        if c not in live or size != len(col):
+            continue  # stale entry: a fresher one was pushed when it changed
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if not units:
+            continue  # requeued if a later step changes it
+        r = min(units, key=lambda row: (len(row_cols[row]), row))
+        p = col.pop(r)
+        live.discard(c)
+        for rr in col:
+            row_cols[rr].discard(c)
+        for c2 in row_cols.pop(r) - {c}:
+            col2 = cols[c2]
+            f = col2.pop(r) * p  # p is +-1, its own inverse
+            for rr, x in col.items():
+                y = col2.get(rr, 0) - f * x
+                if y:
+                    col2[rr] = y
+                    row_cols[rr].add(c2)
+                else:
+                    del col2[rr]
+                    row_cols[rr].discard(c2)
+            heapq.heappush(heap, (len(col2), c2))
+        rank += 1
+    return rank, [cols[c] for c in sorted(live) if cols[c]]
 
 
 def _rank_gf2(cols: list[int]) -> int:
@@ -470,15 +540,6 @@ def _mask_of(vertices) -> int:
     return m
 
 
-def _tuple_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _close_down(mask: int, seen: set[int]) -> None:
     if mask == 0 or mask in seen:
         return
@@ -490,26 +551,11 @@ def _close_down(mask: int, seen: set[int]) -> None:
         m ^= low
 
 
-@lru_cache(maxsize=None)
-def _independent_masks_cached(n: int, edges: tuple) -> tuple[int, ...]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        m = mask
-        while m:
-            lo = m & -m
-            if adj[lo.bit_length() - 1] & mask:
-                ok = False
-                break
-            m ^= lo
-        if ok:
-            out.append(mask)
-    return tuple(out)
-
-
-def _independent_masks(g: Graph) -> tuple[int, ...]:
-    return _independent_masks_cached(g.n, g.edges)
+def _independent_masks(adj: list[int]) -> list[int]:
+    """Every independent vertex set of the graph with adjacency masks
+    ``adj``, as masks in ascending order (the empty set first)."""
+    masks = [0]
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        masks += [m | bit for m in masks if not m & nbrs]
+    return masks

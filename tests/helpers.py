@@ -117,6 +117,35 @@ def brute_has_chordless_cycle(g: Graph) -> bool:
 # -- independent homology oracle -------------------------------------------------
 
 
+def brute_rank(mat: list[list[int]], char: int) -> int:
+    """Rank of an integer matrix over Q (Fraction) or GF(char), dense."""
+    if not mat or not mat[0]:
+        return 0
+    if char == 0:
+        m = [[Fraction(x) for x in row] for row in mat]
+    else:
+        m = [[x % char for x in row] for row in mat]
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        if char == 0:
+            inv = 1 / m[r][c]
+        else:
+            inv = pow(m[r][c], char - 2, char)
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] * inv
+                for cc in range(c, len(m[0])):
+                    m[i][cc] -= f * m[r][cc]
+                    if char:
+                        m[i][cc] %= char
+        r += 1
+    return r
+
+
 def brute_homology(facets: list[tuple[int, ...]], char: int) -> dict[int, int]:
     """Reduced homology dims by dense elimination over Fraction or GF(p)."""
     faces: set[tuple[int, ...]] = set()
@@ -149,37 +178,94 @@ def brute_homology(facets: list[tuple[int, ...]], char: int) -> dict[int, int]:
                 mat[idx[f[:pos] + f[pos + 1:]]][j] = (-1) ** pos
         return mat
 
-    def rank(mat) -> int:
-        if not mat or not mat[0]:
-            return 0
-        if char == 0:
-            m = [[Fraction(x) for x in row] for row in mat]
-        else:
-            m = [[x % char for x in row] for row in mat]
-        r = 0
-        for c in range(len(m[0])):
-            piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            if char == 0:
-                inv = 1 / m[r][c]
-            else:
-                inv = pow(m[r][c], char - 2, char)
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c] * inv
-                    for cc in range(c, len(m[0])):
-                        m[i][cc] -= f * m[r][cc]
-                        if char:
-                            m[i][cc] %= char
-            r += 1
-        return r
-
     ranks = {0: 1 if by_dim.get(0) else 0}
     for d in range(1, maxdim + 1):
-        ranks[d] = rank(boundary_matrix(d))
+        ranks[d] = brute_rank(boundary_matrix(d), char)
     dims = {-1: 0}
     for t in range(maxdim + 1):
         dims[t] = len(by_dim.get(t, [])) - ranks.get(t, 0) - ranks.get(t + 1, 0)
     return dims
+
+
+def brute_betti(g: Graph, char: int) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers of ``R/I(G)`` by Hochster's formula.
+
+    ``beta_{i,j}`` sums ``dim H_{j-i-1}`` of the independence complex of
+    ``G[W]`` over every ``W`` of size ``j``, cones and the empty set
+    included; each complex is handed to ``brute_homology`` as the list of
+    all its faces.
+    """
+    betti: dict[tuple[int, int], int] = {}
+    for size in range(g.n + 1):
+        for w in combinations(range(g.n), size):
+            faces = [
+                f
+                for k in range(1, size + 1)
+                for f in combinations(w, k)
+                if not any(g.has_edge(u, v) for u, v in combinations(f, 2))
+            ]
+            for t, d in brute_homology(faces, char).items():
+                if d:
+                    key = (size - t - 1, size)
+                    betti[key] = betti.get(key, 0) + d
+    return betti
+
+
+# -- a flag triangulation of the real projective plane ---------------------------
+
+# The six-vertex real projective plane (the hemi-icosahedron).  Its
+# 1-skeleton is the complete graph, so ten of its vertex triples span
+# empty triangles.
+RP2_SIX = (
+    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+)
+
+
+def _empty_triangle(n: int, triangles: set) -> tuple[int, int, int] | None:
+    edges = {e for t in triangles for e in combinations(t, 2)}
+    for t in combinations(range(n), 3):
+        if t not in triangles and all(e in edges for e in combinations(t, 2)):
+            return t
+    return None
+
+
+def _subdivide_edge(n: int, triangles: set, a: int, b: int) -> set:
+    """Put new vertex ``n`` in the middle of edge ``ab``."""
+    out = set()
+    for t in triangles:
+        if a in t and b in t:
+            (c,) = set(t) - {a, b}
+            out.add(tuple(sorted((a, c, n))))
+            out.add(tuple(sorted((b, c, n))))
+        else:
+            out.add(t)
+    return out
+
+
+def flag_rp2() -> tuple[int, list[tuple[int, int, int]]]:
+    """A flag triangulation of the real projective plane.
+
+    Starting from ``RP2_SIX``, an edge of the first empty triangle is
+    subdivided, depth first with backtracking, until no empty triangle is
+    left.  Edge subdivision keeps the surface, so the result is still the
+    projective plane.  Returns the vertex count and the sorted triangles.
+    """
+    max_vertices = 12  # the search finds nothing within 11
+
+    def search(n: int, triangles: set):
+        t = _empty_triangle(n, triangles)
+        if t is None:
+            return n, sorted(triangles)
+        if n == max_vertices:
+            return None
+        for a, b in combinations(t, 2):
+            found = search(n + 1, _subdivide_edge(n, triangles, a, b))
+            if found is not None:
+                return found
+        return None
+
+    found = search(6, set(RP2_SIX))
+    if found is None:
+        raise ValueError("no flag subdivision within the vertex bound")
+    return found

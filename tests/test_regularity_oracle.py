@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
 from eilab.regularity_oracle import FieldSpec, SimplicialComplex
 
-from helpers import brute_homology, complete, cycle, edgeless, path, star
+from helpers import brute_betti, brute_homology, brute_rank, complete, cycle, edgeless, flag_rp2, path, star
 
 
 def test_field_spec_validation():
@@ -102,6 +103,75 @@ def test_regularity_witness_revalidates(corpus5):
         )
         assert dims[res.witness_degree] > 0
         assert res.reg_ideal == res.witness_degree + 2
+
+
+def test_betti_table_matches_brute_force(corpus6):
+    """The fast path (folds, unit pivots, dense cores) against Hochster's
+    formula evaluated with dense elimination over every vertex subset."""
+    rng = random.Random(4242)
+    graphs = [g for g in corpus6 if g.num_edges]
+    for _ in range(12):
+        n = rng.choice((8, 9))
+        pairs = list(combinations(range(n), 2))
+        graphs.append(gc.from_edges(n, rng.sample(pairs, rng.randint(n, 2 * n))))
+    for g in graphs:
+        for char in (0, 2, 3):
+            assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), (g.n, g.edges, char)
+
+
+def test_unit_elimination_keeps_rank():
+    """Pivot count plus the dense rank of the left-over core equals the rank
+    of the whole matrix, on small integer matrices with non-unit entries."""
+    rng = random.Random(31)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        cols = [
+            {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in range(n_rows) if rng.random() < 0.5}
+            for _ in range(n_cols)
+        ]
+        dense = [[col.get(r, 0) for r in range(n_rows)] for col in cols]
+        pivots, core = ro._eliminate_units([dict(col) for col in cols])
+        core_dense = [[col.get(r, 0) for r in range(n_rows)] for col in core]
+        for char in (0, 3):
+            assert pivots + brute_rank(core_dense, char) == brute_rank(dense, char), (cols, char)
+
+
+def test_characteristic_dependence_flag_rp2():
+    """Ind(G) is a flag projective plane: H_2 is one-dimensional over GF(2)
+    and zero over Q and GF(3), so the regularity depends on the field."""
+    n, triangles = flag_rp2()
+    edges = {e for t in triangles for e in combinations(t, 2)}
+    for v in range(n):
+        nbrs: dict[int, set[int]] = {}
+        for t in triangles:
+            if v in t:
+                a, b = (u for u in t if u != v)
+                nbrs.setdefault(a, set()).add(b)
+                nbrs.setdefault(b, set()).add(a)
+        assert all(len(s) == 2 for s in nbrs.values()), f"link of {v} is not 2-regular"
+        start = min(nbrs)
+        prev, cur, steps = start, min(nbrs[start]), 1
+        while cur != start:
+            prev, cur = cur, min(nbrs[cur] - {prev})
+            steps += 1
+        assert steps == len(nbrs), f"link of {v} is not one cycle"
+    # a closed surface with Euler characteristic 1 is the projective plane
+    assert n - len(edges) + len(triangles) == 1
+    cliques = [c for k in (3, 4) for c in combinations(range(n), k) if all(e in edges for e in combinations(c, 2))]
+    assert cliques == sorted(triangles)
+    g = gc.from_edges(n, [e for e in combinations(range(n), 2) if e not in edges])
+    assert ro.independence_complex(g).facets == tuple(triangles)
+    regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
+    assert regs == {0: 3, 2: 4, 3: 3}
+
+
+def test_regularity_at_vertex_cap():
+    """C16 at the oracle cap against the closed form for cycles:
+    reg I(C_n) = floor(n/3) + 1, plus 1 when n = 2 (mod 3)."""
+    g = cycle(16)
+    assert g.n == ro.ORACLE_VERTEX_CAP
+    for char in (0, 2):
+        assert ro.regularity(g, FieldSpec(char)).reg_star == 16 // 3 + 1 == 6
 
 
 def test_regularity_cap():
