@@ -111,7 +111,8 @@ def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     memo: dict[bytes, tuple[int, int]] = {}
     trace: list[TraceStep] = []
     lo, hi = _refine(g, state, memo, trace, top=True)
-    static = static_bounds(g)
+    # the cover search can only lower hi, so it is skipped on a point
+    static = static_bounds(g, use_cochord=lo < hi)
     lo, hi = max(lo, static.lo), min(hi, static.hi)
     return BoundsInterval(lo, hi, static.trace + tuple(trace), state.exhausted)
 

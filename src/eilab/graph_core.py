@@ -306,14 +306,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(adj: Sequence[int], start_mask: int) -> int:
+def _reach(adj: Sequence[int], start_mask: int, alive: int = -1) -> int:
+    """Vertices reachable from ``start_mask`` through vertices of ``alive``."""
     seen = start_mask
     frontier = start_mask
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~seen
         seen |= frontier
     return seen
 

@@ -7,26 +7,28 @@ homology yields ``reg I(G) = t + 2``.  The same sweep yields the graded
 Betti table of the quotient ring ``R/I(G)``, whose ``(i, j)`` entry counts
 homology in degree ``j - i - 1`` over subsets of size ``j``.
 
-Four observations keep the subset sweep cheap enough to run over whole
-corpora of small graphs and single graphs up to the vertex cap:
+The sweep is one table over vertex subsets: ``W`` is visited in
+ascending order, so every proper submask of ``W`` already has its dims
+when ``W`` is reached.  Four observations fill most entries without
+building a complex:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
-  so such ``W`` contribute nothing and are skipped;
+  with no reduced homology;
+* by Engstrom's fold lemma, if ``N(u)`` is contained in ``N(v)`` for
+  another vertex ``u``, then ``Ind(G)`` and ``Ind(G - v)`` are homotopy
+  equivalent, so ``W`` takes the dims of ``W - v``;
 * the independence complex of a disjoint union is the join of the factors'
-  complexes, so homology is only ever computed on connected pieces (and
-  memoized on their relabeled edge sets), then combined by the join rule
+  complexes, so a disconnected ``W`` combines the entries of the component
+  of its lowest vertex and of the rest by the join rule
   ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``;
-* before its complex is built, each piece is folded: by Engstrom's fold
-  lemma, if ``N(u)`` is contained in ``N(v)`` for another vertex ``u``,
-  then ``Ind(G)`` and ``Ind(G - v)`` are homotopy equivalent, so ``v`` is
-  dropped.  A folded piece is split again; an isolated vertex makes it a
-  cone, otherwise its parts are evaluated as pieces in their own right;
 * boundary ranks outside characteristic two start with sparse elimination
   on pivots equal to +1 or -1.  Those steps are unimodular, so they keep
   the rank over the integers and over every field.
 
-Only the core left without a unit pivot reaches a dense exact kernel:
-fraction-free integer elimination for characteristic zero, modular
+Only a connected ``W`` that no fold reduces gets its complex built; its
+dims are memoized on its relabeled edge set, so graphs sharing the piece
+reuse them.  Only the core left without a unit pivot reaches a dense exact
+kernel: fraction-free integer elimination for characteristic zero, modular
 elimination for odd primes.  Characteristic two uses a bit-parallel
 elimination throughout.  Floating point is never used, and every evaluated
 complex is checked against its Euler characteristic.
@@ -38,7 +40,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph, _bits
+from .graph_core import Graph, _bits, _reach
 
 ORACLE_VERTEX_CAP = 16
 
@@ -215,27 +217,48 @@ _PIECE_MEMO: dict = {}
 
 
 def _hochster_sweep(g: Graph, char: int):
-    """Per-graph subset sweep: returns (reg_quotient, witness, betti entries)."""
+    """Per-graph subset sweep: returns (reg_quotient, witness, betti entries).
+
+    ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
+    when there is none.  Subsets are visited in ascending order, so every
+    proper submask of ``W`` is filled before ``W`` is.  A fold is looked
+    for before the component split: it is the cheaper test and reduces
+    most subsets, connected or not.
+    """
     key = (g.n, g.edges, char)
     hit = _SWEEP_MEMO.get(key)
     if hit is not None:
         return hit
     n = g.n
     adj = [g.adj_mask(v) for v in range(n)]
+    table: list[tuple[int, ...]] = [()] * (1 << n)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-t, |W|, W)
     betti: dict[tuple[int, int], int] = {}
     for w_mask in range(1, 1 << n):
-        dims = _join_pieces(adj, _split_connected(adj, w_mask), char)
+        low = w_mask & -w_mask
+        if not adj[low.bit_length() - 1] & w_mask:
+            continue  # an isolated vertex makes the complex a cone
+        v = _fold_vertex(adj, w_mask)
+        if v is not None:
+            dims = table[w_mask ^ (1 << v)]
+        else:
+            comp = _reach(adj, low, w_mask)
+            if comp != w_mask:
+                dims = _join_dims(table[comp], table[w_mask ^ comp])
+            else:
+                dims = _piece_dims(adj, w_mask, char)
         if not any(dims):
             continue
+        table[w_mask] = dims
         size = w_mask.bit_count()
-        w_tuple = tuple(_bits(w_mask))
         for t, d in enumerate(dims):
             if d:
                 betti[(size - t - 1, size)] = betti.get((size - t - 1, size), 0) + d
-                cand = (-t, size, w_tuple)
-                if best is None or cand < best:
-                    best = cand
+                top = t
+        if best is None or (-top, size) <= best[:2]:
+            cand = (-top, size, tuple(_bits(w_mask)))
+            if best is None or cand < best:
+                best = cand
     if best is None:
         result = (0, (None, None), {})
     else:
@@ -245,48 +268,33 @@ def _hochster_sweep(g: Graph, char: int):
     return result
 
 
-def _split_connected(adj: list[int], w_mask: int) -> list[int] | None:
-    """Connected pieces of the induced subgraph, or None if any vertex is
-    isolated there (a cone factor kills all reduced homology)."""
-    pieces = []
-    rest = w_mask
+def _fold_vertex(adj: list[int], alive: int) -> int | None:
+    """A vertex that the fold lemma drops from the graph induced on ``alive``.
+
+    That is a vertex ``v`` adjacent to every live neighbour of some other
+    live vertex ``u``, i.e. ``N(u)`` is contained in ``N(v)`` within
+    ``alive`` (so ``v`` is never ``u``'s neighbour), and then ``Ind`` keeps
+    its homotopy type without ``v``.  None when no vertex can be dropped.
+    """
+    rest = alive
     while rest:
         low = rest & -rest
-        v = low.bit_length() - 1
-        if adj[v] & w_mask == 0:
-            return None
-        seen = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                lo = m & -m
-                nxt |= adj[lo.bit_length() - 1]
-                m ^= lo
-            frontier = nxt & w_mask & ~seen
-            seen |= frontier
-        pieces.append(seen)
-        rest &= ~seen
-    return pieces
-
-
-def _join_pieces(adj: list[int], pieces: list[int] | None, char: int) -> tuple[int, ...]:
-    """Homology dims of the join of the pieces' complexes; () for a cone."""
-    if pieces is None:
-        return ()
-    dims = None
-    for piece_mask in pieces:
-        piece_dims = _piece_dims(adj, piece_mask, char)
-        dims = piece_dims if dims is None else _join_dims(dims, piece_dims)
-        if not any(dims):
-            return ()
-    return dims
+        rest ^= low
+        dominating = alive ^ low
+        nbrs = adj[low.bit_length() - 1] & alive
+        while nbrs and dominating:
+            lo = nbrs & -nbrs
+            dominating &= adj[lo.bit_length() - 1]
+            nbrs ^= lo
+        if dominating:
+            return (dominating & -dominating).bit_length() - 1
+    return None
 
 
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
-    """Homology dims of the independence complex of one connected piece,
-    memoized on its order-preserving relabeled edge set."""
+    """Homology dims of the independence complex of one connected piece
+    that no fold reduces, memoized on its order-preserving relabeled edge
+    set."""
     verts = tuple(_bits(piece_mask))
     k = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -305,41 +313,14 @@ def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
     hit = _PIECE_MEMO.get(mkey)
     if hit is not None:
         return hit
-    folded = _fold(adj, piece_mask)
-    if folded != piece_mask:
-        dims = _join_pieces(adj, _split_connected(adj, folded), char)
-    else:
-        by_dim: list[list[int]] = [[] for _ in range(k)]
-        for mask in _independent_masks(local_adj)[1:]:
-            by_dim[mask.bit_count() - 1].append(mask)
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
-        dims = _homology_from_masks(by_dim, char)
+    by_dim: list[list[int]] = [[] for _ in range(k)]
+    for mask in _independent_masks(local_adj)[1:]:
+        by_dim[mask.bit_count() - 1].append(mask)
+    while by_dim and not by_dim[-1]:
+        by_dim.pop()
+    dims = _homology_from_masks(by_dim, char)
     _PIECE_MEMO[mkey] = dims
     return dims
-
-
-def _fold(adj: list[int], alive: int) -> int:
-    """Drop vertices by the fold lemma until none can be dropped.
-
-    A vertex ``v`` is dropped when another live vertex ``u`` has ``N(u)``,
-    within ``alive``, contained in ``N(v)``: ``v`` is then adjacent to every
-    live neighbour of ``u`` (so never to ``u`` itself), and the independence
-    complex keeps its homotopy type.  Returns the mask that is left.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for u in _bits(alive):
-            if not alive >> u & 1:
-                continue  # dropped earlier in this pass
-            dominating = alive & ~(1 << u)
-            for w in _bits(adj[u] & alive):
-                dominating &= adj[w]
-            if dominating:
-                alive &= ~dominating
-                changed = True
-    return alive
 
 
 def _join_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -198,17 +198,34 @@ def brute_betti(g: Graph, char: int) -> dict[tuple[int, int], int]:
     betti: dict[tuple[int, int], int] = {}
     for size in range(g.n + 1):
         for w in combinations(range(g.n), size):
-            faces = [
-                f
-                for k in range(1, size + 1)
-                for f in combinations(w, k)
-                if not any(g.has_edge(u, v) for u, v in combinations(f, 2))
-            ]
-            for t, d in brute_homology(faces, char).items():
+            for t, d in brute_homology(_independent_faces(g, w), char).items():
                 if d:
                     key = (size - t - 1, size)
                     betti[key] = betti.get(key, 0) + d
     return betti
+
+
+def brute_witness(g: Graph, char: int) -> tuple[tuple[int, ...], int] | None:
+    """The regularity witness ``(W, t)`` by its definition: the smallest
+    ``(-t, |W|, W)`` over every nonempty ``W`` with ``dim H_t`` of the
+    independence complex of ``G[W]`` nonzero, by ``brute_homology``."""
+    best = None
+    for size in range(1, g.n + 1):
+        for w in combinations(range(g.n), size):
+            for t, d in brute_homology(_independent_faces(g, w), char).items():
+                if d and (best is None or (-t, size, w) < best):
+                    best = (-t, size, w)
+    return None if best is None else (best[2], -best[0])
+
+
+def _independent_faces(g: Graph, w: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nonempty independent subset of ``w``."""
+    return [
+        f
+        for k in range(1, len(w) + 1)
+        for f in combinations(w, k)
+        if not any(g.has_edge(u, v) for u, v in combinations(f, 2))
+    ]
 
 
 # -- a flag triangulation of the real projective plane ---------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from eilab import bounds_engine as be
@@ -104,3 +107,13 @@ def test_never_widens_static(corpus5):
         s = be.static_bounds(g)
         r = be.refine_bounds(g)
         assert s.lo <= r.lo and r.hi <= s.hi
+
+
+def test_refine_skips_cover_search_on_a_point():
+    """A dense 14-vertex graph that the recursion pins to a point: the
+    co-chordal cover search, which runs for minutes here, is not started."""
+    g = gc.from_edges(14, random.Random(3).sample(list(combinations(range(14), 2)), 45))
+    reg = regularity(g, FieldSpec(0)).reg_star
+    iv = be.refine_bounds(g)
+    assert (iv.lo, iv.hi) == (reg, reg)
+    assert all(step[0] != be.RULE_WOODROOFE for step in iv.trace)

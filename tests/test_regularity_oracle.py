@@ -11,7 +11,18 @@ from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
 from eilab.regularity_oracle import FieldSpec, SimplicialComplex
 
-from helpers import brute_betti, brute_homology, brute_rank, complete, cycle, edgeless, flag_rp2, path, star
+from helpers import (
+    brute_betti,
+    brute_homology,
+    brute_rank,
+    brute_witness,
+    complete,
+    cycle,
+    edgeless,
+    flag_rp2,
+    path,
+    star,
+)
 
 
 def test_field_spec_validation():
@@ -105,6 +116,17 @@ def test_regularity_witness_revalidates(corpus5):
         assert res.reg_ideal == res.witness_degree + 2
 
 
+def test_witness_is_first_by_tie_break(corpus6):
+    """The witness is the smallest ``(-t, |W|, W)`` over all subsets, not
+    just some subset carrying homology in the top degree."""
+    for g in corpus6:
+        if g.num_edges == 0:
+            continue
+        for char in (0, 2):
+            res = ro.regularity(g, FieldSpec(char))
+            assert (res.witness_subset, res.witness_degree) == brute_witness(g, char), (g.edges, char)
+
+
 def test_betti_table_matches_brute_force(corpus6):
     """The fast path (folds, unit pivots, dense cores) against Hochster's
     formula evaluated with dense elimination over every vertex subset."""
@@ -117,6 +139,42 @@ def test_betti_table_matches_brute_force(corpus6):
     for g in graphs:
         for char in (0, 2, 3):
             assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), (g.n, g.edges, char)
+
+
+def test_betti_table_matches_per_subset_reference():
+    """The subset table against the public per-subset path, which builds the
+    independence complex of every induced subgraph and takes its homology
+    with no fold, no table and no piece memo."""
+    rng = random.Random(1212)
+    pairs = list(combinations(range(10), 2))
+    graphs = [cycle(12), path(12)]
+    graphs += [gc.from_edges(10, rng.sample(pairs, rng.randint(10, 20))) for _ in range(2)]
+    for g in graphs:
+        complexes = []
+        for w in range(1 << g.n):
+            verts = [v for v in range(g.n) if w >> v & 1]
+            complexes.append((len(verts), ro.independence_complex(gc.induced_subgraph(g, verts))))
+        for char in (0, 2, 3):
+            ref: dict[tuple[int, int], int] = {}
+            for size, complex_ in complexes:
+                for t, d in ro.reduced_homology_dims(complex_, FieldSpec(char)).items():
+                    if d:
+                        ref[(size - t - 1, size)] = ref.get((size - t - 1, size), 0) + d
+            assert ro.betti_table(g, FieldSpec(char)).as_dict() == ref, (g.n, g.edges, char)
+
+
+def test_piece_memo_holds_only_fold_irreducible_pieces(corpus7):
+    """Only connected pieces without a vertex pair ``N(u) <= N(v)`` reach
+    the piece memo; every other subset is folded or split in the table."""
+    for g in corpus7:
+        ro.regularity(g, FieldSpec(0))
+    assert ro._PIECE_MEMO
+    for k, ekey, _ in ro._PIECE_MEMO:
+        edges = [(i, j) for j in range(k) for i in range(j) if ekey >> (j * (j - 1) // 2 + i) & 1]
+        piece = gc.from_edges(k, edges)
+        assert piece.is_connected(), edges
+        nbrs = [set(piece.neighbors(v)) for v in range(k)]
+        assert not any(u != v and nbrs[u] <= nbrs[v] for u in range(k) for v in range(k)), edges
 
 
 def test_unit_elimination_keeps_rank():
