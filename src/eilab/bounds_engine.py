@@ -52,7 +52,7 @@ class BoundsInterval:
         return self.lo == self.hi
 
 
-def static_bounds(g: Graph, cochord_cap: int = 4, use_cochord: bool = True) -> BoundsInterval:
+def static_bounds(g: Graph, use_cochord: bool = True) -> BoundsInterval:
     """Non-recursive bounds from the matching chain and complement chordality."""
     if g.num_edges == 0:
         raise NotApplicable("bounds are defined for graphs with at least one edge")
@@ -76,7 +76,7 @@ def static_bounds(g: Graph, cochord_cap: int = 4, use_cochord: bool = True) -> B
         trace.append((RULE_MM_BOUND, desc, f"hi <= mm+1 = {hi}"))
     if use_cochord:
         try:
-            cover = chordality.cochord_number(g, cap=cochord_cap)
+            cover = chordality.cochord_number(g)
         except CapExceeded:
             pass
         else:

@@ -246,7 +246,6 @@ def verify_lemma_suite(
     graphs,
     tags,
     chars=(0,),
-    cochord_cap: int = 4,
     union_total_cap: int = 9,
 ) -> list[SweepReport]:
     """One report per requested lemma tag, over the given corpus graphs."""
@@ -269,7 +268,7 @@ def verify_lemma_suite(
             checked = len(graphs)
             for g in graphs:
                 try:
-                    violations.extend(check(g, chars, cochord_cap))
+                    violations.extend(check(g, chars))
                 except CapExceeded:
                     skips.append(formats_io.encode_graph6(g))
         violations.sort()
@@ -293,7 +292,7 @@ def _reg_star(g: Graph, char: int) -> int:
     return regularity_oracle.regularity(g, FieldSpec(char)).reg_star
 
 
-def _check_ub(g, chars, cochord_cap):
+def _check_ub(g, chars):
     out = []
     if g.num_edges == 0:
         return out
@@ -305,7 +304,7 @@ def _check_ub(g, chars, cochord_cap):
     return out
 
 
-def _check_fl1(g, chars, cochord_cap):
+def _check_fl1(g, chars):
     out = []
     rng = random.Random(_FL1_SEED ^ zlib.crc32(_g6(g).encode()))
     subsets = []
@@ -323,7 +322,7 @@ def _check_fl1(g, chars, cochord_cap):
     return out
 
 
-def _check_fl2(g, chars, cochord_cap):
+def _check_fl2(g, chars):
     out = []
     for c in chars:
         reg = regularity_oracle.reg_recursion_value(g, c)
@@ -345,7 +344,7 @@ def _check_fl2(g, chars, cochord_cap):
     return out
 
 
-def _check_fl3(g, chars, cochord_cap):
+def _check_fl3(g, chars):
     out = []
     for c in chars:
         reg = regularity_oracle.reg_recursion_value(g, c)
@@ -382,7 +381,7 @@ def _check_comp(u: Graph, chars):
     return out
 
 
-def _check_c1(g, chars, cochord_cap):
+def _check_c1(g, chars):
     out = []
     if classifier.contains_c5_subgraph(g):
         return out
@@ -409,7 +408,7 @@ def _middle_edges(g: Graph):
             break
 
 
-def _check_c1a(g, chars, cochord_cap):
+def _check_c1a(g, chars):
     out = []
     for c in chars:
         reg = _reg_star(g, c)
@@ -430,7 +429,7 @@ def _check_c1a(g, chars, cochord_cap):
     return out
 
 
-def _check_c2(g, chars, cochord_cap):
+def _check_c2(g, chars):
     out = []
     if not g.is_connected() or not classifier.contains_c5_subgraph(g):
         return out
@@ -443,7 +442,7 @@ def _check_c2(g, chars, cochord_cap):
     return out
 
 
-def _check_cawa(g, chars, cochord_cap):
+def _check_cawa(g, chars):
     if not g.is_connected() or g.n == 0:
         return []
     equal, _, _ = cameron_walker.cw_by_invariants(g)
@@ -455,14 +454,14 @@ def _check_cawa(g, chars, cochord_cap):
     return []
 
 
-def _check_squeeze(g, chars, cochord_cap):
+def _check_squeeze(g, chars):
     out = []
     if g.num_edges == 0:
         return out
     lo = matchings.nu0(g) + 1
     mid = matchings.mm(g) + 1
     hi = matchings.nu(g) + 1
-    cochord_hi = chordality.cochord_number(g, cap=cochord_cap).k + 1
+    cochord_hi = chordality.cochord_number(g).k + 1
     for c in chars:
         reg = _reg_star(g, c)
         if not (lo <= reg <= mid <= hi):

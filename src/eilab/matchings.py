@@ -91,7 +91,6 @@ def max_matching(g: Graph) -> MatchingCertificate:
     return MatchingCertificate(MatchingKind.MAXIMUM, tuple(chosen), target)
 
 
-@lru_cache(maxsize=None)
 def nu(g: Graph) -> int:
     """Matching number."""
     return _nu_of_mask_fn(g)(g.full_mask)

@@ -21,22 +21,22 @@ building a complex:
   complexes, so a disconnected ``W`` combines the entries of the component
   of its lowest vertex and of the rest by the join rule
   ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``;
-* boundary ranks outside characteristic two start with sparse elimination
-  on pivots equal to +1 or -1.  Those steps are unimodular, so they keep
+* boundary ranks start with sparse elimination on pivots equal to +1 or
+  -1, in every characteristic.  Those steps are unimodular, so they keep
   the rank over the integers and over every field.
 
 Only a connected ``W`` that no fold reduces gets its complex built; its
 dims are memoized on its relabeled edge set, so graphs sharing the piece
-reuse them.  Only the core left without a unit pivot reaches a dense exact
-kernel: fraction-free integer elimination for characteristic zero, modular
-elimination for odd primes.  Characteristic two uses a bit-parallel
-elimination throughout.  Floating point is never used, and every evaluated
-complex is checked against its Euler characteristic.
+reuse them.  The core left without a unit pivot is brought to a diagonal
+by unimodular integer row and column steps (Euclid on an entry of least
+absolute value), and the rank over characteristic ``c`` is the pivot count
+plus the number of diagonal entries that ``c`` does not divide.  One exact
+integer path thus serves every field; floating point is never used, and
+every evaluated complex is checked against its Euler characteristic.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotApplicable
@@ -169,9 +169,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict
 
 def regularity(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VERTEX_CAP) -> RegularityResult:
     """Exact regularity of the edge ideal over the given field."""
-    if g.n > cap:
-        raise CapExceeded(f"regularity sweep capped at {cap} vertices, got {g.n}")
-    reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
+    reg_q, witness, _ = _hochster_sweep(g, field.characteristic, cap)
     if g.num_edges == 0:
         reg_star = 0 if g.n == 0 else 1
         return RegularityResult(reg_star, field.characteristic, None, None)
@@ -188,9 +186,7 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VER
     """Full graded Betti table of ``R/I(G)`` over the given field."""
     if g.num_edges == 0:
         raise NotApplicable("Betti table requires at least one edge")
-    if g.n > cap:
-        raise CapExceeded(f"Betti sweep capped at {cap} vertices, got {g.n}")
-    reg_q, _, betti = _hochster_sweep(g, field.characteristic)
+    reg_q, _, betti = _hochster_sweep(g, field.characteristic, cap)
     entries = dict(betti)
     entries[(0, 0)] = 1
     table = BettiTable(tuple(sorted(entries.items())), field.characteristic)
@@ -204,9 +200,10 @@ def reg_recursion_value(g: Graph, characteristic: int = 0) -> int:
 
     Equals ``reg I(G)`` when edges exist and 1 for edgeless graphs --
     including the empty graph, which the vertex/edge recursions require to
-    count as 1 (its quotient ring is the field itself).
+    count as 1 (its quotient ring is the field itself).  Like
+    ``regularity``, it refuses graphs past ``ORACLE_VERTEX_CAP``.
     """
-    reg_q, _, _ = _hochster_sweep(g, characteristic)
+    reg_q, _, _ = _hochster_sweep(g, characteristic, ORACLE_VERTEX_CAP)
     return reg_q + 1
 
 
@@ -216,15 +213,18 @@ _SWEEP_MEMO: dict = {}
 _PIECE_MEMO: dict = {}
 
 
-def _hochster_sweep(g: Graph, char: int):
+def _hochster_sweep(g: Graph, char: int, cap: int):
     """Per-graph subset sweep: returns (reg_quotient, witness, betti entries).
 
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
     proper submask of ``W`` is filled before ``W`` is.  A fold is looked
     for before the component split: it is the cheaper test and reduces
-    most subsets, connected or not.
+    most subsets, connected or not.  A graph with more than ``cap``
+    vertices is refused.
     """
+    if g.n > cap:
+        raise CapExceeded(f"regularity sweep capped at {cap} vertices, got {g.n}")
     key = (g.n, g.edges, char)
     hit = _SWEEP_MEMO.get(key)
     if hit is not None:
@@ -360,154 +360,98 @@ def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[int, ...]:
 
 def _boundary_rank(rows_faces: list[int], cols_faces: list[int], char: int) -> int:
     row_index = {m: i for i, m in enumerate(rows_faces)}
-    if char == 2:
-        cols = []
-        for face in cols_faces:
-            vec = 0
-            m = face
-            while m:
-                lo = m & -m
-                vec |= 1 << row_index[face ^ lo]
-                m ^= lo
-            cols.append(vec)
-        return _rank_gf2(cols)
     cols = []
     for face in cols_faces:
         col = {}
         sign = 1
-        for v in _bits(face):  # ascending vertices carry the alternating sign
-            col[row_index[face ^ (1 << v)]] = sign
+        m = face
+        while m:  # ascending vertices carry the alternating sign
+            low = m & -m
+            col[row_index[face ^ low]] = sign
             sign = -sign
+            m ^= low
         cols.append(col)
     rank, core = _eliminate_units(cols)
-    if not core:
-        return rank
-    core_rows = sorted({r for col in core for r in col})
-    vectors = [[col.get(r, 0) for r in core_rows] for col in core]
-    if char == 0:
-        return rank + _rank_exact(vectors)
-    return rank + _rank_gfp(vectors, char)
+    return rank + _diagonal_rank(core, char)
 
 
 def _eliminate_units(cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Sparse integer elimination that pivots only on entries equal to +-1.
+    """Sparse integer column reduction that pivots only on entries +1 or -1.
 
-    Columns are ``{row: value}`` maps and are updated in place.  The
-    shortest column with a unit entry is taken first, and within it the
-    unit whose row has the fewest entries; that row is then cleared from
-    the other columns, and the pivot's row and column leave the matrix.
-    Each step is unimodular, so the rank over the integers and over every
-    field is the pivot count plus the rank of the returned nonzero columns.
+    Columns are ``{row: value}`` maps and are updated in place.  Each column
+    in turn has its largest row cleared by the pivot column led there, until
+    that row has no pivot; if the entry left there is +1 or -1 the column
+    becomes that row's pivot, otherwise it joins the core.  Once every pivot
+    is known, the core columns are cleared of every pivot row.  Pivot
+    columns are triangular with unit leads, and adding integer multiples of
+    columns is unimodular, so the rank over the integers and over every
+    field is the pivot count plus the rank of the returned nonzero columns,
+    which no longer meet a pivot row.
     """
-    row_cols: dict[int, set[int]] = {}
-    for c, col in enumerate(cols):
-        for r in col:
-            row_cols.setdefault(r, set()).add(c)
-    live = set(range(len(cols)))
-    heap = [(len(col), c) for c, col in enumerate(cols)]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        size, c = heapq.heappop(heap)
-        col = cols[c]
-        if c not in live or size != len(col):
-            continue  # stale entry: a fresher one was pushed when it changed
-        units = [r for r, x in col.items() if x == 1 or x == -1]
-        if not units:
-            continue  # requeued if a later step changes it
-        r = min(units, key=lambda row: (len(row_cols[row]), row))
-        p = col.pop(r)
-        live.discard(c)
-        for rr in col:
-            row_cols[rr].discard(c)
-        for c2 in row_cols.pop(r) - {c}:
-            col2 = cols[c2]
-            f = col2.pop(r) * p  # p is +-1, its own inverse
-            for rr, x in col.items():
-                y = col2.get(rr, 0) - f * x
-                if y:
-                    col2[rr] = y
-                    row_cols[rr].add(c2)
+    pivots: dict[int, dict[int, int]] = {}
+    core = []
+    for col in cols:
+        while col:
+            r = max(col)
+            if r not in pivots:
+                if col[r] == 1 or col[r] == -1:
+                    pivots[r] = col
                 else:
-                    del col2[rr]
-                    row_cols[rr].discard(c2)
-            heapq.heappush(heap, (len(col2), c2))
-        rank += 1
-    return rank, [cols[c] for c in sorted(live) if cols[c]]
+                    core.append(col)
+                break
+            _subtract(col, pivots[r], col[r] * pivots[r][r])  # a unit is its own inverse
+    for col in core:
+        while rows := [r for r in col if r in pivots]:
+            r = max(rows)
+            _subtract(col, pivots[r], col[r] * pivots[r][r])
+    return len(pivots), [col for col in core if col]
 
 
-def _rank_gf2(cols: list[int]) -> int:
-    pivots: dict[int, int] = {}
+def _subtract(col: dict[int, int], other: dict[int, int], f: int) -> None:
+    """``col -= f * other``, on sparse columns, dropping zeros."""
+    for rr, x in other.items():
+        y = col.get(rr, 0) - f * x
+        if y:
+            col[rr] = y
+        else:
+            del col[rr]
+
+
+def _diagonal_rank(cols: list[dict[int, int]], char: int) -> int:
+    """Rank over characteristic ``char`` of the integer matrix with sparse
+    columns ``cols``, which are updated in place.
+
+    The matrix is brought to a diagonal by unimodular row and column steps:
+    an entry of least absolute value divides its row and its column by
+    Euclid, and when every remainder is zero its row and column are clear,
+    so it leaves as one diagonal entry.  Otherwise a remainder is smaller
+    and becomes the next pivot.  The steps are invertible over the integers
+    and so over every field: the rank is the number of diagonal entries
+    that ``char`` does not divide, and every entry counts at ``char = 0``.
+    """
     rank = 0
-    for vec in cols:
-        v = vec
-        while v:
-            low = v.bit_length() - 1
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = v
+    while cols := [col for col in cols if col]:
+        col, r = min(((col, r) for col in cols for r in col), key=lambda e: abs(e[0][e[1]]))
+        p = col[r]
+        clear = True
+        for col2 in cols:  # column steps leave remainders in row r
+            if col2 is not col and r in col2:
+                _subtract(col2, col, col2[r] // p)
+                clear = clear and r not in col2
+        for r2 in [x for x in col if x != r]:  # row steps leave them in col
+            f = col[r2] // p
+            for col2 in cols:
+                if r in col2:
+                    y = col2.get(r2, 0) - f * col2[r]
+                    if y:
+                        col2[r2] = y
+                    else:
+                        del col2[r2]
+            clear = clear and r2 not in col
+        if clear:
+            if char == 0 or p % char:
                 rank += 1
-                break
-            v ^= p
-    return rank
-
-
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    mat = [[x % p for x in r] for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = pow(pr[col], p - 2, p)
-        for r in range(rank + 1, m):
-            mr = mat[r]
-            if mr[col]:
-                f = mr[col] * inv % p
-                for c in range(col, ncols):
-                    mr[c] = (mr[c] - f * pr[c]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free integer elimination."""
-    mat = [r[:] for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        p = pr[col]
-        for r in range(rank + 1, m):
-            mr = mat[r]
-            q = mr[col]
-            for c in range(col + 1, ncols):
-                mr[c] = (p * mr[c] - q * pr[c]) // prev
-            mr[col] = 0
-        prev = p
-        rank += 1
-        if rank == m:
-            break
+            col.clear()
     return rank
 
 

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 
 from eilab import graph_core as gc
+from eilab import harness
 from eilab import matchings as M
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
+from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import FieldSpec, SimplicialComplex
 
 from helpers import (
@@ -178,20 +180,21 @@ def test_piece_memo_holds_only_fold_irreducible_pieces(corpus7):
 
 
 def test_unit_elimination_keeps_rank():
-    """Pivot count plus the dense rank of the left-over core equals the rank
-    of the whole matrix, on small integer matrices with non-unit entries."""
+    """Pivot count plus the rank read from the diagonal form of the left-over
+    core equals the rank of the whole matrix at chars 0, 2, 3 and 5, on
+    small integer matrices with units and on matrices with none."""
     rng = random.Random(31)
-    for _ in range(300):
+    for entries in [(-3, -2, -1, 1, 2, 3)] * 300 + [(-6, -4, -3, -2, 2, 3, 4, 5, 6, 10)] * 300:
         n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
         cols = [
-            {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in range(n_rows) if rng.random() < 0.5}
+            {r: rng.choice(entries) for r in range(n_rows) if rng.random() < 0.5}
             for _ in range(n_cols)
         ]
         dense = [[col.get(r, 0) for r in range(n_rows)] for col in cols]
         pivots, core = ro._eliminate_units([dict(col) for col in cols])
-        core_dense = [[col.get(r, 0) for r in range(n_rows)] for col in core]
-        for char in (0, 3):
-            assert pivots + brute_rank(core_dense, char) == brute_rank(dense, char), (cols, char)
+        for char in (0, 2, 3, 5):
+            rank = pivots + ro._diagonal_rank([dict(col) for col in core], char)
+            assert rank == brute_rank(dense, char), (cols, char)
 
 
 def test_characteristic_dependence_flag_rp2():
@@ -235,6 +238,19 @@ def test_regularity_at_vertex_cap():
 def test_regularity_cap():
     with pytest.raises(CapExceeded):
         ro.regularity(edgeless(17), FieldSpec(0))
+    with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
+        ro.betti_table(path(17), FieldSpec(0))
+
+
+def test_recursion_value_cap():
+    """The deletion recursions refuse past the cap, as ``regularity`` does,
+    so FL2 and FL3 record the graph as a skip instead of checking it."""
+    with pytest.raises(CapExceeded):
+        ro.reg_recursion_value(path(17))
+    g = path(17)
+    for report in harness.verify_lemma_suite([g], ["FL2", "FL3"]):
+        assert (report.checked, report.violations) == (1, ())
+        assert report.skips == (encode_graph6(g),), report.property_name
 
 
 def test_betti_single_edge():
