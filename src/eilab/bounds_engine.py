@@ -74,16 +74,19 @@ def static_bounds(g: Graph, use_cochord: bool = True) -> BoundsInterval:
     if m1 + 1 < hi:
         hi = m1 + 1
         trace.append((RULE_MM_BOUND, desc, f"hi <= mm+1 = {hi}"))
-    if use_cochord:
-        try:
-            cover = chordality.cochord_number(g)
-        except CapExceeded:
-            pass
-        else:
-            if cover.k + 1 < hi:
-                hi = cover.k + 1
-                trace.append((RULE_WOODROOFE, desc, f"hi <= cochord+1 = {hi}"))
-    return BoundsInterval(lo, hi, tuple(trace))
+    iv = BoundsInterval(lo, hi, tuple(trace))
+    return _cover_bound(g, iv) if use_cochord else iv
+
+
+def _cover_bound(g: Graph, iv: BoundsInterval) -> BoundsInterval:
+    try:
+        hi = chordality.cochord_number(g).k + 1
+    except CapExceeded:
+        return iv
+    if hi >= iv.hi:
+        return iv
+    step = (RULE_WOODROOFE, f"graph(n={g.n}, m={g.num_edges})", f"hi <= cochord+1 = {hi}")
+    return BoundsInterval(iv.lo, hi, iv.trace + (step,))
 
 
 @dataclass
@@ -110,14 +113,18 @@ def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     state = _Budget(budget)
     memo: dict[bytes, tuple[int, int]] = {}
     trace: list[TraceStep] = []
-    lo, hi = _refine(g, state, memo, trace, top=True)
+    static = static_bounds(g, use_cochord=False)
+    lo, hi = _refine(g, state, memo, trace, top=static)
     # the cover search can only lower hi, so it is skipped on a point
-    static = static_bounds(g, use_cochord=lo < hi)
+    if lo < hi:
+        static = _cover_bound(g, static)
     lo, hi = max(lo, static.lo), min(hi, static.hi)
     return BoundsInterval(lo, hi, static.trace + tuple(trace), state.exhausted)
 
 
-def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: bool = False) -> tuple[int, int]:
+# ``top`` is the input graph's static interval, given only at the top level,
+# where the narrowing steps are traced.
+def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: BoundsInterval | None = None) -> tuple[int, int]:
     if g.num_edges == 0:
         return (1, 1)
     key = None
@@ -127,7 +134,7 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: bool =
         if hit is not None:
             return hit
     if not budget.spend():
-        iv = static_bounds(g, use_cochord=False)
+        iv = top or static_bounds(g, use_cochord=False)
         return (iv.lo, iv.hi)
 
     comps = graph_core.components(g)
@@ -145,7 +152,7 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: bool =
             memo[key] = (lo, hi)
         return (lo, hi)
 
-    iv = static_bounds(g, use_cochord=False)
+    iv = top or static_bounds(g, use_cochord=False)
     lo, hi = iv.lo, iv.hi
 
     if lo < hi:

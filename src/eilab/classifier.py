@@ -5,7 +5,9 @@ For any graph, the regularity of its edge ideal reaches the upper bound
 pentagon or has equal matching and induced matching numbers.  ``classify``
 evaluates the structural side (component shapes, no homology) and the
 numeric side (homological oracle vs. matching number) separately and
-reports both; a disagreement is surfaced as-is, never reconciled.
+reports both; a disagreement is surfaced as-is, never reconciled.  The
+field-free side (shapes, matching number) is evaluated once per graph, the
+numeric side once per characteristic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from . import cameron_walker, graph_core, matchings, regularity_oracle
-from .errors import CapExceeded, NotApplicable, NotConnected
+from .errors import NotApplicable, NotConnected
 from .graph_core import Graph
 from .regularity_oracle import FieldSpec
 
@@ -60,31 +62,23 @@ def component_shape(comp: Graph) -> str:
     }[type(dec.shape)]
 
 
-def classify(
-    g: Graph,
-    field: FieldSpec = FieldSpec(0),
-    oracle_cap: int = regularity_oracle.ORACLE_VERTEX_CAP,
-) -> ClassificationVerdict:
-    """Evaluate both sides of the equivalence on one graph.
-
-    The structural side never needs the oracle, so when the oracle refuses
-    (vertex cap) the raised error still carries it in ``structural``.
-    """
+def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
+    """Evaluate both sides of the equivalence on one graph: one verdict per
+    characteristic in ``chars``, in the order given, duplicates kept."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
     shapes = tuple(component_shape(comp) for _, comp in graph_core.components(g))
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    try:
-        reg = regularity_oracle.regularity(g, field, cap=oracle_cap)
-    except CapExceeded as exc:
-        exc.structural = structural  # type: ignore[attr-defined]
-        raise
-    numeric = reg.reg_star == matchings.nu(g) + 1
-    return ClassificationVerdict(
-        structural=structural,
-        numeric=numeric,
-        characteristic=field.characteristic,
-        component_shapes=shapes,
-        agreement=structural == numeric,
-        reg_star=reg.reg_star,
-    )
+    regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
+    target = matchings.nu(g) + 1
+    return [
+        ClassificationVerdict(
+            structural=structural,
+            numeric=reg == target,
+            characteristic=c,
+            component_shapes=shapes,
+            agreement=structural == (reg == target),
+            reg_star=reg,
+        )
+        for c, reg in regs
+    ]

@@ -211,11 +211,9 @@ def _cmd_classify(args) -> int:
     def fill(g, row):
         row.nu = matchings.nu(g)
         row.nu0 = matchings.nu0(g)
-        verdicts = []
-        for c in _chars(args):
-            v = classifier.classify(g, FieldSpec(c))
-            row.reg[c] = v.reg_star
-            verdicts.append(v)
+        verdicts = classifier.classify(g, _chars(args))
+        for v in verdicts:
+            row.reg[v.characteristic] = v.reg_star
         agree = all(v.agreement for v in verdicts)
         row.verdict = (
             f"structural={verdicts[0].structural} "

@@ -112,10 +112,8 @@ def parse_edge_list(doc: str | dict) -> Graph:
         if not isinstance(u, int) or not isinstance(v, int):
             raise MalformedDocument(f"edge entry {e!r} has non-integer endpoints")
         pairs.append((u, v))
-    name = doc.get("name")
     labels = tuple(doc["labels"]) if "labels" in doc else None
-    g = graph_core.from_edges(n, pairs, labels)
-    return g
+    return graph_core.from_edges(n, pairs, labels)
 
 
 def read_graph6_lines(text: str) -> list[GraphDocument]:

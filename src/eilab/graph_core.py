@@ -223,7 +223,7 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     return out
 
 
-def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT_DEFAULT) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal strings exactly when graphs are isomorphic.
 
     Defined as the lexicographically minimal upper-triangle bit string over
@@ -232,8 +232,8 @@ def canonical_form(g: Graph, limit: int = CANONICAL_LIMIT_DEFAULT) -> bytes:
     and pruning any placement whose bit prefix already exceeds the best.
     """
     n = g.n
-    if n > limit:
-        raise TooLarge(f"canonical_form capped at {limit} vertices, got {n}")
+    if n > CANONICAL_LIMIT_DEFAULT:
+        raise TooLarge(f"canonical_form capped at {CANONICAL_LIMIT_DEFAULT} vertices, got {n}")
     if n <= 1:
         return bytes([n])
 

@@ -146,20 +146,18 @@ def enumerate_all(n: int) -> Corpus:
     return Corpus((n, n), tuple(out), False, "internal enumeration")
 
 
-def corpus_up_to(max_n: int, connected: bool = True) -> Corpus:
+def corpus_up_to(max_n: int) -> Corpus:
     graphs: list[Graph] = []
     for n in range(1, max_n + 1):
-        graphs.extend(
-            connected_graphs(n) if connected else enumerate_all(n).graphs
-        )
-    return Corpus((1, max_n), tuple(graphs), connected, "internal enumeration")
+        graphs.extend(connected_graphs(n))
+    return Corpus((1, max_n), tuple(graphs), True, "internal enumeration")
 
 
-def corpus_from_graph6(text: str, provenance: str = "external graph6 file") -> Corpus:
+def corpus_from_graph6(text: str) -> Corpus:
     docs = formats_io.read_graph6_lines(text)
     graphs = tuple(d.graph for d in docs)
     ns = [g.n for g in graphs] or [0]
-    return Corpus((min(ns), max(ns)), graphs, False, provenance)
+    return Corpus((min(ns), max(ns)), graphs, False, "external graph6 file")
 
 
 def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
@@ -182,7 +180,6 @@ def verify_theorem(
     include_unions: bool = True,
     union_total_cap: int = 9,
     workers: int = 1,
-    oracle_cap: int = regularity_oracle.ORACLE_VERTEX_CAP,
 ) -> SweepReport:
     """Check structural == numeric on every graph (and optional unions)."""
     start = time.monotonic()
@@ -198,7 +195,7 @@ def verify_theorem(
         chunks = [items[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(
-                _theorem_chunk, [(chunk, tuple(chars), oracle_cap) for chunk in chunks]
+                _theorem_chunk, [(chunk, tuple(chars)) for chunk in chunks]
             )
         for v, s in results:
             violations.extend(v)
@@ -206,7 +203,7 @@ def verify_theorem(
         violations.sort()
         skips.sort()
     else:
-        violations, skips = _theorem_chunk((items, tuple(chars), oracle_cap))
+        violations, skips = _theorem_chunk((items, tuple(chars)))
     return SweepReport(
         "main-theorem",
         len(items),
@@ -217,23 +214,22 @@ def verify_theorem(
 
 
 def _theorem_chunk(args) -> tuple[list[tuple[str, str]], list[str]]:
-    items, chars, oracle_cap = args
+    items, chars = args
     violations: list[tuple[str, str]] = []
     skips: list[str] = []
     for g6 in items:
-        g = formats_io.parse_graph6(g6)
-        for c in chars:
-            try:
-                verdict = classifier.classify(g, FieldSpec(c), oracle_cap=oracle_cap)
-            except CapExceeded:
-                skips.append(g6)
-                break
-            if not verdict.agreement:
+        try:
+            verdicts = classifier.classify(formats_io.parse_graph6(g6), chars)
+        except CapExceeded:
+            skips.append(g6)
+            continue
+        for v in verdicts:
+            if not v.agreement:
                 violations.append(
                     (
                         g6,
-                        f"char {c}: structural={verdict.structural} "
-                        f"numeric={verdict.numeric} shapes={verdict.component_shapes}",
+                        f"char {v.characteristic}: structural={v.structural} "
+                        f"numeric={v.numeric} shapes={v.component_shapes}",
                     )
                 )
     return violations, skips
@@ -385,10 +381,11 @@ def _check_c1(g, chars):
     out = []
     if classifier.contains_c5_subgraph(g):
         return out
+    nu = matchings.nu(g)
     for c in chars:
-        if _reg_star(g, c) == matchings.nu(g) + 1 and matchings.nu(g) != matchings.nu0(g):
+        if _reg_star(g, c) == nu + 1 and nu != matchings.nu0(g):
             out.append(
-                (_g6(g), f"char {c}: C5-free, reg = nu+1 but nu {matchings.nu(g)} != nu0 {matchings.nu0(g)}")
+                (_g6(g), f"char {c}: C5-free, reg = nu+1 but nu {nu} != nu0 {matchings.nu0(g)}")
             )
     return out
 
@@ -410,20 +407,21 @@ def _middle_edges(g: Graph):
 
 def _check_c1a(g, chars):
     out = []
+    nu = matchings.nu(g)
     for c in chars:
         reg = _reg_star(g, c)
-        if reg != matchings.nu(g) + 1:
+        if reg != nu + 1:
             continue
         for e in _middle_edges(g):
             h = graph_core.apply_surgery(g, DeleteEdge(e))
             reg_h = _reg_star(h, c)
-            if not (reg_h == reg and matchings.nu(h) == matchings.nu(g)):
+            nu_h = matchings.nu(h)
+            if not (reg_h == reg and nu_h == nu):
                 out.append(
                     (
                         _g6(g),
                         f"char {c}: middle edge {e}: expected reg and nu preserved, "
-                        f"got reg {reg_h} (was {reg}), nu {matchings.nu(h)} "
-                        f"(was {matchings.nu(g)})",
+                        f"got reg {reg_h} (was {reg}), nu {nu_h} (was {nu})",
                     )
                 )
     return out

@@ -9,13 +9,14 @@ than approximate.
 
 Ties between optimal certificates break to the lexicographically smallest
 sorted edge list, which keeps golden tests stable.
+
+No memo outlives a call: a caller that needs a value twice keeps it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceeded
 from .graph_core import Graph
@@ -71,12 +72,12 @@ def validate_certificate(g: Graph, cert: MatchingCertificate) -> bool:
 
 def max_matching(g: Graph) -> MatchingCertificate:
     """Maximum matching, exact, with the lex-smallest optimal edge list."""
-    target = nu(g)
+    size_fn = _nu_of_mask_fn(g)
+    target = size_fn(g.full_mask)
     chosen: list[tuple[int, int]] = []
     avail = g.full_mask
     edges = g.edges
     scan = 0
-    size_fn = _nu_of_mask_fn(g)
     while len(chosen) < target:
         for idx in range(scan, len(edges)):
             u, v = edges[idx]
@@ -96,7 +97,6 @@ def nu(g: Graph) -> int:
     return _nu_of_mask_fn(g)(g.full_mask)
 
 
-@lru_cache(maxsize=None)
 def _nu_of_mask_fn(g: Graph):
     adj = [g.adj_mask(v) for v in range(g.n)]
     memo: dict[int, int] = {0: 0}
@@ -151,7 +151,6 @@ def induced_matching_number(g: Graph) -> MatchingCertificate:
     return MatchingCertificate(MatchingKind.MAXIMUM_INDUCED, best_edges, best_size)
 
 
-@lru_cache(maxsize=None)
 def nu0(g: Graph) -> int:
     """Induced matching number."""
     return induced_matching_number(g).size
@@ -198,7 +197,6 @@ def min_maximal_matching(g: Graph) -> MatchingCertificate:
     return MatchingCertificate(MatchingKind.MINIMUM_MAXIMAL, best[1], best[0])
 
 
-@lru_cache(maxsize=None)
 def mm(g: Graph) -> int:
     """Minimum maximal matching number."""
     return min_maximal_matching(g).size

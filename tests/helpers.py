@@ -286,3 +286,11 @@ def flag_rp2() -> tuple[int, list[tuple[int, int, int]]]:
     if found is None:
         raise ValueError("no flag subdivision within the vertex bound")
     return found
+
+
+def flag_rp2_complement() -> Graph:
+    """The graph whose independence complex is the flag projective plane of
+    ``flag_rp2``: the complement of its 1-skeleton."""
+    n, triangles = flag_rp2()
+    edges = {e for t in triangles for e in combinations(t, 2)}
+    return graph_core.from_edges(n, [e for e in combinations(range(n), 2) if e not in edges])

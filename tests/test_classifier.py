@@ -7,7 +7,7 @@ from eilab import graph_core as gc
 from eilab.errors import NotApplicable, NotConnected
 from eilab.regularity_oracle import FieldSpec
 
-from helpers import cycle, edgeless, path, star
+from helpers import cycle, edgeless, flag_rp2_complement, path, star
 
 
 def test_pentagon_test():
@@ -29,7 +29,7 @@ def test_contains_c5_subgraph():
 
 def test_classify_pentagon_union_star():
     u = gc.disjoint_union(cycle(5), star(2))
-    v = cl.classify(u, FieldSpec(0))
+    (v,) = cl.classify(u, (0,))
     assert v.structural and v.numeric and v.agreement
     assert v.component_shapes == ("pentagon", "star")
     from eilab import matchings as M
@@ -39,26 +39,60 @@ def test_classify_pentagon_union_star():
 
 
 def test_classify_c6_both_false():
-    v = cl.classify(cycle(6), FieldSpec(0))
+    (v,) = cl.classify(cycle(6), (0,))
     assert not v.structural and not v.numeric and v.agreement
 
 
 def test_classify_single_vertex():
-    v = cl.classify(edgeless(1), FieldSpec(0))
+    (v,) = cl.classify(edgeless(1), (0,))
     assert v.structural and v.numeric
-    v = cl.classify(edgeless(4), FieldSpec(0))
+    (v,) = cl.classify(edgeless(4), (0,))
     assert v.structural and v.numeric
 
 
 def test_classify_empty_rejected():
     with pytest.raises(NotApplicable):
-        cl.classify(gc.from_edges(0, []), FieldSpec(0))
+        cl.classify(gc.from_edges(0, []), (0,))
+
+
+def test_classify_per_characteristic_flag_rp2():
+    """One call gives one verdict per characteristic, in order, each equal
+    to the verdict of a call with that characteristic alone."""
+    g = flag_rp2_complement()
+    verdicts = cl.classify(g, (0, 2, 3))
+    assert [v.characteristic for v in verdicts] == [0, 2, 3]
+    assert [v.reg_star for v in verdicts] == [3, 4, 3]
+    for v in verdicts:
+        assert cl.classify(g, (v.characteristic,)) == [v]
+    assert cl.classify(g, (2, 0, 2)) == [verdicts[1], verdicts[0], verdicts[1]]
+
+
+def test_classify_field_free_side_once(monkeypatch):
+    from eilab import matchings as M
+
+    calls = {"shape": 0, "nu": 0}
+    shape, nu = cl.component_shape, M.nu
+
+    def counted_shape(comp):
+        calls["shape"] += 1
+        return shape(comp)
+
+    def counted_nu(g):
+        calls["nu"] += 1
+        return nu(g)
+
+    monkeypatch.setattr(cl, "component_shape", counted_shape)
+    monkeypatch.setattr(M, "nu", counted_nu)
+    u = gc.disjoint_union(gc.disjoint_union(cycle(5), star(2)), path(4))
+    verdicts = cl.classify(u, (0, 2, 3))
+    assert len(verdicts) == 3
+    assert calls == {"shape": 3, "nu": 1}
 
 
 def test_classify_agreement_on_corpus(corpus6):
     for g in corpus6:
-        for char in (0, 2):
-            assert cl.classify(g, FieldSpec(char)).agreement
+        for v in cl.classify(g, (0, 2)):
+            assert v.agreement
 
 
 def test_lemma_c1_property(corpus6):

@@ -166,3 +166,29 @@ def test_verify_from_file(capsys, fixtures_dir):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS main-theorem: 6 graphs" in out
+
+
+# Golden stdout of four per-graph commands on tests/fixtures/connected_n6.g6.
+GOLDEN_ARGV = {
+    "invariants.csv": ["invariants"],
+    "reg.csv": ["reg", "--char", "0", "--char", "2", "--char", "3"],
+    "classify.csv": ["classify", "--char", "0", "--char", "2"],
+    "bounds.csv": ["bounds"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_stdout_matches_golden(capsys, fixtures_dir, name):
+    """Stdout bytes and exit code are pinned against ``tests/fixtures/cli/``.
+
+    Regenerate a file from the root of a source checkout with, e.g.
+
+        PYTHONPATH=src python -m eilab.cli reg --char 0 --char 2 --char 3 \\
+            --g6 tests/fixtures/connected_n6.g6 > tests/fixtures/cli/reg.csv
+
+    Regenerating a file changes what ``eilab`` prints, so it is a visible
+    output change, and CHANGES.md must report it.
+    """
+    code = cli.main(GOLDEN_ARGV[name] + ["--g6", str(fixtures_dir / "connected_n6.g6")])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (fixtures_dir / "cli" / name).read_bytes()

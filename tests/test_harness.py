@@ -8,8 +8,9 @@ from eilab import formats_io as fio
 from eilab import graph_core as gc
 from eilab import harness
 from eilab.errors import TooLarge, UnknownProperty
+from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import cycle
+from helpers import path
 
 
 def test_enumeration_counts():
@@ -76,10 +77,10 @@ def test_verify_theorem_small():
 
 
 def test_verify_theorem_records_cap_skips():
-    rep = harness.verify_theorem(
-        [cycle(5)], chars=(0,), include_unions=False, oracle_cap=4
-    )
-    assert rep.skips == ("Dhc",)
+    p17 = path(ORACLE_VERTEX_CAP + 1)
+    rep = harness.verify_theorem([p17], chars=(0, 2), include_unions=False)
+    assert rep.checked == 1
+    assert rep.skips == (fio.encode_graph6(p17),)  # one skip, not one per char
     assert rep.passed  # skips are surfaced separately from violations
 
 
