@@ -52,7 +52,7 @@ class BoundsInterval:
         return self.lo == self.hi
 
 
-def static_bounds(g: Graph, use_cochord: bool = True) -> BoundsInterval:
+def static_bounds(g: Graph) -> BoundsInterval:
     """Non-recursive bounds from the matching chain and complement chordality."""
     if g.num_edges == 0:
         raise NotApplicable("bounds are defined for graphs with at least one edge")
@@ -74,19 +74,7 @@ def static_bounds(g: Graph, use_cochord: bool = True) -> BoundsInterval:
     if m1 + 1 < hi:
         hi = m1 + 1
         trace.append((RULE_MM_BOUND, desc, f"hi <= mm+1 = {hi}"))
-    iv = BoundsInterval(lo, hi, tuple(trace))
-    return _cover_bound(g, iv) if use_cochord else iv
-
-
-def _cover_bound(g: Graph, iv: BoundsInterval) -> BoundsInterval:
-    try:
-        hi = chordality.cochord_number(g).k + 1
-    except CapExceeded:
-        return iv
-    if hi >= iv.hi:
-        return iv
-    step = (RULE_WOODROOFE, f"graph(n={g.n}, m={g.num_edges})", f"hi <= cochord+1 = {hi}")
-    return BoundsInterval(iv.lo, hi, iv.trace + (step,))
+    return BoundsInterval(lo, hi, tuple(trace))
 
 
 @dataclass
@@ -113,11 +101,17 @@ def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     state = _Budget(budget)
     memo: dict[bytes, tuple[int, int]] = {}
     trace: list[TraceStep] = []
-    static = static_bounds(g, use_cochord=False)
+    static = static_bounds(g)
     lo, hi = _refine(g, state, memo, trace, top=static)
     # the cover search can only lower hi, so it is skipped on a point
     if lo < hi:
-        static = _cover_bound(g, static)
+        try:
+            cover_hi = chordality.cochord_number(g).k + 1
+        except CapExceeded:
+            cover_hi = static.hi
+        if cover_hi < static.hi:
+            step = (RULE_WOODROOFE, f"graph(n={g.n}, m={g.num_edges})", f"hi <= cochord+1 = {cover_hi}")
+            static = BoundsInterval(static.lo, cover_hi, static.trace + (step,))
     lo, hi = max(lo, static.lo), min(hi, static.hi)
     return BoundsInterval(lo, hi, static.trace + tuple(trace), state.exhausted)
 
@@ -134,7 +128,7 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: Bounds
         if hit is not None:
             return hit
     if not budget.spend():
-        iv = top or static_bounds(g, use_cochord=False)
+        iv = top or static_bounds(g)
         return (iv.lo, iv.hi)
 
     comps = graph_core.components(g)
@@ -152,7 +146,7 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: Bounds
             memo[key] = (lo, hi)
         return (lo, hi)
 
-    iv = top or static_bounds(g, use_cochord=False)
+    iv = top or static_bounds(g)
     lo, hi = iv.lo, iv.hi
 
     if lo < hi:

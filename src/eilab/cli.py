@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="matching and cover invariants per graph")
     add_inputs(p)
-    p.add_argument("--cochord-cap", type=int, default=4)
+    p.add_argument("--cochord-cap", type=_at_least(1), default=4)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("reg", help="regularity of the edge ideal per graph")
@@ -59,11 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="certified regularity interval, no homology")
     add_inputs(p)
-    p.add_argument("--budget", type=int, default=bounds_engine.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(0), default=bounds_engine.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="exhaustive theorem/lemma verification sweeps")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_at_least(1), default=5)
     p.add_argument("--lemmas", default=None, help="comma list of lemma tags, or 'all'")
     p.add_argument(
         "--chars",
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate small graphs up to isomorphism")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--connected", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -92,6 +92,21 @@ def _characteristic(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"characteristic must be 0 or a prime, got {text!r}"
         ) from None
+
+
+def _at_least(least: int):
+    """Argument type: an integer of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _characteristics(text: str) -> tuple[int, ...]:
@@ -246,10 +261,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     chars = args.chars
     if args.from_file:
-        corpus = harness.corpus_from_graph6(_read(args.from_file))
+        graphs = harness.corpus_from_graph6(_read(args.from_file)).graphs
+        if not graphs:
+            raise EilabError(f"no graphs in {args.from_file}")
     else:
-        corpus = harness.corpus_up_to(args.max_n)
-    graphs = corpus.graphs
+        graphs = harness.corpus_up_to(args.max_n).graphs
     reports = []
     if args.lemmas:
         tags = (

@@ -2,8 +2,9 @@
 
 graph6 support is deliberately limited to the short form (one-byte vertex
 count, n <= 62): nothing in this package ever goes near the multi-byte
-encodings.  Parsing is strict -- wrong byte count, out-of-range bytes and
-nonzero padding bits are all rejected.
+encodings, and edge-list documents share the same vertex cap.  Parsing is
+strict -- wrong byte count, out-of-range bytes and nonzero padding bits
+are all rejected, as are edge-list fields of the wrong type.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import MalformedDocument, MalformedGraph6, TooLarge
 from .graph_core import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+MAX_VERTICES = 62  # the graph6 short form's one-byte vertex count
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ def parse_graph6(line: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Standard minimal graph6 encoding (no header)."""
-    if g.n > 62:
-        raise TooLarge(f"graph6 short form caps at 62 vertices, got {g.n}")
+    if g.n > MAX_VERTICES:
+        raise TooLarge(f"graph6 short form caps at {MAX_VERTICES} vertices, got {g.n}")
     n = g.n
     bits = 0
     nbits = n * (n - 1) // 2
@@ -90,7 +92,8 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(doc: str | dict) -> Graph:
-    """Parse an edge-list document ``{"name"?, "n", "edges"}``."""
+    """Parse an edge-list document ``{"name"?, "n", "edges"}``; other keys
+    are ignored."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -102,18 +105,25 @@ def parse_edge_list(doc: str | dict) -> Graph:
         raise MalformedDocument("edge-list document needs 'n' and 'edges' fields")
     n = doc["n"]
     edges = doc["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not _is_int(n) or not isinstance(edges, list):
         raise MalformedDocument("'n' must be an integer and 'edges' a list")
+    if n > MAX_VERTICES:
+        raise TooLarge(f"edge-list documents cap at {MAX_VERTICES} vertices, got {n}")
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise MalformedDocument(f"edge entry {e!r} is not a 2-element list")
         u, v = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not _is_int(u) or not _is_int(v):
             raise MalformedDocument(f"edge entry {e!r} has non-integer endpoints")
         pairs.append((u, v))
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return graph_core.from_edges(n, pairs, labels)
+    return graph_core.from_edges(n, pairs)
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``true`` and ``false`` load as bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_graph6_lines(text: str) -> list[GraphDocument]:

@@ -2,9 +2,6 @@
 
 Vertices are dense integers ``0..n-1`` and adjacency is kept as one bitmask
 per vertex, which is what every search in this package indexes against.
-Original vertex identities survive relabeling operations through the
-``labels`` tuple, so a surgered or induced graph can always be mapped back
-to the graph it came from.
 """
 
 from __future__ import annotations
@@ -21,20 +18,15 @@ class Graph:
     """Immutable simple graph on vertices ``0..n-1``.
 
     Instances are value-like: equality and hashing look only at the vertex
-    count and the edge set, never at labels.  All operations in this module
-    return new graphs; nothing is ever mutated after construction.
+    count and the edge set.  All operations in this module return new
+    graphs; nothing is ever mutated after construction.
     """
 
-    __slots__ = ("n", "labels", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges")
 
-    def __init__(self, n: int, adj_masks: Sequence[int], labels: tuple | None = None):
+    def __init__(self, n: int, adj_masks: Sequence[int]):
         self.n = n
         self._adj = tuple(adj_masks)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise InvalidVertex(f"labels has {len(labels)} entries for {n} vertices")
-        self.labels = labels
         edges = []
         for v in range(n):
             mask = self._adj[v] >> (v + 1)
@@ -78,10 +70,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1)
 
-    def label_of(self, v: int):
-        """Original identity of ``v`` (its own index when no labels are kept)."""
-        return v if self.labels is None else self.labels[v]
-
     def is_connected(self) -> bool:
         """True for the empty graph and for any graph with one reachable part."""
         if self.n == 0:
@@ -105,7 +93,7 @@ class Graph:
 # -- construction ...........................................................
 
 
-def from_edges(n: int, edges: Iterable[Sequence[int]], labels: tuple | None = None) -> Graph:
+def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse silently."""
     if n < 0:
         raise InvalidVertex(f"negative vertex count {n}")
@@ -118,25 +106,20 @@ def from_edges(n: int, edges: Iterable[Sequence[int]], labels: tuple | None = No
             raise SelfLoopRejected(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj, labels)
+    return Graph(n, adj)
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of ``g``."""
     full = g.full_mask
     adj = [(full ^ g.adj_mask(v)) & ~(1 << v) for v in range(g.n)]
-    return Graph(g.n, adj, g.labels)
+    return Graph(g.n, adj)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Place ``g2`` after ``g1`` on a fresh vertex range."""
     adj = list(g1._adj) + [m << g1.n for m in g2._adj]
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        labels = tuple(g1.label_of(v) for v in range(g1.n)) + tuple(
-            g2.label_of(v) for v in range(g2.n)
-        )
-    return Graph(g1.n + g2.n, adj, labels)
+    return Graph(g1.n + g2.n, adj)
 
 
 # -- surgeries ...............................................................
@@ -174,7 +157,7 @@ SurgeryKind = DeleteVertex | CloseVertex | DeleteEdge | CloseEdge
 
 
 def apply_surgery(g: Graph, surgery: SurgeryKind) -> Graph:
-    """Apply one surgery, returning a new graph labeled by source vertices."""
+    """Apply one surgery, returning a new graph on the surviving vertices in order."""
     match surgery:
         case DeleteVertex(vertex=v):
             _check_vertex(g, v)
@@ -187,7 +170,7 @@ def apply_surgery(g: Graph, surgery: SurgeryKind) -> Graph:
             adj = list(g._adj)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            return Graph(g.n, adj, g.labels)
+            return Graph(g.n, adj)
         case CloseEdge(edge=e):
             u, v = _check_edge(g, e)
             drop = g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v
@@ -209,7 +192,7 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     """Connected components as ``(original vertices, component graph)`` pairs.
 
     The vertex tuples partition ``0..n-1``; each component graph is relabeled
-    to a dense range and carries the original identities in its labels.
+    to a dense range, vertex ``i`` standing for the tuple's ``i``-th entry.
     """
     out = []
     seen = 0
@@ -329,8 +312,7 @@ def _drop_vertices(g: Graph, drop_mask: int) -> Graph:
         mask = g.adj_mask(v) & ~drop_mask
         for u in _bits(mask):
             adj[index[v]] |= 1 << index[u]
-    labels = tuple(g.label_of(v) for v in keep)
-    return Graph(len(keep), adj, labels)
+    return Graph(len(keep), adj)
 
 
 def _check_vertex(g: Graph, v: int) -> None:

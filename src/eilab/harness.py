@@ -45,10 +45,7 @@ _FL1_SAMPLES = 5
 
 @dataclass(frozen=True)
 class Corpus:
-    n_range: tuple[int, int]
     graphs: tuple[Graph, ...]
-    connected_only: bool
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 def enumerate_connected(n: int) -> Corpus:
     """Corpus of all connected graphs on ``n`` vertices, exactly once each."""
-    return Corpus((n, n), connected_graphs(n), True, "internal enumeration")
+    return Corpus(connected_graphs(n))
 
 
 def enumerate_all(n: int) -> Corpus:
@@ -143,21 +140,18 @@ def enumerate_all(n: int) -> Corpus:
             parts.pop()
 
     build(n, 0, [])
-    return Corpus((n, n), tuple(out), False, "internal enumeration")
+    return Corpus(tuple(out))
 
 
 def corpus_up_to(max_n: int) -> Corpus:
     graphs: list[Graph] = []
     for n in range(1, max_n + 1):
         graphs.extend(connected_graphs(n))
-    return Corpus((1, max_n), tuple(graphs), True, "internal enumeration")
+    return Corpus(tuple(graphs))
 
 
 def corpus_from_graph6(text: str) -> Corpus:
-    docs = formats_io.read_graph6_lines(text)
-    graphs = tuple(d.graph for d in docs)
-    ns = [g.n for g in graphs] or [0]
-    return Corpus((min(ns), max(ns)), graphs, False, "external graph6 file")
+    return Corpus(tuple(d.graph for d in formats_io.read_graph6_lines(text)))
 
 
 def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
@@ -288,6 +282,10 @@ def _reg_star(g: Graph, char: int) -> int:
     return regularity_oracle.regularity(g, FieldSpec(char)).reg_star
 
 
+def _reg_recursion(g: Graph, char: int) -> int:
+    return regularity_oracle.regularity(g, FieldSpec(char)).reg_recursion
+
+
 def _check_ub(g, chars):
     out = []
     if g.num_edges == 0:
@@ -321,14 +319,10 @@ def _check_fl1(g, chars):
 def _check_fl2(g, chars):
     out = []
     for c in chars:
-        reg = regularity_oracle.reg_recursion_value(g, c)
+        reg = _reg_recursion(g, c)
         for x in range(g.n):
-            minus = regularity_oracle.reg_recursion_value(
-                graph_core.apply_surgery(g, graph_core.DeleteVertex(x)), c
-            )
-            closed = regularity_oracle.reg_recursion_value(
-                graph_core.apply_surgery(g, graph_core.CloseVertex(x)), c
-            )
+            minus = _reg_recursion(graph_core.apply_surgery(g, graph_core.DeleteVertex(x)), c)
+            closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseVertex(x)), c)
             if reg not in (minus, closed + 1):
                 out.append(
                     (
@@ -343,14 +337,10 @@ def _check_fl2(g, chars):
 def _check_fl3(g, chars):
     out = []
     for c in chars:
-        reg = regularity_oracle.reg_recursion_value(g, c)
+        reg = _reg_recursion(g, c)
         for e in g.edges:
-            minus = regularity_oracle.reg_recursion_value(
-                graph_core.apply_surgery(g, DeleteEdge(e)), c
-            )
-            closed = regularity_oracle.reg_recursion_value(
-                graph_core.apply_surgery(g, graph_core.CloseEdge(e)), c
-            )
+            minus = _reg_recursion(graph_core.apply_surgery(g, DeleteEdge(e)), c)
+            closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseEdge(e)), c)
             if reg > max(minus, closed + 1):
                 out.append(
                     (

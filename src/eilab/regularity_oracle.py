@@ -136,6 +136,14 @@ class RegularityResult:
         """Regularity of the edge ideal; None when there is no edge."""
         return self.reg_star if self.witness_subset is not None else None
 
+    @property
+    def reg_recursion(self) -> int:
+        """The convention under which the vertex and edge deletion
+        recursions are exact: ``reg I(G)`` when an edge exists and 1 for
+        every edgeless graph, including the empty graph (its quotient ring
+        is the field itself)."""
+        return max(self.reg_star, 1)
+
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent vertex sets of ``g``."""
@@ -167,9 +175,9 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict
     return out
 
 
-def regularity(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VERTEX_CAP) -> RegularityResult:
+def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
     """Exact regularity of the edge ideal over the given field."""
-    reg_q, witness, _ = _hochster_sweep(g, field.characteristic, cap)
+    reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
     if g.num_edges == 0:
         reg_star = 0 if g.n == 0 else 1
         return RegularityResult(reg_star, field.characteristic, None, None)
@@ -182,11 +190,11 @@ def regularity(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VERT
     )
 
 
-def betti_table(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VERTEX_CAP) -> BettiTable:
+def betti_table(g: Graph, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     """Full graded Betti table of ``R/I(G)`` over the given field."""
     if g.num_edges == 0:
         raise NotApplicable("Betti table requires at least one edge")
-    reg_q, _, betti = _hochster_sweep(g, field.characteristic, cap)
+    reg_q, _, betti = _hochster_sweep(g, field.characteristic)
     entries = dict(betti)
     entries[(0, 0)] = 1
     table = BettiTable(tuple(sorted(entries.items())), field.characteristic)
@@ -195,36 +203,24 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(0), cap: int = ORACLE_VER
     return table
 
 
-def reg_recursion_value(g: Graph, characteristic: int = 0) -> int:
-    """Regularity in the uniform convention used by the deletion recursions.
-
-    Equals ``reg I(G)`` when edges exist and 1 for edgeless graphs --
-    including the empty graph, which the vertex/edge recursions require to
-    count as 1 (its quotient ring is the field itself).  Like
-    ``regularity``, it refuses graphs past ``ORACLE_VERTEX_CAP``.
-    """
-    reg_q, _, _ = _hochster_sweep(g, characteristic, ORACLE_VERTEX_CAP)
-    return reg_q + 1
-
-
 # -- sweep internals ----------------------------------------------------------
 
 _SWEEP_MEMO: dict = {}
 _PIECE_MEMO: dict = {}
 
 
-def _hochster_sweep(g: Graph, char: int, cap: int):
+def _hochster_sweep(g: Graph, char: int):
     """Per-graph subset sweep: returns (reg_quotient, witness, betti entries).
 
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
     proper submask of ``W`` is filled before ``W`` is.  A fold is looked
     for before the component split: it is the cheaper test and reduces
-    most subsets, connected or not.  A graph with more than ``cap``
-    vertices is refused.
+    most subsets, connected or not.  A graph with more than
+    ``ORACLE_VERTEX_CAP`` vertices is refused.
     """
-    if g.n > cap:
-        raise CapExceeded(f"regularity sweep capped at {cap} vertices, got {g.n}")
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
     key = (g.n, g.edges, char)
     hit = _SWEEP_MEMO.get(key)
     if hit is not None:

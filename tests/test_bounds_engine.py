@@ -8,7 +8,7 @@ import pytest
 from eilab import bounds_engine as be
 from eilab import graph_core as gc
 from eilab.errors import NotApplicable
-from eilab.regularity_oracle import FieldSpec, regularity, reg_recursion_value
+from eilab.regularity_oracle import FieldSpec, regularity
 
 from helpers import cycle, edgeless, path, star
 
@@ -77,16 +77,14 @@ def test_soundness_against_oracle(corpus6):
 
 
 def test_fl2_membership_against_oracle(corpus5):
+    def reg(h):
+        return regularity(h, FieldSpec(0)).reg_recursion
+
     for g in corpus5:
-        reg = reg_recursion_value(g, 0)
         for x in range(g.n):
-            minus = reg_recursion_value(
-                gc.apply_surgery(g, gc.DeleteVertex(x)), 0
-            )
-            closed = reg_recursion_value(
-                gc.apply_surgery(g, gc.CloseVertex(x)), 0
-            )
-            assert reg in (minus, closed + 1)
+            minus = reg(gc.apply_surgery(g, gc.DeleteVertex(x)))
+            closed = reg(gc.apply_surgery(g, gc.CloseVertex(x)))
+            assert reg(g) in (minus, closed + 1)
 
 
 def test_budget_exhaustion_flagged():

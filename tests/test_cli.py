@@ -107,6 +107,36 @@ def test_bad_characteristic_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--g6", "-", "--cochord-cap", "0"],
+        ["enumerate", "--n", "0"],
+        ["enumerate", "--n", "-3"],
+        ["enumerate", "--n", "x"],
+        ["verify", "--max-n", "0"],
+        ["bounds", "--g6", "-", "--budget", "-1"],
+    ],
+)
+def test_bad_integer_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer" in err
+    assert "Traceback" not in err
+
+
+def test_verify_empty_file_is_error(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("# no graphs\n")
+    code = cli.main(["verify", "--from-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: no graphs in ")
+
+
 def test_missing_input_is_error(capsys):
     code = cli.main(["reg"])
     assert code == 1
@@ -157,6 +187,21 @@ def test_json_array_input(capsys, tmp_path):
     assert code == 0
     lines = out.strip().split("\r\n")
     assert lines[1].startswith("edge,2,1") and lines[2].startswith("g1,3,2")
+
+
+def test_oversized_document_flushes_earlier_rows(capsys, tmp_path):
+    """A vertex count past the 62-vertex cap is bad data, not a crash deep
+    in the matching search."""
+    c5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps([c5, {"n": 3000, "edges": []}]))
+    code = cli.main(["invariants", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.strip().split("\r\n")
+    assert len(lines) == 2 and lines[1].startswith("g0,5,5,2,1,2,2")
+    assert captured.err.startswith("error: document 1: ")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_from_file(capsys, fixtures_dir):

@@ -100,6 +100,15 @@ def test_parse_edge_list():
         fio.parse_edge_list('{"n":2,"edges":[[0,2]]}')
 
 
+def test_parse_edge_list_ignores_labels():
+    """A ``labels`` key is read like any other unknown key: not at all, even
+    when its length does not match ``n``."""
+    plain = fio.parse_edge_list('{"n":3,"edges":[[0,1],[1,2]]}')
+    for labels in ('["a","b","c"]', '["a"]', "7"):
+        doc = '{"n":3,"edges":[[0,1],[1,2]],"labels":%s}' % labels
+        assert fio.parse_edge_list(doc) == plain
+
+
 def test_parse_edge_list_schema_errors():
     with pytest.raises(MalformedDocument):
         fio.parse_edge_list("[1,2,3]")
@@ -109,6 +118,13 @@ def test_parse_edge_list_schema_errors():
         fio.parse_edge_list('{"n":2,"edges":[[0]]}')
     with pytest.raises(MalformedDocument):
         fio.parse_edge_list("{not json")
+    with pytest.raises(MalformedDocument):
+        fio.parse_edge_list('{"n":true,"edges":[]}')
+    with pytest.raises(MalformedDocument):
+        fio.parse_edge_list('{"n":2,"edges":[[0,true]]}')
+    with pytest.raises(TooLarge, match="62"):
+        fio.parse_edge_list('{"n":63,"edges":[]}')
+    assert fio.parse_edge_list('{"n":62,"edges":[]}') == edgeless(62)
 
 
 def test_write_report_csv_golden():

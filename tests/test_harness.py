@@ -115,7 +115,6 @@ def test_corpus_from_graph6(fixtures_dir):
     text = (fixtures_dir / "connected_n5.g6").read_text()
     corpus = harness.corpus_from_graph6(text)
     assert len(corpus.graphs) == 21
-    assert corpus.n_range == (5, 5)
 
 
 def test_sweep_reports_are_deterministic(corpus5):

@@ -101,8 +101,9 @@ def test_regularity_conventions():
     assert ro.regularity(edgeless(3), FieldSpec(0)).reg_star == 1
     assert ro.regularity(gc.from_edges(0, []), FieldSpec(0)).reg_star == 0
     assert ro.regularity(edgeless(3), FieldSpec(0)).reg_ideal is None
-    assert ro.reg_recursion_value(gc.from_edges(0, [])) == 1
-    assert ro.reg_recursion_value(edgeless(2)) == 1
+    assert ro.regularity(gc.from_edges(0, [])).reg_recursion == 1
+    assert ro.regularity(edgeless(2)).reg_recursion == 1
+    assert ro.regularity(cycle(5)).reg_recursion == 3
 
 
 def test_regularity_witness_revalidates(corpus5):
@@ -243,10 +244,11 @@ def test_regularity_cap():
 
 
 def test_recursion_value_cap():
-    """The deletion recursions refuse past the cap, as ``regularity`` does,
-    so FL2 and FL3 record the graph as a skip instead of checking it."""
+    """The recursion value comes from ``regularity``, which refuses past
+    the cap, so FL2 and FL3 record the graph as a skip instead of checking
+    it."""
     with pytest.raises(CapExceeded):
-        ro.reg_recursion_value(path(17))
+        ro.regularity(path(17)).reg_recursion
     g = path(17)
     for report in harness.verify_lemma_suite([g], ["FL2", "FL3"]):
         assert (report.checked, report.violations) == (1, ())
