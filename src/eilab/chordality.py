@@ -5,12 +5,19 @@ equivalently when it admits a perfect elimination order.  The searches run
 on adjacency bitmasks restricted to an ``alive`` vertex mask, so the
 subgraphs and complements they need are masks, not new graphs.  The
 recognizer runs lexicographic BFS (lowest index first among equal labels)
-and verifies the reversed visit order.  On failure one ascending pass over
+and verifies the reversed visit order, stopping at the first violation:
+a vertex ``v`` with earlier neighbours ``w`` (the latest) and ``y`` not
+adjacent to each other.
+
+The public refutation witness is a vertex peel: one ascending pass over
 the vertices drops each vertex whose removal leaves the graph non-chordal.
 Chordality is inherited by induced subgraphs, so a vertex kept once stays
-needed, and what remains is vertex-minimal non-chordal: a chordless cycle,
-which serves as the refutation witness (Tarjan-Yannakakis, SIAM J. Comput.
-1984).
+needed, and what remains is vertex-minimal non-chordal: a chordless cycle
+(Tarjan-Yannakakis, SIAM J. Comput. 1984).  The peel costs one LexBFS per
+vertex, so the cover search below reads its cycle off the violation
+instead: ``v`` closed by a shortest ``w``-``y`` path avoiding the rest of
+``v``'s neighbourhood (Rose-Tarjan-Lueker, SIAM J. Comput. 1976), with the
+peel as the fallback when no such path exists.
 
 Co-chordality is chordality of the complement.  The co-chordal cover
 number is found exactly by iterative deepening over the cover size,
@@ -18,7 +25,8 @@ assigning edges to parts in sorted order.  Because co-chordality is not
 monotone under adding edges (a later edge can chord away an offending
 cycle in the complement), a part that currently fails is only pruned when
 some chordless cycle of its complement cannot be touched by any edge still
-unassigned.
+unassigned.  That holds for any chordless cycle, so the cover found does
+not depend on which cycle the search reads.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ class CochordCover:
 def is_chordal(g: Graph) -> ChordalityCertificate:
     """Decide chordality; always returns a validating witness."""
     adj = [g.adj_mask(v) for v in range(g.n)]
-    elimination = _elimination_order(adj, g.full_mask)
+    elimination, _ = _elimination_order(adj, g.full_mask)
     if elimination is not None:
         return ChordalityCertificate(True, elimination_order=elimination)
     return ChordalityCertificate(False, chordless_cycle=_chordless_cycle(adj, g.full_mask))
@@ -76,7 +84,7 @@ def froberg_reg_two(g: Graph) -> bool:
     if g.num_edges == 0:
         raise NotApplicable("regularity-two test needs at least one edge")
     co_adj = _complement([g.adj_mask(v) for v in range(g.n)], g.full_mask)
-    return _elimination_order(co_adj, g.full_mask) is not None
+    return _elimination_order(co_adj, g.full_mask)[0] is not None
 
 
 def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
@@ -94,39 +102,42 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
         raise ValueError("cap must be at least 1")
     edges = g.edges
     m = len(edges)
+    ends = [1 << u | 1 << v for u, v in edges]
 
-    # Memoized co-chordality of edge subsets, evaluated on their support.
-    verdict_memo: dict[int, tuple[bool, tuple[int, ...] | None]] = {}
+    # Memoized co-chordality of edge subsets, evaluated on their support:
+    # None when co-chordal, else the vertex mask of a chordless cycle of
+    # the part's complement.
+    cycle_memo: dict[int, int | None] = {}
 
-    def part_status(edge_mask: int) -> tuple[bool, tuple[int, ...] | None]:
-        hit = verdict_memo.get(edge_mask)
-        if hit is not None:
-            return hit
+    def part_status(edge_mask: int) -> int | None:
+        if edge_mask in cycle_memo:
+            return cycle_memo[edge_mask]
         co_adj, support = _part_complement(g.n, [edges[i] for i in _bits(edge_mask)])
-        if _elimination_order(co_adj, support) is not None:
-            res: tuple[bool, tuple[int, ...] | None] = (True, None)
-        else:
-            res = (False, _chordless_cycle(co_adj, support))
-        verdict_memo[edge_mask] = res
-        return res
+        elimination, violation = _elimination_order(co_adj, support)
+        cyc = None
+        if elimination is None:
+            cycle = _violation_cycle(co_adj, support, violation)
+            if cycle is None:
+                cycle = _chordless_cycle(co_adj, support)
+            cyc = sum(1 << u for u in cycle)
+        cycle_memo[edge_mask] = cyc
+        return cyc
 
     for k in range(1, cap + 1):
         parts = [0] * k
 
         def assign(idx: int, used: int) -> bool:
             if idx == m:
-                return all(p == 0 or part_status(p)[0] for p in parts)
+                return all(p == 0 or part_status(p) is None for p in parts)
             limit = min(used + 1, k)
             for p in range(limit):
                 parts[p] |= 1 << idx
-                ok, cycle = part_status(parts[p])
-                if not ok:
+                cyc = part_status(parts[p])
+                if cyc is not None:
                     # The part may still be repaired by a later edge that
-                    # chords the offending complement cycle away.
-                    fixable = any(
-                        sum(1 for w in cycle if w in edges[future]) == 2
-                        for future in range(idx + 1, m)
-                    )
+                    # chords the offending complement cycle away, which
+                    # needs both its endpoints on the cycle.
+                    fixable = any(ends[f] & ~cyc == 0 for f in range(idx + 1, m))
                     if not fixable:
                         parts[p] &= ~(1 << idx)
                         continue
@@ -157,7 +168,7 @@ def validate_cover(g: Graph, cover: CochordCover) -> bool:
                 return False
             union.add(e)
         co_adj, support = _part_complement(g.n, part)
-        if _elimination_order(co_adj, support) is None:
+        if _elimination_order(co_adj, support)[0] is None:
             return False
     return union == set(g.edges) and cover.k == len(cover.parts)
 
@@ -192,13 +203,19 @@ def validate_chordless_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 # -- internals ----------------------------------------------------------------
 
 
-def _elimination_order(adj: list[int], alive: int) -> tuple[int, ...] | None:
-    """Perfect elimination order of the graph induced on ``alive``, or None.
+def _elimination_order(
+    adj: list[int], alive: int
+) -> tuple[tuple[int, ...] | None, tuple[int, int, int] | None]:
+    """Perfect elimination order of the graph induced on ``alive``, or the
+    first violation of one.
 
     Lexicographic BFS picks the lowest index among equal labels; each
     visited vertex's earlier-visited neighbours must lie in the neighbourhood
     of the latest-visited of them, which is the elimination test on the
-    reversed visit order.
+    reversed visit order.  Returns ``(order, None)`` on success, else
+    ``(None, (v, w, y))``: ``v`` the vertex just visited, ``w`` its
+    latest-visited earlier neighbour and ``y`` the lowest earlier neighbour
+    of ``v`` not adjacent to ``w``.
     """
     labels: dict[int, list[int]] = {v: [] for v in _bits(alive)}
     order: list[int] = []
@@ -209,13 +226,46 @@ def _elimination_order(adj: list[int], alive: int) -> tuple[int, ...] | None:
         earlier = adj[v] & alive & ~left
         if earlier:
             w = next(u for u in reversed(order) if earlier >> u & 1)
-            if earlier & ~adj[w] & ~(1 << w):
-                return None
+            bad = earlier & ~adj[w] & ~(1 << w)
+            if bad:
+                return None, (v, w, (bad & -bad).bit_length() - 1)
         step = -len(order)
         order.append(v)
         for u in _bits(adj[v] & left):
             labels[u].append(step)
-    return tuple(reversed(order))
+    return tuple(reversed(order)), None
+
+
+def _violation_cycle(
+    adj: list[int], alive: int, violation: tuple[int, int, int]
+) -> tuple[int, ...] | None:
+    """The chordless cycle ``v, w, ..., y`` through an elimination violation,
+    or None when no such cycle exists.
+
+    The path from ``w`` to ``y`` is a BFS shortest one avoiding the other
+    neighbours of ``v``: being shortest it has no chords, ``v`` sees only
+    its ends, and ``w`` and ``y`` are not adjacent, so the cycle has length
+    at least four.
+    """
+    v, w, y = violation
+    allowed = alive & ~adj[v] & ~(1 << v) | 1 << w | 1 << y
+    parent = {w: w}
+    seen = frontier = 1 << w
+    while frontier and not seen >> y & 1:
+        reached = 0
+        for u in _bits(frontier):
+            new = adj[u] & allowed & ~seen & ~reached
+            for x in _bits(new):
+                parent[x] = u
+            reached |= new
+        seen |= reached
+        frontier = reached
+    if not seen >> y & 1:
+        return None
+    path = [y]
+    while path[-1] != w:
+        path.append(parent[path[-1]])
+    return (v, *reversed(path))
 
 
 def _chordless_cycle(adj: list[int], alive: int) -> tuple[int, ...]:
@@ -226,7 +276,7 @@ def _chordless_cycle(adj: list[int], alive: int) -> tuple[int, ...]:
     walked from its lowest vertex toward that vertex's lowest neighbour.
     """
     for v in _bits(alive):
-        if _elimination_order(adj, alive & ~(1 << v)) is None:
+        if _elimination_order(adj, alive & ~(1 << v))[0] is None:
             alive &= ~(1 << v)
     start = (alive & -alive).bit_length() - 1
     walk = [start]

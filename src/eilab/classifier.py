@@ -67,9 +67,10 @@ def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     characteristic in ``chars``, in the order given, duplicates kept."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
+    # The oracle's vertex cap refuses before any uncapped matching search.
+    regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
     shapes = tuple(component_shape(comp) for _, comp in graph_core.components(g))
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
     target = matchings.nu(g) + 1
     return [
         ClassificationVerdict(

@@ -195,16 +195,17 @@ def _per_graph(args, fill) -> int:
 
 def _cmd_invariants(args) -> int:
     def fill(g, row):
+        if not g.num_edges:
+            row.nu = row.nu0 = row.mm = 0
+            return
+        # The capped searches go first: ``nu`` has no size cap.
+        row.nu0 = matchings.nu0(g)
+        row.mm = matchings.mm(g)
         row.nu = matchings.nu(g)
-        if g.num_edges:
-            row.nu0 = matchings.nu0(g)
-            row.mm = matchings.mm(g)
-            try:
-                row.cochord = chordality.cochord_number(g, cap=args.cochord_cap).k
-            except CapExceeded as exc:
-                row.certificate = f"cochord > cap (bound <= {exc.best_bound})"
-        else:
-            row.nu0 = row.mm = 0
+        try:
+            row.cochord = chordality.cochord_number(g, cap=args.cochord_cap).k
+        except CapExceeded as exc:
+            row.certificate = f"cochord > cap (bound <= {exc.best_bound})"
 
     return _per_graph(args, fill)
 
@@ -224,9 +225,9 @@ def _cmd_reg(args) -> int:
 
 def _cmd_classify(args) -> int:
     def fill(g, row):
+        verdicts = classifier.classify(g, _chars(args))  # capped: before ``nu``
         row.nu = matchings.nu(g)
         row.nu0 = matchings.nu0(g)
-        verdicts = classifier.classify(g, _chars(args))
         for v in verdicts:
             row.reg[v.characteristic] = v.reg_star
         agree = all(v.agreement for v in verdicts)

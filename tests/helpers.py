@@ -7,7 +7,9 @@ the package internals, so the tests exercise genuinely separate routes.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from eilab import graph_core
@@ -112,6 +114,133 @@ def brute_has_chordless_cycle(g: Graph) -> bool:
             if len(seen) == k:
                 return True
     return False
+
+
+def lex_bfs_order(adj: list[int], alive: int) -> list[int]:
+    """Lexicographic BFS over the vertices of the mask ``alive``.
+
+    A vertex's label lists the visit steps of its visited neighbours,
+    counted down from the vertex count so that earlier visits weigh more;
+    the largest label goes next (a label beats its own prefixes), the
+    lowest index among equal labels.
+    """
+    verts = [v for v in range(len(adj)) if alive >> v & 1]
+    label: dict[int, list[int]] = {v: [] for v in verts}
+    order: list[int] = []
+    while len(order) < len(verts):
+        v = max((u for u in verts if u not in order), key=lambda u: (label[u], -u))
+        order.append(v)
+        for u in verts:
+            if u not in order and adj[v] >> u & 1:
+                label[u].append(len(verts) - len(order))
+    return order
+
+
+@lru_cache(maxsize=1 << 17)
+def _chordal_on(adj: tuple[int, ...], alive: int) -> bool:
+    """Chordality of the graph induced on the mask ``alive``, by deleting
+    simplicial vertices (neighbourhood a clique) until none is left.
+
+    ``adj`` must already be restricted to ``alive``, so that equal induced
+    graphs share one cache entry: the cover search below asks about the
+    same few small graphs many times over.
+    """
+    left = [v for v in range(len(adj)) if alive >> v & 1]
+    while left:
+        for v in left:
+            nb = adj[v] & alive
+            if all(nb & ~adj[u] & ~(1 << u) == 0 for u in left if nb >> u & 1):
+                alive &= ~(1 << v)
+                left.remove(v)
+                break
+        else:
+            return False
+    return True
+
+
+def _chordal_induced(adj: list[int], alive: int) -> bool:
+    return _chordal_on(tuple(a & alive for a in adj), alive)
+
+
+def _peeled_cycle(adj: list[int], alive: int) -> int:
+    """Vertex mask of a chordless cycle of the non-chordal graph on ``alive``:
+    drop, in ascending order, each vertex whose removal keeps it non-chordal."""
+    for v in range(len(adj)):
+        if alive >> v & 1 and not _chordal_induced(adj, alive & ~(1 << v)):
+            alive &= ~(1 << v)
+    return alive
+
+
+def reference_cochord_parts(g: Graph, cap: int = 4):
+    """The first co-chordal edge cover found by the same search order as
+    ``chordality.cochord_number``, with its pruning cycles taken from a
+    vertex peel, or None past ``cap`` parts.
+
+    Edges go in sorted order to the lowest-index part or the first empty
+    one, for k = 1, 2, ... parts.  A failing part is dropped when no later
+    edge has both ends on a chordless cycle of its complement.  Pruning
+    only cuts branches that cannot succeed, whatever cycle it reads, so
+    the first cover found does not depend on how the cycle is chosen.
+    """
+    edges = list(g.edges)
+    m = len(edges)
+    complements: dict[int, tuple[list[int], int] | None] = {}
+    cycles: dict[int, int] = {}
+
+    def failing(part: int) -> tuple[list[int], int] | None:
+        """The complement of a part that is not co-chordal, with its support."""
+        if part not in complements:
+            adj = [0] * g.n
+            for i in range(m):
+                if part >> i & 1:
+                    u, v = edges[i]
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            support = sum(1 << v for v in range(g.n) if adj[v])
+            co_adj = [support & ~a & ~(1 << v) for v, a in enumerate(adj)]
+            complements[part] = None if _chordal_induced(co_adj, support) else (co_adj, support)
+        return complements[part]
+
+    def fixable(part: int, idx: int) -> bool:
+        co_adj, support = complements[part]
+        later = [(u, v) for u, v in edges[idx + 1:] if support >> u & 1 and support >> v & 1]
+        if not later:  # no later edge touches any cycle of this complement twice
+            return False
+        if part not in cycles:
+            cycles[part] = _peeled_cycle(co_adj, support)
+        cyc = cycles[part]
+        return any(cyc >> u & 1 and cyc >> v & 1 for u, v in later)
+
+    for k in range(1, cap + 1):
+        parts = [0] * k
+
+        def assign(idx: int, used: int) -> bool:
+            if idx == m:
+                return all(p == 0 or failing(p) is None for p in parts)
+            for p in range(min(used + 1, k)):
+                parts[p] |= 1 << idx
+                if failing(parts[p]) is None or fixable(parts[p], idx):
+                    if assign(idx + 1, max(used, p + 1)):
+                        return True
+                parts[p] &= ~(1 << idx)
+            return False
+
+        if assign(0, 0):
+            return tuple(
+                tuple(edges[i] for i in range(m) if p >> i & 1) for p in parts if p
+            )
+    return None
+
+
+def sparse_random_graphs() -> list[Graph]:
+    """40 seeded random graphs on 8 to 10 vertices with between n and 2n edges."""
+    rng = random.Random(8)
+    out = []
+    for _ in range(40):
+        n = rng.randint(8, 10)
+        m = rng.randint(n, 2 * n)
+        out.append(graph_core.from_edges(n, rng.sample(list(combinations(range(n), 2)), m)))
+    return out
 
 
 # -- independent homology oracle -------------------------------------------------

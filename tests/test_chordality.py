@@ -6,7 +6,17 @@ from eilab import chordality as ch
 from eilab import graph_core as gc
 from eilab.errors import CapExceeded, NotApplicable
 
-from helpers import brute_has_chordless_cycle, complete, cycle, edgeless, path, star
+from helpers import (
+    brute_has_chordless_cycle,
+    complete,
+    cycle,
+    edgeless,
+    lex_bfs_order,
+    path,
+    reference_cochord_parts,
+    sparse_random_graphs,
+    star,
+)
 
 
 def test_c4_not_chordal():
@@ -154,3 +164,80 @@ def test_woodroofe_bound_on_corpus(corpus6):
             continue
         cover = ch.cochord_number(g, cap=4)
         assert regularity(g, FieldSpec(0)).reg_star <= cover.k + 1
+
+
+def _with_edges(graphs):
+    return [g for g in graphs if g.num_edges]
+
+
+def test_cochord_matches_peel_reference(corpus7):
+    """The cover search agrees, part for part, with an independent search in
+    the same order whose pruning cycles come from a vertex peel.
+
+    Covers every n <= 7 graph with edges and 40 seeded sparse graphs on
+    8-10 vertices with at most 2n edges.  Dense graphs whose cover exceeds
+    cap 4 are left out: refuting every cover of size 4 takes minutes on
+    either search.
+    """
+    for g in _with_edges(corpus7) + sparse_random_graphs():
+        cover = ch.cochord_number(g, cap=4)
+        assert cover.parts == reference_cochord_parts(g, cap=4)
+        assert cover.k == len(cover.parts)
+
+
+def test_violation_cycles_are_chordless(corpus7, monkeypatch):
+    """Every pruning cycle read off an elimination violation is a chordless
+    cycle of the part's complement, and every violation is the first one
+    of the LexBFS order, in the shape ``v~w``, ``v~y``, ``w`` not adjacent
+    to ``y``, ``w`` the latest-visited earlier neighbour of ``v``."""
+    built = {}
+    real = ch._violation_cycle
+
+    def recording(adj, alive, violation):
+        cycle = real(adj, alive, violation)
+        built[tuple(adj), alive, violation] = cycle
+        return cycle
+
+    monkeypatch.setattr(ch, "_violation_cycle", recording)
+    for g in _with_edges(corpus7) + sparse_random_graphs():
+        ch.cochord_number(g, cap=4)
+    assert len(built) > 10_000
+    for (adj, alive, (v, w, y)), cycle in built.items():
+        order = lex_bfs_order(list(adj), alive)
+        pos = {u: i for i, u in enumerate(order)}
+
+        def earlier(u):
+            return [x for x in order[: pos[u]] if adj[u] >> x & 1]
+
+        for u in order[: pos[v]]:
+            before = earlier(u)
+            assert all(x == before[-1] or adj[before[-1]] >> x & 1 for x in before)
+        before = earlier(v)
+        assert before[-1] == w and y in before and pos[y] < pos[w]
+        assert adj[v] >> w & 1 and adj[v] >> y & 1 and not adj[w] >> y & 1
+        if cycle is not None:
+            inside = [u for u in range(len(adj)) if alive >> u & 1]
+            comp = gc.from_edges(
+                len(adj), [(a, b) for a in inside for b in inside if a < b and adj[a] >> b & 1]
+            )
+            assert cycle[:2] == (v, w) and cycle[-1] == y
+            assert set(cycle) <= set(inside)
+            assert ch.validate_chordless_cycle(comp, cycle)
+
+
+def test_peel_fallback(corpus6, monkeypatch):
+    """Without a ``w``-``y`` path avoiding ``v``'s other neighbours there is
+    no violation cycle, and the cover search falls back on the peel."""
+    c4_and_p3 = gc.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6)])
+    adj = [c4_and_p3.adj_mask(v) for v in range(7)]
+    assert ch._violation_cycle(adj, c4_and_p3.full_mask, (5, 4, 6)) is None
+    assert ch._chordless_cycle(adj, c4_and_p3.full_mask) == (0, 1, 2, 3)
+
+    monkeypatch.setattr(ch, "_violation_cycle", lambda adj, alive, violation: None)
+    assert ch.cochord_number(cycle(7)).parts == (
+        ((0, 1), (0, 6), (1, 2)),
+        ((2, 3), (3, 4), (4, 5)),
+        ((5, 6),),
+    )
+    for g in _with_edges(corpus6):
+        assert ch.cochord_number(g, cap=4).parts == reference_cochord_parts(g, cap=4)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
+import time
+from itertools import combinations
 
 import pytest
 
 from eilab import cli, formats_io
+from eilab import graph_core as gc
 
 from helpers import cycle, path
 
@@ -202,6 +206,30 @@ def test_oversized_document_flushes_earlier_rows(capsys, tmp_path):
     assert len(lines) == 2 and lines[1].startswith("g0,5,5,2,1,2,2")
     assert captured.err.startswith("error: document 1: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("invariants", "induced matching number refuses graphs beyond n=24"),
+        ("classify", "regularity sweep capped at 16 vertices, got 40"),
+    ],
+)
+def test_large_graph_refused_before_matching_number(capsys, tmp_path, command, message):
+    """A capped search refuses a 40-vertex graph before the uncapped
+    matching number search, which would not end in any useful time."""
+    rng = random.Random(40)
+    g = gc.from_edges(40, [e for e in combinations(range(40), 2) if rng.random() < 0.15])
+    path = tmp_path / "big.g6"
+    path.write_text(formats_io.encode_graph6(g) + "\n")
+    start = time.monotonic()
+    code = cli.main([command, "--g6", str(path)])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 10
 
 
 def test_verify_from_file(capsys, fixtures_dir):
