@@ -103,8 +103,8 @@ def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     trace: list[TraceStep] = []
     static = static_bounds(g)
     lo, hi = _refine(g, state, memo, trace, top=static)
-    # the cover search can only lower hi, so it is skipped on a point
-    if lo < hi:
+    # the cover search can only lower hi and counts no nodes: skip it on a point or a spent budget
+    if lo < hi and not state.exhausted:
         try:
             cover_hi = chordality.cochord_number(g).k + 1
         except CapExceeded:

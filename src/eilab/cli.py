@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive theorem/lemma verification sweeps")
     p.add_argument("--max-n", type=_at_least(1), default=5)
-    p.add_argument("--lemmas", default=None, help="comma list of lemma tags, or 'all'")
+    p.add_argument("--lemmas", type=_lemma_tags, help="comma list of lemma tags, or 'all'")
     p.add_argument(
         "--chars",
         type=_characteristics,
@@ -85,12 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _characteristic(text: str) -> int:
-    """Argument type: a field characteristic, 0 or a prime."""
+    """Argument type: a field characteristic, 0 or a prime below ``2**31``."""
     try:
         return FieldSpec(int(text)).characteristic
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"characteristic must be 0 or a prime, got {text!r}"
+            f"characteristic must be 0 or a prime below 2**31, got {text!r}"
         ) from None
 
 
@@ -115,6 +115,16 @@ def _characteristics(text: str) -> tuple[int, ...]:
     if not chars:
         raise argparse.ArgumentTypeError("at least one characteristic is required")
     return chars
+
+
+def _lemma_tags(text: str) -> tuple[str, ...]:
+    """Argument type: a nonempty comma list of lemma tags (checked by the sweep), or ``all``."""
+    if text == "all":
+        return harness.LEMMA_TAGS
+    tags = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not tags:
+        raise argparse.ArgumentTypeError("at least one lemma tag is required")
+    return tags
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -269,12 +279,7 @@ def _cmd_verify(args) -> int:
         graphs = harness.corpus_up_to(args.max_n).graphs
     reports = []
     if args.lemmas:
-        tags = (
-            list(harness.LEMMA_TAGS)
-            if args.lemmas == "all"
-            else [t.strip() for t in args.lemmas.split(",") if t.strip()]
-        )
-        reports.extend(harness.verify_lemma_suite(graphs, tags, chars=chars))
+        reports.extend(harness.verify_lemma_suite(graphs, args.lemmas, chars=chars))
     else:
         reports.append(
             harness.verify_theorem(

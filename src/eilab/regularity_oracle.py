@@ -9,7 +9,7 @@ homology in degree ``j - i - 1`` over subsets of size ``j``.
 
 The sweep is one table over vertex subsets: ``W`` is visited in
 ascending order, so every proper submask of ``W`` already has its dims
-when ``W`` is reached.  Four observations fill most entries without
+when ``W`` is reached.  Five observations fill most entries without
 building a complex:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
@@ -21,13 +21,15 @@ building a complex:
   complexes, so a disconnected ``W`` combines the entries of the component
   of its lowest vertex and of the rest by the join rule
   ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``;
+* a vertex ``u`` adjacent to the rest of ``W`` is an isolated point of
+  ``Ind(G[W])``, beside the complex of ``W - u``, so ``W`` takes the dims
+  of ``W - u`` with one more in degree 0;
 * boundary ranks start with sparse elimination on pivots equal to +1 or
   -1, in every characteristic.  Those steps are unimodular, so they keep
   the rank over the integers and over every field.
 
-Only a connected ``W`` that no fold reduces gets its complex built; its
-dims are memoized on its relabeled edge set, so graphs sharing the piece
-reuse them.  The core left without a unit pivot is brought to a diagonal
+Only a connected ``W`` that no fold or universal vertex reduces gets its
+complex built.  The core left without a unit pivot is brought to a diagonal
 by unimodular integer row and column steps (Euclid on an entry of least
 absolute value), and the rank over characteristic ``c`` is the pivot count
 plus the number of diagonal entries that ``c`` does not divide.  One exact
@@ -47,7 +49,7 @@ ORACLE_VERTEX_CAP = 16
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient field, identified by its characteristic (0 or a prime)."""
+    """A coefficient field, identified by its characteristic: 0 or a prime below ``2**31``."""
 
     characteristic: int = 0
 
@@ -55,8 +57,8 @@ class FieldSpec:
         c = self.characteristic
         if c == 0:
             return
-        if c < 2 or any(c % d == 0 for d in range(2, int(c**0.5) + 1)):
-            raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        if not 2 <= c < 2**31 or any(c % d == 0 for d in range(2, int(c**0.5) + 1)):
+            raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {c}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     adj = [g.adj_mask(v) for v in range(g.n)]
     facets = [
         tuple(_bits(mask))
-        for mask in _independent_masks(adj)
+        for mask in _independent_masks(adj, g.full_mask)
         if all(adj[v] & mask for v in _bits(g.full_mask & ~mask))
     ]
     facets.sort(key=lambda f: (len(f), f))
@@ -206,7 +208,6 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(0)) -> BettiTable:
 # -- sweep internals ----------------------------------------------------------
 
 _SWEEP_MEMO: dict = {}
-_PIECE_MEMO: dict = {}
 
 
 def _hochster_sweep(g: Graph, char: int):
@@ -215,8 +216,8 @@ def _hochster_sweep(g: Graph, char: int):
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
     proper submask of ``W`` is filled before ``W`` is.  A fold is looked
-    for before the component split: it is the cheaper test and reduces
-    most subsets, connected or not.  A graph with more than
+    for before the component split, as the cheaper test that reduces most
+    subsets, and a universal vertex after it.  A graph with more than
     ``ORACLE_VERTEX_CAP`` vertices is refused.
     """
     if g.n > ORACLE_VERTEX_CAP:
@@ -241,6 +242,9 @@ def _hochster_sweep(g: Graph, char: int):
             comp = _reach(adj, low, w_mask)
             if comp != w_mask:
                 dims = _join_dims(table[comp], table[w_mask ^ comp])
+            elif u := _universal_vertex(adj, w_mask):
+                rest = table[w_mask ^ u] or (0,)
+                dims = (rest[0] + 1,) + rest[1:]
             else:
                 dims = _piece_dims(adj, w_mask, char)
         if not any(dims):
@@ -287,36 +291,23 @@ def _fold_vertex(adj: list[int], alive: int) -> int | None:
     return None
 
 
+def _universal_vertex(adj: list[int], alive: int) -> int:
+    """The bit of the lowest vertex of ``alive`` adjacent to all the others, or 0."""
+    for v in _bits(alive):
+        if adj[v] & alive == alive ^ (1 << v):
+            return 1 << v
+    return 0
+
+
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
     """Homology dims of the independence complex of one connected piece
-    that no fold reduces, memoized on its order-preserving relabeled edge
-    set."""
-    verts = tuple(_bits(piece_mask))
-    k = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    ekey = 0
-    local_adj = [0] * k
-    for i, v in enumerate(verts):
-        m = adj[v] & piece_mask
-        while m:
-            lo = m & -m
-            j = index[lo.bit_length() - 1]
-            m ^= lo
-            local_adj[i] |= 1 << j
-            if j > i:
-                ekey |= 1 << (j * (j - 1) // 2 + i)
-    mkey = (k, ekey, char)
-    hit = _PIECE_MEMO.get(mkey)
-    if hit is not None:
-        return hit
-    by_dim: list[list[int]] = [[] for _ in range(k)]
-    for mask in _independent_masks(local_adj)[1:]:
+    that no fold or universal vertex reduces."""
+    by_dim: list[list[int]] = [[] for _ in range(piece_mask.bit_count())]
+    for mask in _independent_masks(adj, piece_mask)[1:]:
         by_dim[mask.bit_count() - 1].append(mask)
     while by_dim and not by_dim[-1]:
         by_dim.pop()
-    dims = _homology_from_masks(by_dim, char)
-    _PIECE_MEMO[mkey] = dims
-    return dims
+    return _homology_from_masks(by_dim, char)
 
 
 def _join_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -472,11 +463,11 @@ def _close_down(mask: int, seen: set[int]) -> None:
         m ^= low
 
 
-def _independent_masks(adj: list[int]) -> list[int]:
-    """Every independent vertex set of the graph with adjacency masks
-    ``adj``, as masks in ascending order (the empty set first)."""
+def _independent_masks(adj: list[int], alive: int) -> list[int]:
+    """Every independent set of the graph induced on ``alive``, as masks in
+    ascending order (the empty set first)."""
     masks = [0]
-    for v, nbrs in enumerate(adj):
+    for v in _bits(alive):
         bit = 1 << v
-        masks += [m | bit for m in masks if not m & nbrs]
+        masks += [m | bit for m in masks if not m & adj[v]]
     return masks

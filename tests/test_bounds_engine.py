@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from eilab import bounds_engine as be
+from eilab import chordality
 from eilab import graph_core as gc
 from eilab.errors import NotApplicable
 from eilab.regularity_oracle import FieldSpec, regularity
@@ -115,3 +116,18 @@ def test_refine_skips_cover_search_on_a_point():
     iv = be.refine_bounds(g)
     assert (iv.lo, iv.hi) == (reg, reg)
     assert all(step[0] != be.RULE_WOODROOFE for step in iv.trace)
+
+
+def test_spent_budget_starts_no_cover_search(monkeypatch):
+    """With the node budget spent, the co-chordal cover search, which runs
+    for minutes on a dense 14-vertex graph and counts no nodes, is not
+    started: the interval comes back flagged instead."""
+
+    def refuse(g, *args, **kwargs):
+        raise AssertionError("cover search started with the budget spent")
+
+    monkeypatch.setattr(chordality, "cochord_number", refuse)
+    g = gc.from_edges(14, random.Random(0).sample(list(combinations(range(14), 2)), 55))
+    iv = be.refine_bounds(g, budget=0)
+    assert iv.budget_exhausted
+    assert iv.lo <= regularity(g, FieldSpec(0)).reg_star <= iv.hi

@@ -77,6 +77,16 @@ def test_verify_unknown_lemma(capsys):
     assert "unknown lemma tag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lemmas", [",", " ", ""])
+def test_verify_empty_lemma_list_is_usage_error(capsys, lemmas):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--max-n", "2", "--lemmas", lemmas])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "at least one lemma tag" in err
+    assert "Traceback" not in err
+
+
 def test_enumerate(capsys):
     code = cli.main(["enumerate", "--n", "4", "--connected"])
     out = capsys.readouterr().out
@@ -100,6 +110,8 @@ def test_usage_error_exits_2():
         ["verify", "--chars", "x"],
         ["verify", "--chars", "4"],
         ["verify", "--chars", ","],
+        ["reg", "--g6", "-", "--char", "1000000000000000003"],
+        ["verify", "--chars", "0,2147483659"],
     ],
 )
 def test_bad_characteristic_is_usage_error(capsys, argv):

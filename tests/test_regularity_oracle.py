@@ -28,10 +28,13 @@ from helpers import (
 
 
 def test_field_spec_validation():
+    """The primes from ``2**31`` on (2147483659, 2**61 - 1, 10**18 + 3) are
+    refused before the trial division, which takes minutes near ``10**18``."""
     FieldSpec(0)
     FieldSpec(2)
     FieldSpec(32003)
-    for bad in (1, 4, 6, -3):
+    FieldSpec(2**31 - 1)
+    for bad in (1, 4, 6, -3, 2147483659, 2**61 - 1, 10**18 + 3):
         with pytest.raises(ValueError):
             FieldSpec(bad)
 
@@ -147,7 +150,7 @@ def test_betti_table_matches_brute_force(corpus6):
 def test_betti_table_matches_per_subset_reference():
     """The subset table against the public per-subset path, which builds the
     independence complex of every induced subgraph and takes its homology
-    with no fold, no table and no piece memo."""
+    with no fold, no universal-vertex rule and no table."""
     rng = random.Random(1212)
     pairs = list(combinations(range(10), 2))
     graphs = [cycle(12), path(12)]
@@ -166,18 +169,45 @@ def test_betti_table_matches_per_subset_reference():
             assert ro.betti_table(g, FieldSpec(char)).as_dict() == ref, (g.n, g.edges, char)
 
 
-def test_piece_memo_holds_only_fold_irreducible_pieces(corpus7):
-    """Only connected pieces without a vertex pair ``N(u) <= N(v)`` reach
-    the piece memo; every other subset is folded or split in the table."""
+def test_piece_dims_gets_only_irreducible_pieces(corpus7, monkeypatch):
+    """Only connected pieces with no vertex pair ``N(u) <= N(v)`` and no
+    vertex adjacent to all the others build a complex; every other subset
+    is a cone, folded, split or reduced by its universal vertex in the
+    table."""
+    pieces = []
+
+    def record(adj, piece_mask, char):
+        pieces.append((adj, piece_mask))
+        return piece_dims(adj, piece_mask, char)
+
+    piece_dims = ro._piece_dims
+    monkeypatch.setattr(ro, "_piece_dims", record)
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
     for g in corpus7:
         ro.regularity(g, FieldSpec(0))
-    assert ro._PIECE_MEMO
-    for k, ekey, _ in ro._PIECE_MEMO:
-        edges = [(i, j) for j in range(k) for i in range(j) if ekey >> (j * (j - 1) // 2 + i) & 1]
-        piece = gc.from_edges(k, edges)
-        assert piece.is_connected(), edges
-        nbrs = [set(piece.neighbors(v)) for v in range(k)]
-        assert not any(u != v and nbrs[u] <= nbrs[v] for u in range(k) for v in range(k)), edges
+    assert pieces
+    for adj, w in pieces:
+        verts = [v for v in range(len(adj)) if w >> v & 1]
+        nbrs = {v: adj[v] & w for v in verts}
+        assert gc._reach(adj, 1 << verts[0], w) == w, verts
+        assert not any(u != v and nbrs[u] & ~nbrs[v] == 0 for u in verts for v in verts), verts
+        assert not any(nbrs[u] == w ^ (1 << u) for u in verts), verts
+
+
+def test_cliques_and_bowtie_build_no_complex(monkeypatch):
+    """Every connected subset of a complete graph or of two triangles
+    sharing a vertex has a universal vertex, so the table fills them all
+    without building a complex, and the Betti tables stay exact."""
+
+    def refuse(adj, piece_mask, char):
+        raise AssertionError(f"complex built for subset {piece_mask:b}")
+
+    monkeypatch.setattr(ro, "_piece_dims", refuse)
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    bowtie = gc.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    for g in [complete(k) for k in range(2, 9)] + [bowtie]:
+        for char in (0, 2):
+            assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), (g.n, char)
 
 
 def test_unit_elimination_keeps_rank():
