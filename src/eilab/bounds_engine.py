@@ -1,36 +1,33 @@
 """Certified intervals for edge-ideal regularity, with a provenance trace.
 
 Everything here is homology-free: the interval [lo, hi] is derived purely
-from matching invariants, chordality of the complement, the co-chordal
-cover number, component additivity and the two deletion recursions
-(vertex: the value lies in a two-element set; edge: it is bounded by a
-maximum).  Each tightening is recorded as a (rule, subject, contribution)
-trace step.  The vertex recursion is genuine set membership, not an
-equation, so when its two branches disagree the engine keeps the convex
-hull -- it never guesses a side.
+from matching invariants, chordality of the complement, component
+additivity and the vertex recursion (for every vertex x, reg G lies in
+{reg(G - x), reg(G - N[x]) + 1}).  Each tightening is recorded as a
+(rule, subject, contribution) trace step.  The vertex recursion is genuine
+set membership, not an equation, so when its two branches disagree the
+engine keeps the convex hull -- it never guesses a side.
 
-Subgraphs reached by the recursions can lose all their edges (or all
+Subgraphs reached by the recursion can lose all their edges (or all
 their vertices); those contribute the fixed value 1, the regularity of
 the ambient polynomial ring's quotient bumped to the ideal convention,
-which is the convention under which the recursions are exact.
+which is the convention under which the recursion is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import chordality, graph_core, matchings
-from .errors import CapExceeded, NotApplicable
-from .graph_core import CloseEdge, CloseVertex, DeleteEdge, DeleteVertex, Graph
+from .errors import NotApplicable
+from .graph_core import CloseVertex, DeleteVertex, Graph
 
 RULE_KATZMAN = "Katzman"
 RULE_HA_VAN_TUYL = "HaVanTuyl"
-RULE_WOODROOFE = "Woodroofe"
 RULE_MM_BOUND = "MMBound"
 RULE_FROBERG = "Froberg"
 RULE_COMP_SPLIT = "CompSplit"
 RULE_FL2 = "FL2"
-RULE_FL3 = "FL3"
 
 TraceStep = tuple[str, str, str]
 
@@ -91,7 +88,7 @@ class _Budget:
 
 
 def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
-    """Recursive tightening by components and the two deletion recursions.
+    """Recursive tightening by components and the vertex recursion.
 
     Memoized on canonical forms; never widens the static interval.  When
     the node budget runs out the best interval so far comes back flagged.
@@ -103,15 +100,6 @@ def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     trace: list[TraceStep] = []
     static = static_bounds(g)
     lo, hi = _refine(g, state, memo, trace, top=static)
-    # the cover search can only lower hi and counts no nodes: skip it on a point or a spent budget
-    if lo < hi and not state.exhausted:
-        try:
-            cover_hi = chordality.cochord_number(g).k + 1
-        except CapExceeded:
-            cover_hi = static.hi
-        if cover_hi < static.hi:
-            step = (RULE_WOODROOFE, f"graph(n={g.n}, m={g.num_edges})", f"hi <= cochord+1 = {cover_hi}")
-            static = BoundsInterval(static.lo, cover_hi, static.trace + (step,))
     lo, hi = max(lo, static.lo), min(hi, static.hi)
     return BoundsInterval(lo, hi, static.trace + tuple(trace), state.exhausted)
 
@@ -166,22 +154,6 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: Bounds
                 lo, hi = new_lo, new_hi
                 if top:
                     trace.append((RULE_FL2, f"vertex {x}", f"narrowed to [{lo},{hi}]"))
-
-    if lo < hi:
-        for e in g.edges:
-            if lo == hi or budget.exhausted:
-                break
-            _, del_hi = _refine(
-                graph_core.apply_surgery(g, DeleteEdge(e)), budget, memo, trace
-            )
-            _, cls_hi = _refine(
-                graph_core.apply_surgery(g, CloseEdge(e)), budget, memo, trace
-            )
-            new_hi = min(hi, max(del_hi, cls_hi + 1))
-            if new_hi != hi:
-                hi = new_hi
-                if top:
-                    trace.append((RULE_FL3, f"edge {e}", f"hi <= {hi}"))
 
     if lo > hi:
         raise AssertionError(f"refinement produced an empty interval on {g!r}")

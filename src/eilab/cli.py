@@ -131,10 +131,18 @@ def _lemma_tags(text: str) -> tuple[str, ...]:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of ``path`` (``-`` for stdin); a file that cannot be opened
+    or is not UTF-8 is bad input data, not a crash."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    raise EilabError(f"cannot read {path}: {reason}")
 
 
 def _load_documents(args) -> tuple[list[GraphDocument], str | None]:

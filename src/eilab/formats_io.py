@@ -39,10 +39,10 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(GRAPH6_HEADER):]
     if not text:
         raise MalformedGraph6("empty graph6 line")
-    data = text.encode("ascii", errors="replace")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise MalformedGraph6(f"byte {b} outside graph6 range 63..126")
+    for ch in text:
+        if not 63 <= ord(ch) <= 126:
+            raise MalformedGraph6(f"character {ch!r} outside graph6 range 63..126")
+    data = text.encode("ascii")
     n = data[0] - 63
     if n == 63:
         raise MalformedGraph6("multi-byte vertex counts (n > 62) not supported")

@@ -7,6 +7,7 @@ import pytest
 
 from eilab import bounds_engine as be
 from eilab import chordality
+from eilab import formats_io as fio
 from eilab import graph_core as gc
 from eilab.errors import NotApplicable
 from eilab.regularity_oracle import FieldSpec, regularity
@@ -36,12 +37,10 @@ def test_trace_names_rules(corpus5):
     known = {
         be.RULE_KATZMAN,
         be.RULE_HA_VAN_TUYL,
-        be.RULE_WOODROOFE,
         be.RULE_MM_BOUND,
         be.RULE_FROBERG,
         be.RULE_COMP_SPLIT,
         be.RULE_FL2,
-        be.RULE_FL3,
     }
     for g in corpus5:
         if g.num_edges == 0:
@@ -62,19 +61,16 @@ def test_refine_examples():
     assert (iv.lo, iv.hi) == (3, 3)
 
 
-def test_soundness_against_oracle(corpus6):
-    point = 0
-    total = 0
-    for g in corpus6:
+def test_soundness_against_oracle(corpus7):
+    """The static chain, component additivity and the vertex recursion pin
+    every connected graph on at most 7 vertices to the oracle's value,
+    within the default budget."""
+    for g in corpus7:
         if g.num_edges == 0:
             continue
         iv = be.refine_bounds(g)
         reg = regularity(g, FieldSpec(0)).reg_star
-        assert iv.lo <= reg <= iv.hi, (g, iv, reg)
-        total += 1
-        point += iv.is_point()
-    # exactness rate is reported, not asserted; keep visibility in the log
-    print(f"refine_bounds exact on {point}/{total} graphs")
+        assert (iv.lo, iv.hi, iv.budget_exhausted) == (reg, reg, False), (g, iv, reg)
 
 
 def test_fl2_membership_against_oracle(corpus5):
@@ -108,26 +104,37 @@ def test_never_widens_static(corpus5):
         assert s.lo <= r.lo and r.hi <= s.hi
 
 
-def test_refine_skips_cover_search_on_a_point():
-    """A dense 14-vertex graph that the recursion pins to a point: the
-    co-chordal cover search, which runs for minutes here, is not started."""
-    g = gc.from_edges(14, random.Random(3).sample(list(combinations(range(14), 2)), 45))
+def test_refine_starts_no_cover_search(monkeypatch):
+    """The engine never starts the co-chordal cover search: not on C14,
+    where the recursion leaves the interval open, not on a dense graph it
+    pins to a point, and not with the node budget spent."""
+
+    def refuse(g, *args, **kwargs):
+        raise AssertionError("cover search started")
+
+    monkeypatch.setattr(chordality, "cochord_number", refuse)
+    iv = be.refine_bounds(cycle(14))
+    assert (iv.lo, iv.hi) == (5, 6)
+    assert iv.lo <= regularity(cycle(14), FieldSpec(0)).reg_star <= iv.hi
+    g = _random_graph(14, 45, 3)
     reg = regularity(g, FieldSpec(0)).reg_star
     iv = be.refine_bounds(g)
     assert (iv.lo, iv.hi) == (reg, reg)
-    assert all(step[0] != be.RULE_WOODROOFE for step in iv.trace)
-
-
-def test_spent_budget_starts_no_cover_search(monkeypatch):
-    """With the node budget spent, the co-chordal cover search, which runs
-    for minutes on a dense 14-vertex graph and counts no nodes, is not
-    started: the interval comes back flagged instead."""
-
-    def refuse(g, *args, **kwargs):
-        raise AssertionError("cover search started with the budget spent")
-
-    monkeypatch.setattr(chordality, "cochord_number", refuse)
-    g = gc.from_edges(14, random.Random(0).sample(list(combinations(range(14), 2)), 55))
+    g = _random_graph(14, 55, 0)
     iv = be.refine_bounds(g, budget=0)
     assert iv.budget_exhausted
     assert iv.lo <= regularity(g, FieldSpec(0)).reg_star <= iv.hi
+
+
+def test_refine_closes_dense_14_vertex_graph():
+    """A dense 14-vertex graph that the vertex recursion pins to the
+    oracle's value within the default budget."""
+    g = fio.parse_graph6("MGAKdedYd^x_kgps?")
+    assert (g.n, g.num_edges) == (14, 40)
+    assert regularity(g, FieldSpec(0)).reg_star == 4
+    iv = be.refine_bounds(g)
+    assert (iv.lo, iv.hi, iv.budget_exhausted) == (4, 4, False)
+
+
+def _random_graph(n: int, m: int, seed: int) -> gc.Graph:
+    return gc.from_edges(n, random.Random(seed).sample(list(combinations(range(n), 2)), m))

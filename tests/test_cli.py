@@ -277,3 +277,39 @@ def test_stdout_matches_golden(capsys, fixtures_dir, name):
     code = cli.main(GOLDEN_ARGV[name] + ["--g6", str(fixtures_dir / "connected_n6.g6")])
     assert code == 0
     assert capsys.readouterr().out.encode() == (fixtures_dir / "cli" / name).read_bytes()
+
+
+def test_non_ascii_graph6_is_bad_data(capsys, monkeypatch):
+    code, out, err = run(capsys, ["invariants", "--g6", "-"], "A_\nDh€\n", monkeypatch)
+    assert code == 1
+    assert out.strip().split("\r\n")[1].startswith("A_,2,1")
+    assert err.startswith("error: line 2: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case", ["missing g6", "json directory", "missing corpus", "0xff in file", "0xff on stdin"]
+)
+def test_unreadable_input_is_bad_data(capsys, monkeypatch, tmp_path, case):
+    """Input that cannot be read, or is not UTF-8, exits 1 with one error
+    line and no traceback."""
+    import io
+    import sys
+
+    missing = str(tmp_path / "nonexistent")
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"A_\n\xff\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"A_\n\xff\n"), encoding="utf-8"))
+    argv = {
+        "missing g6": ["reg", "--g6", missing],
+        "json directory": ["reg", "--json", str(tmp_path)],
+        "missing corpus": ["verify", "--from-file", missing],
+        "0xff in file": ["reg", "--g6", str(bad)],
+        "0xff on stdin": ["reg", "--g6", "-"],
+    }[case]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {argv[-1]}: ")
+    assert captured.err.count("\n") == 1

@@ -42,6 +42,10 @@ def test_parse_malformed():
         fio.parse_graph6("~~~")  # multi-byte count unsupported
     with pytest.raises(MalformedGraph6):
         fio.parse_graph6("A" + chr(95 + 16))  # nonzero padding bits
+    with pytest.raises(MalformedGraph6):
+        fio.parse_graph6("Dh€")  # non-ASCII, not read as "?"
+    with pytest.raises(MalformedGraph6):
+        fio.parse_graph6("D?é")
 
 
 def test_roundtrip_corpus(corpus6):
