@@ -104,15 +104,20 @@ def test_never_widens_static(corpus5):
         assert s.lo <= r.lo and r.hi <= s.hi
 
 
-def test_refine_starts_no_cover_search(monkeypatch):
-    """The engine never starts the co-chordal cover search: not on C14,
-    where the recursion leaves the interval open, not on a dense graph it
-    pins to a point, and not with the node budget spent."""
+@pytest.fixture
+def no_cover_search(monkeypatch):
+    """Make the co-chordal cover search fail the test if it is started."""
 
     def refuse(g, *args, **kwargs):
         raise AssertionError("cover search started")
 
     monkeypatch.setattr(chordality, "cochord_number", refuse)
+
+
+def test_refine_skips_cover_search_on_a_point(no_cover_search):
+    """The engine never starts the co-chordal cover search: not on C14,
+    where the recursion leaves the interval open, and not on a dense
+    14-vertex graph it pins to a point."""
     iv = be.refine_bounds(cycle(14))
     assert (iv.lo, iv.hi) == (5, 6)
     assert iv.lo <= regularity(cycle(14), FieldSpec(0)).reg_star <= iv.hi
@@ -120,6 +125,11 @@ def test_refine_starts_no_cover_search(monkeypatch):
     reg = regularity(g, FieldSpec(0)).reg_star
     iv = be.refine_bounds(g)
     assert (iv.lo, iv.hi) == (reg, reg)
+
+
+def test_spent_budget_starts_no_cover_search(no_cover_search):
+    """With the node budget spent, no cover search is started either: the
+    interval comes back flagged instead."""
     g = _random_graph(14, 55, 0)
     iv = be.refine_bounds(g, budget=0)
     assert iv.budget_exhausted
