@@ -2,11 +2,13 @@
 
 The corpus is every connected graph on up to eight vertices, one per
 isomorphism class, produced by vertex augmentation (attach a new vertex to
-each nonempty subset of a smaller connected graph) with canonical-form
-deduplication.  Sweeps then check the classification theorem and each
-supporting lemma over a corpus, optionally including two-component
-disjoint unions, and report violations by graph6 string so any failure is
-reproducible from the report alone.
+each nonempty subset of a smaller connected graph).  Candidates are
+deduplicated by the refinement key ``graph_core.canonical_key``; each
+class is then labelled and ordered by the lex-min
+``graph_core.canonical_form``, computed once per class.  Sweeps then check
+the classification theorem and each supporting lemma over a corpus,
+optionally including two-component disjoint unions, and report violations
+by graph6 string so any failure is reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ _connected_cache: dict[int, tuple[Graph, ...]] = {}
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on exactly ``n`` vertices, canonically labeled."""
+    """All connected graphs on exactly ``n`` vertices, canonically labeled,
+    in increasing order of canonical form."""
     if n < 1:
         raise ValueError("vertex count must be positive")
     if n > INTERNAL_ENUMERATION_CAP:
@@ -81,7 +84,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         out = (graph_core.from_edges(1, []),)
     else:
-        seen: dict[bytes, None] = {}
+        seen: dict[int, Graph] = {}
         for g in connected_graphs(n - 1):
             base = [g.adj_mask(v) for v in range(n - 1)]
             for attach in range(1, 1 << (n - 1)):
@@ -90,10 +93,9 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
                     if attach >> v & 1:
                         adj[v] |= 1 << (n - 1)
                 cand = Graph(n, adj)
-                seen.setdefault(graph_core.canonical_form(cand), None)
-        out = tuple(
-            graph_core.graph_of_canonical_form(key) for key in sorted(seen)
-        )
+                seen.setdefault(graph_core.canonical_key(cand), cand)
+        forms = sorted(graph_core.canonical_form(g) for g in seen.values())
+        out = tuple(graph_core.graph_of_canonical_form(f) for f in forms)
     if n in CONNECTED_COUNTS and len(out) != CONNECTED_COUNTS[n]:
         raise AssertionError(
             f"enumeration found {len(out)} connected graphs on {n} vertices, "
@@ -116,11 +118,8 @@ def enumerate_all(n: int) -> Corpus:
         raise TooLarge(
             f"internal enumeration caps at {INTERNAL_ENUMERATION_CAP} vertices"
         )
-    catalog = []
-    for k in range(1, n + 1):
-        for g in connected_graphs(k):
-            catalog.append((k, graph_core.canonical_form(g), g))
-    catalog.sort(key=lambda item: (item[0], item[1]))
+    # Already in (vertex count, canonical form) order.
+    catalog = [g for k in range(1, n + 1) for g in connected_graphs(k)]
 
     out: list[Graph] = []
 
@@ -132,11 +131,11 @@ def enumerate_all(n: int) -> Corpus:
             out.append(acc)
             return
         for idx in range(start, len(catalog)):
-            k, _, g = catalog[idx]
-            if k > remaining:
+            g = catalog[idx]
+            if g.n > remaining:
                 continue
             parts.append(g)
-            build(remaining - k, idx, parts)
+            build(remaining - g.n, idx, parts)
             parts.pop()
 
     build(n, 0, [])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -148,3 +149,29 @@ def test_refine_closes_dense_14_vertex_graph():
 
 def _random_graph(n: int, m: int, seed: int) -> gc.Graph:
     return gc.from_edges(n, random.Random(seed).sample(list(combinations(range(n), 2)), m))
+
+
+def test_refine_clique_union_cycle(monkeypatch):
+    """K10 + C5: the memo keys K10 without the lex-min search, which alone
+    took ~20 s on K10 before it pruned twins."""
+
+    def refuse(g):
+        raise AssertionError("lex-min search started")
+
+    monkeypatch.setattr(gc, "canonical_form", refuse)
+    g = fio.parse_graph6("N~~~~~~~w??@?@??_@G")
+    assert (g.n, g.num_edges) == (15, 50)
+    start = time.monotonic()
+    iv = be.refine_bounds(g)
+    assert time.monotonic() - start < 5
+    assert (iv.lo, iv.hi, iv.budget_exhausted) == (4, 4, False)
+
+
+def test_memo_key_matches_lex_min_reference(corpus6, monkeypatch):
+    """Keying the memo by the lex-min form instead gives the same intervals,
+    traces and flags: both keys group exactly the isomorphic graphs."""
+    graphs = [g for g in corpus6 if g.num_edges]
+    graphs += [_random_graph(n, m, seed) for seed, (n, m) in enumerate([(8, 12), (9, 16), (10, 14), (10, 22), (12, 20)])]
+    fast = [be.refine_bounds(g) for g in graphs]
+    monkeypatch.setattr(gc, "canonical_key", gc.canonical_form)
+    assert [be.refine_bounds(g) for g in graphs] == fast

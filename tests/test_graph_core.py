@@ -11,6 +11,32 @@ from eilab.graph_core import CloseEdge, CloseVertex, DeleteEdge, DeleteVertex
 from helpers import cycle, path, complete, edgeless, relabel
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return gc.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def _circulant(n, steps):
+    return gc.from_edges(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+SYMMETRIC_10 = {
+    "K10": complete(10),
+    "edgeless10": edgeless(10),
+    "K5,5": gc.from_edges(10, [(i, j) for i in range(5) for j in range(5, 10)]),
+    "2C5": gc.disjoint_union(cycle(5), cycle(5)),
+    "Petersen": _petersen(),
+    "C10": cycle(10),
+}
+
+
 def test_from_edges_c5():
     g = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert g.num_edges == 5
@@ -153,3 +179,100 @@ def test_canonical_roundtrip(corpus5):
         data = gc.canonical_form(g)
         back = gc.graph_of_canonical_form(data)
         assert gc.canonical_form(back) == data
+
+
+def test_canonical_form_twins_pruned():
+    # Each of these took seconds to minutes without the twin rule.
+    assert gc.canonical_form(complete(10)) == bytes([10]) + b"\xff" * 5 + b"\xf8"  # 45 ones
+    assert gc.canonical_form(edgeless(10)) == bytes([10]) + bytes(6)
+    assert gc.canonical_form(complete(9)) == gc.canonical_form(relabel(complete(9), list(range(8, -1, -1))))
+
+
+def test_canonical_key_on_corpus(corpus7):
+    rng = random.Random(12)
+    keys = [gc.canonical_key(g) for g in corpus7]
+    assert len(set(keys)) == len(keys)
+    for g, key in zip(corpus7, keys):
+        for _ in range(20):
+            assert gc.canonical_key(_shuffled(g, rng)) == key
+
+
+def _assert_key_matches_form(graphs):
+    keys = [gc.canonical_key(g) for g in graphs]
+    forms = [gc.canonical_form(g) for g in graphs]
+    for i in range(len(graphs)):
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (forms[i] == forms[j]), (graphs[i], graphs[j])
+
+
+def test_canonical_key_matches_lex_min_on_relabellings():
+    rng = random.Random(8)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(8, 10)
+        p = rng.choice((0.2, 0.4, 0.5, 0.7))
+        g = gc.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        u, v = rng.sample(range(n), 2)
+        flipped = gc.apply_surgery(g, DeleteEdge((u, v))) if g.has_edge(u, v) else gc.from_edges(n, g.edges + ((u, v),))
+        graphs += [g, _shuffled(g, rng), flipped, _shuffled(flipped, rng)]
+    _assert_key_matches_form(graphs)
+
+
+def test_canonical_key_matches_lex_min_on_circulants():
+    # Vertex-transitive graphs: colour refinement splits nothing, so every
+    # distinction comes from individualization.
+    rng = random.Random(9)
+    graphs = []
+    for n in (8, 9, 10):
+        for mask in range(1, 1 << (n // 2)):
+            g = _circulant(n, [s + 1 for s in range(n // 2) if mask >> s & 1])
+            graphs += [g, _shuffled(g, rng)]
+    _assert_key_matches_form(graphs)
+
+
+def _random_regular(n, d, rng):
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == n * d // 2 and all(a != b for a, b in pairs):
+            return gc.from_edges(n, pairs)
+
+
+def test_canonical_key_matches_lex_min_on_regular_graphs():
+    # Colour refinement splits nothing here either, and most of these have
+    # few automorphisms, so the search branches on more than one level.
+    # A switch (a b)(c d) -> (a c)(b d) keeps the degrees.
+    rng = random.Random(11)
+    graphs = []
+    for n, d in ((8, 3), (10, 3), (9, 4), (10, 4), (10, 5)):
+        for _ in range(4):
+            g = _random_regular(n, d, rng)
+            (a, b), (c, e) = rng.sample(g.edges, 2)
+            switched = g
+            if len({a, b, c, e}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, e):
+                switched = gc.from_edges(n, set(g.edges) - {(a, b), (c, e)} | {(min(a, c), max(a, c)), (min(b, e), max(b, e))})
+            graphs += [g, _shuffled(g, rng), switched, _shuffled(switched, rng)]
+    _assert_key_matches_form(graphs)
+
+
+def test_canonical_key_symmetric_graphs():
+    rng = random.Random(10)
+    graphs = list(SYMMETRIC_10.values())
+    keys = [gc.canonical_key(g) for g in graphs]
+    assert len(set(keys)) == len(keys)
+    for g, key in zip(graphs, keys):
+        for _ in range(5):
+            assert gc.canonical_key(_shuffled(g, rng)) == key
+    _assert_key_matches_form(graphs + [_shuffled(g, rng) for g in graphs])
+
+
+def test_canonical_key_small_and_cap():
+    assert gc.canonical_key(edgeless(0)) == 0b1
+    assert gc.canonical_key(edgeless(1)) == 0b10
+    # the two ends first (degree 1), each with the mask of position 2
+    assert gc.canonical_key(path(3)) == 0b1_100_100_011
+    assert gc.canonical_key(path(3)) == gc.canonical_key(relabel(path(3), [1, 0, 2]))
+    assert gc.canonical_key(edgeless(3)) != gc.canonical_key(edgeless(2))
+    with pytest.raises(TooLarge):
+        gc.canonical_key(edgeless(11))

@@ -131,3 +131,35 @@ def test_default_workers_clamped(monkeypatch):
         assert harness.default_workers() == 1
     monkeypatch.delenv("EILAB_THREADS")
     assert harness.default_workers() == 1
+
+
+def test_enumerate_all_order():
+    """Each graph is a union of canonically labelled connected graphs in
+    (vertex count, lex-min form) order, and the corpus is sorted by that
+    component sequence."""
+    graphs = harness.enumerate_all(6).graphs
+    seqs = []
+    for g in graphs:
+        seq = [(comp.n, gc.canonical_form(comp)) for _, comp in gc.components(g)]
+        assert seq == sorted(seq)
+        rebuilt = gc.graph_of_canonical_form(seq[0][1])
+        for _, form in seq[1:]:
+            rebuilt = gc.disjoint_union(rebuilt, gc.graph_of_canonical_form(form))
+        assert rebuilt == g
+        seqs.append(seq)
+    assert seqs == sorted(seqs) and len(set(map(tuple, seqs))) == len(seqs) == 156
+
+
+def test_connected_graphs_lex_min_once_per_class(monkeypatch):
+    calls = []
+    lex_min = gc.canonical_form
+
+    def counted(g):
+        calls.append(g.n)
+        return lex_min(g)
+
+    monkeypatch.setattr(harness, "_connected_cache", {})
+    monkeypatch.setattr(gc, "canonical_form", counted)
+    for n in range(1, 8):
+        harness.connected_graphs(n)
+    assert len(calls) == sum(harness.CONNECTED_COUNTS[n] for n in range(2, 8)) == 995

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from eilab import graph_core as gc
@@ -8,7 +10,7 @@ from eilab.errors import CapExceeded
 from eilab.graph_core import DeleteVertex
 from eilab.matchings import MatchingKind
 
-from helpers import brute_mm, brute_nu, brute_nu0, cycle, edgeless, path, star
+from helpers import brute_mm, brute_nu, brute_nu0, cycle, edgeless, path, relabel, star
 
 
 def test_nu_examples():
@@ -100,3 +102,16 @@ def test_caps():
         M.induced_matching_number(big)
     with pytest.raises(CapExceeded):
         M.min_maximal_matching(big)
+
+
+def test_mm_by_components_matches_whole_search(corpus5):
+    """Searching each component apart gives the certificate the search over
+    the whole union gives, lex tie-break included."""
+    from eilab import harness
+
+    rng = random.Random(3)
+    unions = harness.union_pairs(corpus5, total_cap=8)
+    unions.append(gc.disjoint_union(gc.disjoint_union(cycle(5), edgeless(2)), star(3)))
+    unions += [relabel(g, rng.sample(range(g.n), g.n)) for g in unions]  # interleave the parts
+    for g in unions:
+        assert M.min_maximal_matching(g).edges == M._min_maximal_edges(g)
