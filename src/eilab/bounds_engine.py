@@ -45,9 +45,6 @@ class BoundsInterval:
         if self.lo > self.hi:
             raise AssertionError(f"inconsistent interval [{self.lo}, {self.hi}]")
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
 
 def static_bounds(g: Graph) -> BoundsInterval:
     """Non-recursive bounds from the matching chain and complement chordality."""

@@ -19,7 +19,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
 
 from . import (
     cameron_walker,
@@ -38,8 +38,6 @@ INTERNAL_ENUMERATION_CAP = 8
 
 # Connected graph counts per vertex count, for corpus self-checks.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
-
-LEMMA_TAGS = ("UB", "FL1", "FL2", "FL3", "Comp", "C1", "C1a", "C2", "CaWa", "Squeeze")
 
 _FL1_SEED = 0x5EED
 _FL1_SAMPLES = 5
@@ -164,7 +162,36 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
     return out
 
 
-# -- the theorem sweep ------------------------------------------------------------
+# -- sweeps ------------------------------------------------------------------------
+
+
+def _sweep(name: str, graphs, check, chars, workers: int = 1) -> SweepReport:
+    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``; a
+    graph past a cap is recorded as a skip by its graph6 string.  With
+    ``workers > 1`` the graphs are dealt out to worker processes, each
+    running this same loop."""
+    start = time.monotonic()
+    violations: list[tuple[str, str]] = []
+    skips: list[str] = []
+    if workers > 1:
+        part = partial(_sweep, name, check=check, chars=chars)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for rep in pool.map(part, [graphs[i::workers] for i in range(workers)]):
+                violations.extend(rep.violations)
+                skips.extend(rep.skips)
+    else:
+        for g in graphs:
+            try:
+                violations.extend(check(g, chars))
+            except CapExceeded:
+                skips.append(_g6(g))
+    return SweepReport(
+        name,
+        len(graphs),
+        tuple(sorted(violations)),
+        tuple(sorted(skips)),
+        time.monotonic() - start,
+    )
 
 
 def verify_theorem(
@@ -175,60 +202,10 @@ def verify_theorem(
     workers: int = 1,
 ) -> SweepReport:
     """Check structural == numeric on every graph (and optional unions)."""
-    start = time.monotonic()
-    items = [formats_io.encode_graph6(g) for g in graphs]
+    graphs = list(graphs)
     if include_unions:
-        items += [
-            formats_io.encode_graph6(u) for u in union_pairs(graphs, union_total_cap)
-        ]
-    items.sort()
-    violations: list[tuple[str, str]] = []
-    skips: list[str] = []
-    if workers > 1:
-        chunks = [items[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _theorem_chunk, [(chunk, tuple(chars)) for chunk in chunks]
-            )
-        for v, s in results:
-            violations.extend(v)
-            skips.extend(s)
-        violations.sort()
-        skips.sort()
-    else:
-        violations, skips = _theorem_chunk((items, tuple(chars)))
-    return SweepReport(
-        "main-theorem",
-        len(items),
-        tuple(violations),
-        tuple(skips),
-        time.monotonic() - start,
-    )
-
-
-def _theorem_chunk(args) -> tuple[list[tuple[str, str]], list[str]]:
-    items, chars = args
-    violations: list[tuple[str, str]] = []
-    skips: list[str] = []
-    for g6 in items:
-        try:
-            verdicts = classifier.classify(formats_io.parse_graph6(g6), chars)
-        except CapExceeded:
-            skips.append(g6)
-            continue
-        for v in verdicts:
-            if not v.agreement:
-                violations.append(
-                    (
-                        g6,
-                        f"char {v.characteristic}: structural={v.structural} "
-                        f"numeric={v.numeric} shapes={v.component_shapes}",
-                    )
-                )
-    return violations, skips
-
-
-# -- lemma sweeps ------------------------------------------------------------------
+        graphs += union_pairs(graphs, union_total_cap)
+    return _sweep("main-theorem", graphs, _check_theorem, tuple(chars), workers)
 
 
 def verify_lemma_suite(
@@ -237,40 +214,25 @@ def verify_lemma_suite(
     chars=(0,),
     union_total_cap: int = 9,
 ) -> list[SweepReport]:
-    """One report per requested lemma tag, over the given corpus graphs."""
-    reports = []
+    """One report per requested lemma tag, over the given corpus graphs;
+    ``Comp`` runs over their two-component unions instead."""
     for tag in tags:
-        if tag not in LEMMA_TAGS:
+        if tag not in _LEMMA_CHECKS:
             raise UnknownProperty(
                 f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}"
             )
-        start = time.monotonic()
-        violations: list[tuple[str, str]] = []
-        skips: list[str] = []
-        if tag == "Comp":
-            pairs = union_pairs(graphs, union_total_cap)
-            checked = len(pairs)
-            for u in pairs:
-                violations.extend(_check_comp(u, chars))
-        else:
-            check = _LEMMA_CHECKS[tag]
-            checked = len(graphs)
-            for g in graphs:
-                try:
-                    violations.extend(check(g, chars))
-                except CapExceeded:
-                    skips.append(formats_io.encode_graph6(g))
-        violations.sort()
-        reports.append(
-            SweepReport(
-                tag,
-                checked,
-                tuple(violations),
-                tuple(skips),
-                time.monotonic() - start,
-            )
+    return [
+        _sweep(
+            tag,
+            union_pairs(graphs, union_total_cap) if tag == "Comp" else graphs,
+            _LEMMA_CHECKS[tag],
+            chars,
         )
-    return reports
+        for tag in tags
+    ]
+
+
+# -- per-graph checks ----------------------------------------------------------------
 
 
 def _g6(g: Graph) -> str:
@@ -283,6 +245,18 @@ def _reg_star(g: Graph, char: int) -> int:
 
 def _reg_recursion(g: Graph, char: int) -> int:
     return regularity_oracle.regularity(g, FieldSpec(char)).reg_recursion
+
+
+def _check_theorem(g, chars):
+    return [
+        (
+            _g6(g),
+            f"char {v.characteristic}: structural={v.structural} "
+            f"numeric={v.numeric} shapes={v.component_shapes}",
+        )
+        for v in classifier.classify(g, chars)
+        if not v.agreement
+    ]
 
 
 def _check_ub(g, chars):
@@ -370,9 +344,11 @@ def _check_c1(g, chars):
     out = []
     if classifier.contains_c5_subgraph(g):
         return out
+    # The oracle's vertex cap refuses before the uncapped matching search.
+    regs = [(c, _reg_star(g, c)) for c in chars]
     nu = matchings.nu(g)
-    for c in chars:
-        if _reg_star(g, c) == nu + 1 and nu != matchings.nu0(g):
+    for c, reg in regs:
+        if reg == nu + 1 and nu != matchings.nu0(g):
             out.append(
                 (_g6(g), f"char {c}: C5-free, reg = nu+1 but nu {nu} != nu0 {matchings.nu0(g)}")
             )
@@ -396,9 +372,9 @@ def _middle_edges(g: Graph):
 
 def _check_c1a(g, chars):
     out = []
+    regs = [(c, _reg_star(g, c)) for c in chars]
     nu = matchings.nu(g)
-    for c in chars:
-        reg = _reg_star(g, c)
+    for c, reg in regs:
         if reg != nu + 1:
             continue
         for e in _middle_edges(g):
@@ -467,12 +443,15 @@ _LEMMA_CHECKS = {
     "FL1": _check_fl1,
     "FL2": _check_fl2,
     "FL3": _check_fl3,
+    "Comp": _check_comp,
     "C1": _check_c1,
     "C1a": _check_c1a,
     "C2": _check_c2,
     "CaWa": _check_cawa,
     "Squeeze": _check_squeeze,
 }
+
+LEMMA_TAGS = tuple(_LEMMA_CHECKS)
 
 
 def default_workers() -> int:

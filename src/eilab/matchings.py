@@ -167,16 +167,13 @@ def min_maximal_matching(g: Graph) -> MatchingCertificate:
     the components' lex-first optima.
     """
     _check_np_caps(g, "minimum maximal matching")
-    if g.is_connected():
-        chosen = _min_maximal_edges(g)
-    else:
-        chosen = tuple(
-            sorted(
-                (verts[a], verts[b])
-                for verts, comp in components(g)
-                for a, b in _min_maximal_edges(comp)
-            )
+    chosen = tuple(
+        sorted(
+            (verts[a], verts[b])
+            for verts, comp in components(g)
+            for a, b in _min_maximal_edges(comp)
         )
+    )
     return MatchingCertificate(MatchingKind.MINIMUM_MAXIMAL, chosen, len(chosen))
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import harness
+from eilab import classifier, harness, matchings
 from eilab.errors import TooLarge, UnknownProperty
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
@@ -85,11 +86,23 @@ def test_verify_theorem_records_cap_skips():
 
 
 def test_verify_theorem_parallel_matches_serial():
-    graphs = harness.corpus_up_to(4).graphs
+    graphs = harness.corpus_up_to(4).graphs + (path(ORACLE_VERTEX_CAP + 1),)
     serial = harness.verify_theorem(graphs, chars=(0,), include_unions=False)
     parallel = harness.verify_theorem(graphs, chars=(0,), include_unions=False, workers=2)
     assert serial.violations == parallel.violations
+    assert serial.skips == parallel.skips == (fio.encode_graph6(graphs[-1]),)
     assert serial.checked == parallel.checked
+
+
+def test_verify_theorem_sweeps_graphs_not_graph6(monkeypatch):
+    def refuse(text):
+        raise AssertionError("the theorem sweep parsed graph6")
+
+    monkeypatch.setattr(fio, "parse_graph6", refuse)
+    graphs = harness.corpus_up_to(4).graphs
+    rep = harness.verify_theorem(graphs, chars=(0, 2), include_unions=True, union_total_cap=6)
+    assert rep.passed and not rep.skips
+    assert rep.checked == len(graphs) + len(harness.union_pairs(graphs, 6))
 
 
 def test_lemma_suite_small(corpus5):
@@ -106,9 +119,52 @@ def test_lemma_comp_on_unions(corpus5):
     assert rep.checked > 0
 
 
-def test_unknown_lemma_tag(corpus5):
+def test_lemma_comp_records_cap_skips():
+    (rep,) = harness.verify_lemma_suite([path(9)], ["Comp"], union_total_cap=18)
+    assert rep.checked == 1
+    assert rep.skips == (fio.encode_graph6(gc.disjoint_union(path(9), path(9))),)
+    assert rep.passed
+
+
+def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):
+    """A graph past every cap is one skip per tag: each check calls a capped
+    search before the uncapped matching-number search."""
+    rng = random.Random(7)
+    n = 30  # past NP_HARD_VERTEX_CAP, while its union with itself still has a graph6 string
+    g = gc.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15])
+    assert g.is_connected() and n > matchings.NP_HARD_VERTEX_CAP
+    nu_of_mask_fn = matchings._nu_of_mask_fn
+
+    def capped(h):
+        if h.n > matchings.NP_HARD_VERTEX_CAP:
+            raise AssertionError(f"uncapped nu search on {h.n} vertices")
+        return nu_of_mask_fn(h)
+
+    monkeypatch.setattr(matchings, "_nu_of_mask_fn", capped)
+    reports = harness.verify_lemma_suite([g], harness.LEMMA_TAGS, chars=(0, 2), union_total_cap=2 * n)
+    assert all(rep.checked == 1 and rep.passed for rep in reports)
+    # C1 speaks only of C5-free graphs, and this one contains a pentagon.
+    assert {rep.property_name: len(rep.skips) for rep in reports} == {
+        tag: int(tag != "C1") for tag in harness.LEMMA_TAGS
+    }
+    monkeypatch.setattr(classifier, "contains_c5_subgraph", lambda h: False)
+    (rep,) = harness.verify_lemma_suite([g], ["C1"], chars=(0, 2))
+    assert rep.skips == (fio.encode_graph6(g),)
+
+
+def test_lemma_tags_in_report_order():
+    assert harness.LEMMA_TAGS == ("UB", "FL1", "FL2", "FL3", "Comp", "C1", "C1a", "C2", "CaWa", "Squeeze")
+
+
+def test_unknown_lemma_tag(corpus5, monkeypatch):
+    def refuse(g, chars):
+        raise AssertionError("a sweep ran before the tags were checked")
+
+    monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", refuse)
     with pytest.raises(UnknownProperty):
         harness.verify_lemma_suite(corpus5, ["FL9"])
+    with pytest.raises(UnknownProperty):
+        harness.verify_lemma_suite(corpus5, ["UB", "FL9"])
 
 
 def test_corpus_from_graph6(fixtures_dir):
