@@ -64,9 +64,8 @@ class CWDecomposition:
 
 def cw_by_invariants(g: Graph) -> tuple[bool, MatchingCertificate, MatchingCertificate]:
     """Defining test: matching number equals induced matching number."""
-    # The capped induced search refuses before the uncapped matching search.
-    ind_cert = matchings.induced_matching_number(g)
     max_cert = matchings.max_matching(g)
+    ind_cert = matchings.induced_matching_number(g)
     return max_cert.size == ind_cert.size, max_cert, ind_cert
 
 

@@ -13,11 +13,10 @@ numeric side once per characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from . import cameron_walker, graph_core, matchings, regularity_oracle
 from .errors import NotApplicable, NotConnected
-from .graph_core import Graph
+from .graph_core import Graph, _bits
 from .regularity_oracle import FieldSpec
 
 
@@ -39,12 +38,19 @@ def pentagon_test(g: Graph) -> bool:
 
 
 def contains_c5_subgraph(g: Graph) -> bool:
-    """Whether some five vertices carry a 5-cycle (chords allowed)."""
-    for sub in combinations(range(g.n), 5):
-        for perm in permutations(sub[1:]):
-            cycle = (sub[0],) + perm
-            if all(g.has_edge(cycle[i], cycle[(i + 1) % 5]) for i in range(5)):
-                return True
+    """Whether some five vertices carry a 5-cycle (chords allowed): a path
+    a-b-c-d closed by a common neighbour of a and d other than b and c.
+    Polynomial in the vertex count, so it has no cap."""
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    for a in range(g.n):
+        two_away = 0  # vertices sharing a neighbour with a
+        for e in _bits(adj[a]):
+            two_away |= adj[e]
+        for b in _bits(adj[a]):
+            for c in _bits(adj[b] & ~(1 << a)):
+                for d in _bits(adj[c] & two_away & ~(1 << a | 1 << b)):
+                    if adj[a] & adj[d] & ~(1 << b | 1 << c):
+                        return True
     return False
 
 
@@ -67,7 +73,6 @@ def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     characteristic in ``chars``, in the order given, duplicates kept."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
-    # The oracle's vertex cap refuses before any uncapped matching search.
     regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
     shapes = tuple(component_shape(comp) for _, comp in graph_core.components(g))
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)

@@ -216,7 +216,6 @@ def _cmd_invariants(args) -> int:
         if not g.num_edges:
             row.nu = row.nu0 = row.mm = 0
             return
-        # The capped searches go first: ``nu`` has no size cap.
         row.nu0 = matchings.nu0(g)
         row.mm = matchings.mm(g)
         row.nu = matchings.nu(g)
@@ -243,7 +242,7 @@ def _cmd_reg(args) -> int:
 
 def _cmd_classify(args) -> int:
     def fill(g, row):
-        verdicts = classifier.classify(g, _chars(args))  # capped: before ``nu``
+        verdicts = classifier.classify(g, _chars(args))
         row.nu = matchings.nu(g)
         row.nu0 = matchings.nu0(g)
         for v in verdicts:

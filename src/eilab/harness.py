@@ -7,8 +7,12 @@ deduplicated by the refinement key ``graph_core.canonical_key``; each
 class is then labelled and ordered by the lex-min
 ``graph_core.canonical_form``, computed once per class.  Sweeps then check
 the classification theorem and each supporting lemma over a corpus,
-optionally including two-component disjoint unions, and report violations
-by graph6 string so any failure is reproducible from the report alone.
+optionally including two-component disjoint unions.
+
+Each per-graph check states its lemma and returns the detail strings of
+its violations, calling its searches in any order: each refuses past its
+own cap.  The sweep names the graph by its graph6 string, for a violation
+and a skip (a refused search) alike, so any failure is reproducible.
 """
 
 from __future__ import annotations
@@ -152,7 +156,11 @@ def corpus_from_graph6(text: str) -> Corpus:
 
 
 def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
-    """All two-component disjoint unions (unordered, repeats allowed)."""
+    """All two-component disjoint unions (unordered, repeats allowed) with
+    at most ``total_cap`` vertices.  A cap past the graph6 vertex limit is
+    refused up front: a sweep names each graph by its graph6 string."""
+    if total_cap > formats_io.MAX_VERTICES:
+        raise TooLarge(f"unions cap at {formats_io.MAX_VERTICES} vertices, got {total_cap}")
     out = []
     items = list(graphs)
     for i, g1 in enumerate(items):
@@ -166,8 +174,9 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
 
 
 def _sweep(name: str, graphs, check, chars, workers: int = 1) -> SweepReport:
-    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``; a
-    graph past a cap is recorded as a skip by its graph6 string.  With
+    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``.
+    Each detail string it returns is a violation, and a ``CapExceeded`` a
+    skip, both named by the graph's graph6 string.  With
     ``workers > 1`` the graphs are dealt out to worker processes, each
     running this same loop."""
     start = time.monotonic()
@@ -182,7 +191,7 @@ def _sweep(name: str, graphs, check, chars, workers: int = 1) -> SweepReport:
     else:
         for g in graphs:
             try:
-                violations.extend(check(g, chars))
+                violations.extend((_g6(g), detail) for detail in check(g, chars))
             except CapExceeded:
                 skips.append(_g6(g))
     return SweepReport(
@@ -215,28 +224,25 @@ def verify_lemma_suite(
     union_total_cap: int = 9,
 ) -> list[SweepReport]:
     """One report per requested lemma tag, over the given corpus graphs;
-    ``Comp`` runs over their two-component unions instead."""
+    ``Comp`` runs over their two-component unions instead.  Bad tags and
+    union caps are refused before any sweep runs."""
     for tag in tags:
         if tag not in _LEMMA_CHECKS:
             raise UnknownProperty(
                 f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}"
             )
+    unions = union_pairs(graphs, union_total_cap) if "Comp" in tags else []
     return [
-        _sweep(
-            tag,
-            union_pairs(graphs, union_total_cap) if tag == "Comp" else graphs,
-            _LEMMA_CHECKS[tag],
-            chars,
-        )
+        _sweep(tag, unions if tag == "Comp" else graphs, _LEMMA_CHECKS[tag], chars)
         for tag in tags
     ]
 
 
-# -- per-graph checks ----------------------------------------------------------------
-
-
 def _g6(g: Graph) -> str:
     return formats_io.encode_graph6(g)
+
+
+# -- per-graph checks ----------------------------------------------------------------
 
 
 def _reg_star(g: Graph, char: int) -> int:
@@ -249,11 +255,8 @@ def _reg_recursion(g: Graph, char: int) -> int:
 
 def _check_theorem(g, chars):
     return [
-        (
-            _g6(g),
-            f"char {v.characteristic}: structural={v.structural} "
-            f"numeric={v.numeric} shapes={v.component_shapes}",
-        )
+        f"char {v.characteristic}: structural={v.structural} "
+        f"numeric={v.numeric} shapes={v.component_shapes}"
         for v in classifier.classify(g, chars)
         if not v.agreement
     ]
@@ -267,7 +270,7 @@ def _check_ub(g, chars):
     for c in chars:
         reg = _reg_star(g, c)
         if reg > bound:
-            out.append((_g6(g), f"char {c}: reg {reg} > mm+1 = {bound}"))
+            out.append(f"char {c}: reg {reg} > mm+1 = {bound}")
     return out
 
 
@@ -280,12 +283,9 @@ def _check_fl1(g, chars):
     for c in chars:
         reg = _reg_star(g, c)
         for w in subsets:
-            h = graph_core.induced_subgraph(g, w)
-            reg_h = _reg_star(h, c)
+            reg_h = _reg_star(graph_core.induced_subgraph(g, w), c)
             if reg_h > reg:
-                out.append(
-                    (_g6(g), f"char {c}: induced {w} has reg {reg_h} > {reg}")
-                )
+                out.append(f"char {c}: induced {w} has reg {reg_h} > {reg}")
     return out
 
 
@@ -298,11 +298,8 @@ def _check_fl2(g, chars):
             closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseVertex(x)), c)
             if reg not in (minus, closed + 1):
                 out.append(
-                    (
-                        _g6(g),
-                        f"char {c}: vertex {x}: reg {reg} not in "
-                        f"{{del={minus}, closed+1={closed + 1}}}",
-                    )
+                    f"char {c}: vertex {x}: reg {reg} not in "
+                    f"{{del={minus}, closed+1={closed + 1}}}"
                 )
     return out
 
@@ -316,11 +313,8 @@ def _check_fl3(g, chars):
             closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseEdge(e)), c)
             if reg > max(minus, closed + 1):
                 out.append(
-                    (
-                        _g6(g),
-                        f"char {c}: edge {e}: reg {reg} > "
-                        f"max(del={minus}, closed+1={closed + 1})",
-                    )
+                    f"char {c}: edge {e}: reg {reg} > "
+                    f"max(del={minus}, closed+1={closed + 1})"
                 )
     return out
 
@@ -332,49 +326,43 @@ def _check_comp(u: Graph, chars):
         reg = _reg_star(u, c)
         reg_sum = sum(_reg_star(comp, c) - 1 for _, comp in comps) + 1
         if reg != reg_sum:
-            out.append((_g6(u), f"char {c}: reg {reg} != component sum {reg_sum}"))
+            out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
     if matchings.nu(u) != sum(matchings.nu(comp) for _, comp in comps):
-        out.append((_g6(u), "matching number not additive over components"))
+        out.append("matching number not additive over components")
     if matchings.nu0(u) != sum(matchings.nu0(comp) for _, comp in comps):
-        out.append((_g6(u), "induced matching number not additive over components"))
+        out.append("induced matching number not additive over components")
     return out
 
 
 def _check_c1(g, chars):
-    out = []
     if classifier.contains_c5_subgraph(g):
-        return out
-    # The oracle's vertex cap refuses before the uncapped matching search.
-    regs = [(c, _reg_star(g, c)) for c in chars]
+        return []
     nu = matchings.nu(g)
-    for c, reg in regs:
-        if reg == nu + 1 and nu != matchings.nu0(g):
-            out.append(
-                (_g6(g), f"char {c}: C5-free, reg = nu+1 but nu {nu} != nu0 {matchings.nu0(g)}")
-            )
-    return out
+    tight = [c for c in chars if _reg_star(g, c) == nu + 1]
+    if not tight:
+        return []
+    nu0 = matchings.nu0(g)
+    if nu == nu0:
+        return []
+    return [f"char {c}: C5-free, reg = nu+1 but nu {nu} != nu0 {nu0}" for c in tight]
 
 
 def _middle_edges(g: Graph):
-    """Edges lying in the middle of some simple path on three edges."""
+    """Edges lying in the middle of some simple path on three edges: uv is
+    one when u has a neighbour other than v, v one other than u, and the
+    two can be chosen distinct."""
     for u, v in g.edges:
-        for x in g.neighbors(u):
-            if x == v:
-                continue
-            for y in g.neighbors(v):
-                if y != u and y != x:
-                    yield (u, v)
-                    break
-            else:
-                continue
-            break
+        a = g.adj_mask(u) & ~(1 << v)
+        b = g.adj_mask(v) & ~(1 << u)
+        if a and b and not (a == b and a & (a - 1) == 0):
+            yield (u, v)
 
 
 def _check_c1a(g, chars):
     out = []
-    regs = [(c, _reg_star(g, c)) for c in chars]
     nu = matchings.nu(g)
-    for c, reg in regs:
+    for c in chars:
+        reg = _reg_star(g, c)
         if reg != nu + 1:
             continue
         for e in _middle_edges(g):
@@ -383,26 +371,21 @@ def _check_c1a(g, chars):
             nu_h = matchings.nu(h)
             if not (reg_h == reg and nu_h == nu):
                 out.append(
-                    (
-                        _g6(g),
-                        f"char {c}: middle edge {e}: expected reg and nu preserved, "
-                        f"got reg {reg_h} (was {reg}), nu {nu_h} (was {nu})",
-                    )
+                    f"char {c}: middle edge {e}: expected reg and nu preserved, "
+                    f"got reg {reg_h} (was {reg}), nu {nu_h} (was {nu})"
                 )
     return out
 
 
 def _check_c2(g, chars):
-    out = []
     if not g.is_connected() or not classifier.contains_c5_subgraph(g):
-        return out
-    for c in chars:
-        if _reg_star(g, c) == matchings.nu(g) + 1:
-            if not classifier.pentagon_test(g):
-                out.append(
-                    (_g6(g), f"char {c}: contains C5, reg = nu+1, but not the pentagon")
-                )
-    return out
+        return []
+    nu = matchings.nu(g)
+    return [
+        f"char {c}: contains C5, reg = nu+1, but not the pentagon"
+        for c in chars
+        if _reg_star(g, c) == nu + 1 and not classifier.pentagon_test(g)
+    ]
 
 
 def _check_cawa(g, chars):
@@ -411,9 +394,9 @@ def _check_cawa(g, chars):
     equal, _, _ = cameron_walker.cw_by_invariants(g)
     dec = cameron_walker.recognize_structural(g)
     if dec.verdict != equal:
-        return [(_g6(g), f"structural {dec.verdict} != invariant {equal}")]
+        return [f"structural {dec.verdict} != invariant {equal}"]
     if not cameron_walker.validate_decomposition(g, dec):
-        return [(_g6(g), "decomposition failed re-validation")]
+        return ["decomposition failed re-validation"]
     return []
 
 
@@ -428,13 +411,9 @@ def _check_squeeze(g, chars):
     for c in chars:
         reg = _reg_star(g, c)
         if not (lo <= reg <= mid <= hi):
-            out.append(
-                (_g6(g), f"char {c}: chain broken: {lo} <= {reg} <= {mid} <= {hi}")
-            )
+            out.append(f"char {c}: chain broken: {lo} <= {reg} <= {mid} <= {hi}")
         if reg > cochord_hi:
-            out.append(
-                (_g6(g), f"char {c}: reg {reg} > cochord+1 = {cochord_hi}")
-            )
+            out.append(f"char {c}: reg {reg} > cochord+1 = {cochord_hi}")
     return out
 
 

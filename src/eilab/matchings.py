@@ -3,9 +3,10 @@
 Three quantities are computed, all exactly: the matching number (largest
 set of pairwise disjoint edges), the induced matching number (largest
 matching spanning no further edge of the graph) and the minimum maximal
-matching number (smallest matching that cannot be extended).  The latter
-two are NP-hard in general, so they run behind hard caps and refuse rather
-than approximate.
+matching number (smallest matching that cannot be extended).  Each search
+refuses past its own cap with ``CapExceeded`` rather than approximate: the
+matching number past ``NP_HARD_VERTEX_CAP`` vertices, the two NP-hard ones
+past that or past ``NP_HARD_EDGE_CAP`` edges.
 
 Ties between optimal certificates break to the lexicographically smallest
 sorted edge list, which keeps golden tests stable.
@@ -72,6 +73,7 @@ def validate_certificate(g: Graph, cert: MatchingCertificate) -> bool:
 
 def max_matching(g: Graph) -> MatchingCertificate:
     """Maximum matching, exact, with the lex-smallest optimal edge list."""
+    _check_vertex_cap(g)
     size_fn = _nu_of_mask_fn(g)
     target = size_fn(g.full_mask)
     chosen: list[tuple[int, int]] = []
@@ -94,6 +96,7 @@ def max_matching(g: Graph) -> MatchingCertificate:
 
 def nu(g: Graph) -> int:
     """Matching number."""
+    _check_vertex_cap(g)
     return _nu_of_mask_fn(g)(g.full_mask)
 
 
@@ -216,6 +219,13 @@ def _min_maximal_edges(g: Graph) -> tuple[tuple[int, int], ...]:
 def mm(g: Graph) -> int:
     """Minimum maximal matching number."""
     return min_maximal_matching(g).size
+
+
+def _check_vertex_cap(g: Graph) -> None:
+    if g.n > NP_HARD_VERTEX_CAP:
+        raise CapExceeded(
+            f"matching number refuses graphs beyond n={NP_HARD_VERTEX_CAP} (got n={g.n})"
+        )
 
 
 def _check_np_caps(g: Graph, what: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from eilab import graph_core
 from eilab.graph_core import Graph
@@ -90,6 +90,28 @@ def brute_mm(g: Graph) -> int:
             if all(u in span or v in span for u, v in g.edges):
                 return r
     return best
+
+
+def brute_contains_c5(g: Graph) -> bool:
+    """Some five vertices carry a 5-cycle: every 5-subset, in every cyclic
+    order starting at its smallest vertex."""
+    for sub in combinations(range(g.n), 5):
+        for perm in permutations(sub[1:]):
+            cycle = (sub[0],) + perm
+            if all(g.has_edge(cycle[i], cycle[(i + 1) % 5]) for i in range(5)):
+                return True
+    return False
+
+
+def brute_middle_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges, in edge order, that are the middle edge p1p2 of some path
+    p0-p1-p2-p3 on four distinct vertices."""
+    middle = {
+        tuple(sorted(p[1:3]))
+        for p in permutations(range(g.n), 4)
+        if all(g.has_edge(p[i], p[i + 1]) for i in range(3))
+    }
+    return [e for e in g.edges if e in middle]
 
 
 # -- brute-force chordality oracle ----------------------------------------------

@@ -4,10 +4,11 @@ import pytest
 
 from eilab import classifier as cl
 from eilab import graph_core as gc
+from eilab import harness
 from eilab.errors import NotApplicable, NotConnected
 from eilab.regularity_oracle import FieldSpec
 
-from helpers import cycle, edgeless, flag_rp2_complement, path, star
+from helpers import brute_contains_c5, cycle, edgeless, flag_rp2_complement, path, star
 
 
 def test_pentagon_test():
@@ -25,6 +26,14 @@ def test_contains_c5_subgraph():
     assert cl.contains_c5_subgraph(chord)  # non-induced counts
     assert not cl.contains_c5_subgraph(cycle(6))
     assert not cl.contains_c5_subgraph(path(5))
+
+
+def test_contains_c5_matches_subset_search(corpus7):
+    """The path walk agrees with the 5-subset search on every graph of the
+    n <= 7 corpus and on their unions up to 8 vertices."""
+    graphs = list(corpus7) + harness.union_pairs(corpus7, 8)
+    for g in graphs:
+        assert cl.contains_c5_subgraph(g) == brute_contains_c5(g), g
 
 
 def test_classify_pentagon_union_star():

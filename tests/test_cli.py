@@ -228,8 +228,8 @@ def test_oversized_document_flushes_earlier_rows(capsys, tmp_path):
     ],
 )
 def test_large_graph_refused_before_matching_number(capsys, tmp_path, command, message):
-    """A capped search refuses a 40-vertex graph before the uncapped
-    matching number search, which would not end in any useful time."""
+    """A 40-vertex graph is refused at once, and each command names the
+    first search that refuses it."""
     rng = random.Random(40)
     g = gc.from_edges(40, [e for e in combinations(range(40), 2) if rng.random() < 0.15])
     path = tmp_path / "big.g6"
@@ -241,6 +241,39 @@ def test_large_graph_refused_before_matching_number(capsys, tmp_path, command, m
     assert code == 1
     assert message in captured.err
     assert "Traceback" not in captured.err
+    assert elapsed < 10
+
+
+def test_bounds_on_large_clique_refused(capsys, tmp_path):
+    """Froberg's test closes the interval of K40 at once; the matching
+    numbers the row reports then refuse, in well under a second."""
+    path = tmp_path / "k40.g6"
+    path.write_text(formats_io.encode_graph6(gc.from_edges(40, combinations(range(40), 2))) + "\n")
+    start = time.monotonic()
+    code = cli.main(["bounds", "--g6", str(path)])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "matching number refuses graphs beyond n=24 (got n=40)" in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 10
+
+
+def test_verify_large_c5_free_graph(capsys, tmp_path):
+    """On a C5-free 40-vertex graph C1 records a skip at the matching
+    number's cap, and C2 passes: the C5 search itself has no cap."""
+    rng = random.Random(40)
+    g = gc.from_edges(40, [(u, v) for u in range(20) for v in range(20, 40) if rng.random() < 0.3])
+    assert g.is_connected()  # bipartite, so without a 5-cycle
+    path = tmp_path / "bipartite.g6"
+    path.write_text(formats_io.encode_graph6(g) + "\n")
+    start = time.monotonic()
+    code = cli.main(["verify", "--from-file", str(path), "--lemmas", "C1,C2", "--chars", "0"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 1  # a skip fails the sweep without --allow-skips
+    assert out.startswith("PASS C1: 1 graphs checked, 1 skipped [")
+    assert "\nPASS C2: 1 graphs checked [" in out
     assert elapsed < 10
 
 

@@ -11,7 +11,7 @@ from eilab import classifier, harness, matchings
 from eilab.errors import TooLarge, UnknownProperty
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import path
+from helpers import brute_middle_edges, path
 
 
 def test_enumeration_counts():
@@ -127,8 +127,8 @@ def test_lemma_comp_records_cap_skips():
 
 
 def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):
-    """A graph past every cap is one skip per tag: each check calls a capped
-    search before the uncapped matching-number search."""
+    """A graph past every cap is one skip per tag, and no matching-number
+    search runs past its own cap, whatever order a check calls it in."""
     rng = random.Random(7)
     n = 30  # past NP_HARD_VERTEX_CAP, while its union with itself still has a graph6 string
     g = gc.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15])
@@ -150,6 +150,44 @@ def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):
     monkeypatch.setattr(classifier, "contains_c5_subgraph", lambda h: False)
     (rep,) = harness.verify_lemma_suite([g], ["C1"], chars=(0, 2))
     assert rep.skips == (fio.encode_graph6(g),)
+
+
+def test_sweep_names_each_graph(corpus5, monkeypatch):
+    """A check returns bare detail strings; the sweep pairs each with the
+    graph6 string of its graph, and sorts the pairs."""
+    monkeypatch.setitem(
+        harness._LEMMA_CHECKS, "UB", lambda g, chars: ["b", "a"] if g.n == 3 else []
+    )
+    (rep,) = harness.verify_lemma_suite(corpus5, ["UB"])
+    names = sorted(fio.encode_graph6(g) for g in corpus5 if g.n == 3)
+    assert rep.violations == tuple((name, d) for name in names for d in ("a", "b"))
+
+
+def test_union_cap_past_graph6_limit_refused(monkeypatch):
+    """A union cap past the graph6 vertex limit is refused before any union
+    is built and before any sweep runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a union or ran a sweep before the cap check")
+
+    g40 = path(40)
+    monkeypatch.setattr(gc, "disjoint_union", refuse)
+    monkeypatch.setattr(harness, "_sweep", refuse)
+    for tags in (["Comp"], ["UB", "Comp"]):
+        with pytest.raises(TooLarge, match="unions cap at 62 vertices"):
+            harness.verify_lemma_suite([g40], tags, union_total_cap=80)
+    with pytest.raises(TooLarge):
+        harness.verify_theorem([g40], union_total_cap=80)
+    with pytest.raises(TooLarge):
+        harness.union_pairs([g40], fio.MAX_VERTICES + 1)
+    monkeypatch.undo()
+    (u,) = harness.union_pairs([path(31)], fio.MAX_VERTICES)
+    assert u.n == fio.MAX_VERTICES
+
+
+def test_middle_edges_match_path_search(corpus7):
+    for g in corpus7:
+        assert list(harness._middle_edges(g)) == brute_middle_edges(g), g
 
 
 def test_lemma_tags_in_report_order():

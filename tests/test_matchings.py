@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from eilab.errors import CapExceeded
 from eilab.graph_core import DeleteVertex
 from eilab.matchings import MatchingKind
 
-from helpers import brute_mm, brute_nu, brute_nu0, cycle, edgeless, path, relabel, star
+from helpers import brute_mm, brute_nu, brute_nu0, complete, cycle, edgeless, path, relabel, star
 
 
 def test_nu_examples():
@@ -102,6 +103,23 @@ def test_caps():
         M.induced_matching_number(big)
     with pytest.raises(CapExceeded):
         M.min_maximal_matching(big)
+
+
+def test_matching_number_vertex_cap():
+    """The matching number refuses past 24 vertices at once, whatever the
+    edge count, and still answers the densest graph within the cap."""
+    big = path(25)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="matching number refuses graphs beyond n=24"):
+        M.nu(big)
+    with pytest.raises(CapExceeded):
+        M.max_matching(big)
+    assert time.monotonic() - start < 0.1
+    k24 = complete(24)
+    assert k24.num_edges > M.NP_HARD_EDGE_CAP
+    assert M.nu(k24) == 12
+    cert = M.max_matching(k24)
+    assert cert.size == 12 and M.validate_certificate(k24, cert)
 
 
 def test_mm_by_components_matches_whole_search(corpus5):
