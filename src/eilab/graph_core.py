@@ -202,7 +202,7 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
         mask = _reach(g._adj, 1 << v)
         seen |= mask
         verts = tuple(_bits(mask))
-        out.append((verts, _drop_vertices(g, g.full_mask ^ mask)))
+        out.append((verts, g if mask == g.full_mask else _drop_vertices(g, g.full_mask ^ mask)))
     return out
 
 

@@ -9,8 +9,9 @@ homology in degree ``j - i - 1`` over subsets of size ``j``.
 
 The sweep is one table over vertex subsets: ``W`` is visited in
 ascending order, so every proper submask of ``W`` already has its dims
-when ``W`` is reached.  Five observations fill most entries without
-building a complex:
+when ``W`` is reached.  Six observations spare most of the work: the first
+five fill table entries without building a complex, the sixth the whole
+table of a disconnected graph:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
   with no reduced homology;
@@ -26,7 +27,11 @@ building a complex:
   of ``W - u`` with one more in degree 0;
 * boundary ranks start with sparse elimination on pivots equal to +1 or
   -1, in every characteristic.  Those steps are unimodular, so they keep
-  the rank over the integers and over every field.
+  the rank over the integers and over every field;
+* the resolution of a disjoint union is the tensor product of its
+  components' resolutions, so a disconnected graph gets no table: the
+  regularities of its components add, their witnesses unite and their
+  Betti polynomials multiply, from each component's memoized sweep.
 
 Only a connected ``W`` that no fold or universal vertex reduces gets its
 complex built.  The core left without a unit pivot is brought to a diagonal
@@ -42,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph, _bits, _reach
+from .graph_core import Graph, _bits, _reach, components
 
 ORACLE_VERTEX_CAP = 16
 
@@ -59,35 +64,6 @@ class FieldSpec:
             return
         if not 2 <= c < 2**31 or any(c % d == 0 for d in range(2, int(c**0.5) + 1)):
             raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {c}")
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A complex given by its facets; faces are implicitly closed downward."""
-
-    n_vertices: int
-    facets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        masks = [_mask_of(f) for f in self.facets]
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & b == a:
-                    raise ValueError(f"facet {self.facets[i]} contained in {self.facets[j]}")
-
-    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        """All faces keyed by dimension (the empty face is left implicit)."""
-        seen: set[int] = set()
-        for f in self.facets:
-            m = _mask_of(f)
-            _close_down(m, seen)
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for m in seen:
-            d = m.bit_count() - 1
-            out.setdefault(d, []).append(tuple(_bits(m)))
-        for d in out:
-            out[d].sort()
-        return out
 
 
 @dataclass(frozen=True)
@@ -147,36 +123,6 @@ class RegularityResult:
         return max(self.reg_star, 1)
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose faces are the independent vertex sets of ``g``."""
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    facets = [
-        tuple(_bits(mask))
-        for mask in _independent_masks(adj, g.full_mask)
-        if all(adj[v] & mask for v in _bits(g.full_mask & ~mask))
-    ]
-    facets.sort(key=lambda f: (len(f), f))
-    return SimplicialComplex(g.n, tuple(facets))
-
-
-def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
-    """Reduced homology dimensions by degree, from degree -1 upward.
-
-    The empty complex (no vertices) has one-dimensional homology in degree
-    -1; any nonempty complex has zero there.  An internal Euler
-    characteristic cross-check guards every rank computation.
-    """
-    faces = complex_.faces_by_dim()
-    if not faces:
-        return {-1: 1}
-    by_dim = [[_mask_of(f) for f in faces.get(d, [])] for d in range(max(faces) + 1)]
-    dims = _homology_from_masks(by_dim, field.characteristic)
-    out = {-1: 0}
-    for t, d in enumerate(dims):
-        out[t] = d
-    return out
-
-
 def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
     """Exact regularity of the edge ideal over the given field."""
     reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
@@ -211,21 +157,68 @@ _SWEEP_MEMO: dict = {}
 
 
 def _hochster_sweep(g: Graph, char: int):
-    """Per-graph subset sweep: returns (reg_quotient, witness, betti entries).
+    """Per-graph sweep: returns (reg_quotient, witness, betti entries).
+
+    A graph with more than ``ORACLE_VERTEX_CAP`` vertices is refused and a
+    connected one is walked by ``_subset_walk``.  A disconnected graph
+    combines its components' sweeps instead: its resolution is the tensor
+    product of theirs.  The regularities add over the components with an
+    edge.  The top degree needs each of those at its own top degree, so
+    the smallest witness is the union of theirs; it is also the
+    lexicographically first, since two such unions of equal size first
+    differ at a vertex of one component.  The Betti polynomials ``1 + B``
+    multiply.
+    """
+    _refuse_past_cap(g)
+    key = (g.n, g.edges, char)
+    hit = _SWEEP_MEMO.get(key)
+    if hit is not None:
+        return hit
+    parts = components(g)
+    if len(parts) < 2:
+        result = _subset_walk(g, char)
+    else:
+        reg_q = 0
+        witness: list[int] = []
+        betti = {(0, 0): 1}
+        for verts, comp in parts:
+            reg_k, (w_k, _), betti_k = _hochster_sweep(comp, char)
+            if w_k is None:
+                continue  # an isolated vertex
+            reg_q += reg_k
+            witness += [verts[v] for v in w_k]
+            product = dict(betti)  # the factor's own (0, 0) entry of 1
+            for (i, j), b in betti.items():
+                for (i2, j2), b2 in betti_k.items():
+                    ij = (i + i2, j + j2)
+                    product[ij] = product.get(ij, 0) + b * b2
+            betti = product
+        del betti[(0, 0)]
+        if witness:
+            result = (reg_q, (tuple(sorted(witness)), reg_q - 1), betti)
+        else:
+            result = (0, (None, None), {})
+    _SWEEP_MEMO[key] = result
+    return result
+
+
+def _refuse_past_cap(g: Graph) -> None:
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
+
+
+def _subset_walk(g: Graph, char: int):
+    """The subset walk over the whole graph, connected or not: returns
+    (reg_quotient, witness, betti entries), unmemoized.
 
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
     proper submask of ``W`` is filled before ``W`` is.  A fold is looked
     for before the component split, as the cheaper test that reduces most
-    subsets, and a universal vertex after it.  A graph with more than
-    ``ORACLE_VERTEX_CAP`` vertices is refused.
+    subsets, and a universal vertex after it.  It is the reference for the
+    component split of ``_hochster_sweep``, and refuses past the cap too.
     """
-    if g.n > ORACLE_VERTEX_CAP:
-        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
-    key = (g.n, g.edges, char)
-    hit = _SWEEP_MEMO.get(key)
-    if hit is not None:
-        return hit
+    _refuse_past_cap(g)
     n = g.n
     adj = [g.adj_mask(v) for v in range(n)]
     table: list[tuple[int, ...]] = [()] * (1 << n)
@@ -260,12 +253,9 @@ def _hochster_sweep(g: Graph, char: int):
             if best is None or cand < best:
                 best = cand
     if best is None:
-        result = (0, (None, None), {})
-    else:
-        t = -best[0]
-        result = (t + 1, (best[2], t), betti)
-    _SWEEP_MEMO[key] = result
-    return result
+        return (0, (None, None), {})
+    t = -best[0]
+    return (t + 1, (best[2], t), betti)
 
 
 def _fold_vertex(adj: list[int], alive: int) -> int | None:
@@ -443,24 +433,6 @@ def _diagonal_rank(cols: list[dict[int, int]], char: int) -> int:
 
 
 # -- small shared helpers -----------------------------------------------------
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _close_down(mask: int, seen: set[int]) -> None:
-    if mask == 0 or mask in seen:
-        return
-    seen.add(mask)
-    m = mask
-    while m:
-        low = m & -m
-        _close_down(mask ^ low, seen)
-        m ^= low
 
 
 def _independent_masks(adj: list[int], alive: int) -> list[int]:

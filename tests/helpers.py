@@ -1,8 +1,9 @@
 """Shared graph builders and independent brute-force oracles.
 
-Everything here is deliberately written against the most naive definitions
-(subset enumeration, dense Fraction elimination) with no code shared with
-the package internals, so the tests exercise genuinely separate routes.
+Everything here but the last section is deliberately written against the
+most naive definitions (subset enumeration, dense Fraction elimination)
+with no code shared with the package internals, so the tests exercise
+genuinely separate routes.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from eilab import graph_core
-from eilab.graph_core import Graph
+from eilab.graph_core import Graph, _bits
+from eilab.regularity_oracle import FieldSpec, _homology_from_masks, _independent_masks
 
 
 # -- builders -----------------------------------------------------------------
@@ -445,3 +448,88 @@ def flag_rp2_complement() -> Graph:
     n, triangles = flag_rp2()
     edges = {e for t in triangles for e in combinations(t, 2)}
     return graph_core.from_edges(n, [e for e in combinations(range(n), 2) if e not in edges])
+
+
+# -- per-subset path through the package's homology kernel ------------------------
+#
+# The slow reference for the oracle's subset table: the independence complex
+# of one graph, built from its facets, with its homology taken by the
+# package's ``_homology_from_masks`` (so this checks the table, not the rank
+# code; ``brute_rank`` covers that).
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """A complex given by its facets; faces are implicitly closed downward."""
+
+    n_vertices: int
+    facets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        masks = [_mask_of(f) for f in self.facets]
+        for i, a in enumerate(masks):
+            for j, b in enumerate(masks):
+                if i != j and a & b == a:
+                    raise ValueError(f"facet {self.facets[i]} contained in {self.facets[j]}")
+
+    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
+        """All faces keyed by dimension (the empty face is left implicit)."""
+        seen: set[int] = set()
+        for f in self.facets:
+            m = _mask_of(f)
+            _close_down(m, seen)
+        out: dict[int, list[tuple[int, ...]]] = {}
+        for m in seen:
+            d = m.bit_count() - 1
+            out.setdefault(d, []).append(tuple(_bits(m)))
+        for d in out:
+            out[d].sort()
+        return out
+
+
+def independence_complex(g: Graph) -> SimplicialComplex:
+    """The complex whose faces are the independent vertex sets of ``g``."""
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    facets = [
+        tuple(_bits(mask))
+        for mask in _independent_masks(adj, g.full_mask)
+        if all(adj[v] & mask for v in _bits(g.full_mask & ~mask))
+    ]
+    facets.sort(key=lambda f: (len(f), f))
+    return SimplicialComplex(g.n, tuple(facets))
+
+
+def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
+    """Reduced homology dimensions by degree, from degree -1 upward.
+
+    The empty complex (no vertices) has one-dimensional homology in degree
+    -1; any nonempty complex has zero there.  An internal Euler
+    characteristic cross-check guards every rank computation.
+    """
+    faces = complex_.faces_by_dim()
+    if not faces:
+        return {-1: 1}
+    by_dim = [[_mask_of(f) for f in faces.get(d, [])] for d in range(max(faces) + 1)]
+    dims = _homology_from_masks(by_dim, field.characteristic)
+    out = {-1: 0}
+    for t, d in enumerate(dims):
+        out[t] = d
+    return out
+
+
+def _mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _close_down(mask: int, seen: set[int]) -> None:
+    if mask == 0 or mask in seen:
+        return
+    seen.add(mask)
+    m = mask
+    while m:
+        low = m & -m
+        _close_down(mask ^ low, seen)
+        m ^= low

@@ -19,15 +19,9 @@ from eilab import formats_io as fio
 from eilab import graph_core as gc
 from eilab import harness
 from eilab import matchings as M
-from eilab.regularity_oracle import (
-    FieldSpec,
-    betti_table,
-    independence_complex,
-    reduced_homology_dims,
-    regularity,
-)
+from eilab.regularity_oracle import FieldSpec, betti_table, regularity
 
-from helpers import brute_homology, cycle
+from helpers import brute_homology, cycle, independence_complex, reduced_homology_dims
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

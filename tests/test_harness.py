@@ -7,7 +7,8 @@ import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import classifier, harness, matchings
+from eilab import cameron_walker, classifier, harness, matchings
+from eilab import regularity_oracle as ro
 from eilab.errors import TooLarge, UnknownProperty
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
@@ -124,6 +125,51 @@ def test_lemma_comp_records_cap_skips():
     assert rep.checked == 1
     assert rep.skips == (fio.encode_graph6(gc.disjoint_union(path(9), path(9))),)
     assert rep.passed
+
+
+def test_lemma_comp_reads_whole_graph_walk(monkeypatch):
+    """Comp takes the union's regularity from the walk over all its
+    subsets, not from ``regularity``, which splits the union into its
+    components: a walk off by one on disconnected graphs is caught on
+    every union, at every characteristic."""
+    walk = ro._subset_walk
+
+    def off_by_one(g, char):
+        reg_q, witness, betti = walk(g, char)
+        return (reg_q + (not g.is_connected()), witness, betti)
+
+    monkeypatch.setattr(ro, "_subset_walk", off_by_one)
+    graphs = harness.corpus_up_to(4).graphs
+    (rep,) = harness.verify_lemma_suite(graphs, ["Comp"], chars=(0, 2), union_total_cap=6)
+    assert rep.checked == len(harness.union_pairs(graphs, 6))
+    assert len(rep.violations) == 2 * rep.checked
+    assert all("!= component sum" in detail for _, detail in rep.violations)
+
+
+def test_lemma_cawa_reports_route_disagreement(monkeypatch):
+    """A disagreement between the shape tests and the matching numbers is a
+    violation of the graph, not an exception that ends the sweep; each
+    graph gets one maximum matching search."""
+    by_invariants = cameron_walker.cw_by_invariants
+    max_matching = matchings.max_matching
+    calls = []
+
+    def flipped(g):
+        equal, max_cert, ind_cert = by_invariants(g)
+        return not equal, max_cert, ind_cert
+
+    def counted(g):
+        calls.append(g)
+        return max_matching(g)
+
+    monkeypatch.setattr(matchings, "max_matching", counted)
+    graphs = harness.corpus_up_to(4).graphs
+    (rep,) = harness.verify_lemma_suite(graphs, ["CaWa"])
+    assert rep.passed and len(calls) == len(graphs)
+    monkeypatch.setattr(cameron_walker, "cw_by_invariants", flipped)
+    (rep,) = harness.verify_lemma_suite(graphs, ["CaWa"])
+    assert len(rep.violations) == len(graphs)
+    assert all("matching numbers" in detail for _, detail in rep.violations)
 
 
 def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):

@@ -11,9 +11,10 @@ from eilab import matchings as M
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
 from eilab.formats_io import encode_graph6
-from eilab.regularity_oracle import FieldSpec, SimplicialComplex
+from eilab.regularity_oracle import FieldSpec
 
 from helpers import (
+    SimplicialComplex,
     brute_betti,
     brute_homology,
     brute_rank,
@@ -22,7 +23,10 @@ from helpers import (
     cycle,
     edgeless,
     flag_rp2,
+    independence_complex,
     path,
+    reduced_homology_dims,
+    relabel,
     star,
 )
 
@@ -41,11 +45,11 @@ def test_field_spec_validation():
 
 def test_independence_complex_examples():
     single = gc.from_edges(2, [(0, 1)])
-    assert ro.independence_complex(single).facets == ((0,), (1,))
+    assert independence_complex(single).facets == ((0,), (1,))
     c5 = cycle(5)
-    facets = ro.independence_complex(c5).facets
+    facets = independence_complex(c5).facets
     assert len(facets) == 5 and all(len(f) == 2 for f in facets)
-    assert ro.independence_complex(edgeless(3)).facets == ((0, 1, 2),)
+    assert independence_complex(edgeless(3)).facets == ((0, 1, 2),)
 
 
 def test_simplicial_complex_rejects_nested_facets():
@@ -56,34 +60,34 @@ def test_simplicial_complex_rejects_nested_facets():
 def test_homology_triangle_boundary():
     hollow = SimplicialComplex(3, ((0, 1), (0, 2), (1, 2)))
     for char in (0, 2, 3):
-        dims = ro.reduced_homology_dims(hollow, FieldSpec(char))
+        dims = reduced_homology_dims(hollow, FieldSpec(char))
         assert dims[0] == 0 and dims[1] == 1
 
 
 def test_homology_full_simplex():
     solid = SimplicialComplex(3, ((0, 1, 2),))
-    dims = ro.reduced_homology_dims(solid, FieldSpec(0))
+    dims = reduced_homology_dims(solid, FieldSpec(0))
     assert all(v == 0 for v in dims.values())
 
 
 def test_homology_ind_c5_is_circle():
-    comp = ro.independence_complex(cycle(5))
+    comp = independence_complex(cycle(5))
     for char in (0, 2, 3):
-        dims = ro.reduced_homology_dims(comp, FieldSpec(char))
+        dims = reduced_homology_dims(comp, FieldSpec(char))
         assert dims[1] == 1 and dims[0] == 0
 
 
 def test_homology_empty_complex():
-    assert ro.reduced_homology_dims(SimplicialComplex(0, ()), FieldSpec(0)) == {-1: 1}
+    assert reduced_homology_dims(SimplicialComplex(0, ()), FieldSpec(0)) == {-1: 1}
 
 
 def test_homology_matches_independent_implementation(corpus5):
     rng = random.Random(5150)
     sample = rng.sample(list(corpus5), 12)
     for g in sample:
-        comp = ro.independence_complex(g)
+        comp = independence_complex(g)
         for char in (0, 2, 3):
-            mine = ro.reduced_homology_dims(comp, FieldSpec(char))
+            mine = reduced_homology_dims(comp, FieldSpec(char))
             ref = brute_homology(list(comp.facets), char)
             for t in set(mine) | set(ref):
                 assert mine.get(t, 0) == ref.get(t, 0), (g, char, t)
@@ -115,8 +119,8 @@ def test_regularity_witness_revalidates(corpus5):
             continue
         res = ro.regularity(g, FieldSpec(0))
         sub = gc.induced_subgraph(g, res.witness_subset)
-        dims = ro.reduced_homology_dims(
-            ro.independence_complex(sub), FieldSpec(0)
+        dims = reduced_homology_dims(
+            independence_complex(sub), FieldSpec(0)
         )
         assert dims[res.witness_degree] > 0
         assert res.reg_ideal == res.witness_degree + 2
@@ -148,9 +152,9 @@ def test_betti_table_matches_brute_force(corpus6):
 
 
 def test_betti_table_matches_per_subset_reference():
-    """The subset table against the public per-subset path, which builds the
-    independence complex of every induced subgraph and takes its homology
-    with no fold, no universal-vertex rule and no table."""
+    """The subset table against the per-subset reference path, which builds
+    the independence complex of every induced subgraph and takes its
+    homology with no fold, no universal-vertex rule and no table."""
     rng = random.Random(1212)
     pairs = list(combinations(range(10), 2))
     graphs = [cycle(12), path(12)]
@@ -159,14 +163,61 @@ def test_betti_table_matches_per_subset_reference():
         complexes = []
         for w in range(1 << g.n):
             verts = [v for v in range(g.n) if w >> v & 1]
-            complexes.append((len(verts), ro.independence_complex(gc.induced_subgraph(g, verts))))
+            complexes.append((len(verts), independence_complex(gc.induced_subgraph(g, verts))))
         for char in (0, 2, 3):
             ref: dict[tuple[int, int], int] = {}
             for size, complex_ in complexes:
-                for t, d in ro.reduced_homology_dims(complex_, FieldSpec(char)).items():
+                for t, d in reduced_homology_dims(complex_, FieldSpec(char)).items():
                     if d:
                         ref[(size - t - 1, size)] = ref.get((size - t - 1, size), 0) + d
             assert ro.betti_table(g, FieldSpec(char)).as_dict() == ref, (g.n, g.edges, char)
+
+
+def _seeded_disconnected_graphs(corpus5) -> list[gc.Graph]:
+    """Seeded disconnected graphs on up to 12 vertices: two to four parts,
+    corpus graphs or isolated vertices, with the labels shuffled so that
+    the components interleave; then edgeless graphs."""
+    rng = random.Random(1616)
+    parts = list(corpus5)
+    out = []
+    while len(out) < 40:
+        g = gc.from_edges(0, [])
+        for _ in range(rng.randint(2, 4)):
+            g = gc.disjoint_union(g, rng.choice(parts))
+        if g.n <= 12:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(relabel(g, perm))
+    return out + [edgeless(k) for k in range(2, 6)]
+
+
+def test_component_split_matches_whole_graph_walk(corpus5):
+    """A disconnected graph combines its components' sweeps; the walk over
+    all its subsets is the reference: the same regularity, witness and
+    Betti entries at chars 0, 2 and 3, and on up to 8 vertices the same
+    Betti table and witness as Hochster's formula by brute force."""
+    unions = harness.union_pairs(corpus5, 8)
+    seeded = _seeded_disconnected_graphs(corpus5)
+    assert all(len(gc.components(g)) >= 2 for g in unions + seeded)
+    assert any(len(gc.components(g)) >= 3 for g in seeded)
+    assert any(
+        verts != tuple(range(verts[0], verts[-1] + 1))
+        for g in seeded
+        for verts, _ in gc.components(g)
+    )
+    for g in unions + seeded:
+        for char in (0, 2, 3):
+            split = ro._hochster_sweep(g, char)
+            assert split == ro._subset_walk(g, char), (g.n, g.edges, char)
+    small = [g for g in seeded if g.n <= 8] + random.Random(1717).sample(unions, 12)
+    for g in small:
+        for char in (0, 2, 3):
+            res = ro.regularity(g, FieldSpec(char))
+            if g.num_edges:
+                assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), (g.edges, char)
+                assert (res.witness_subset, res.witness_degree) == brute_witness(g, char), (g.edges, char)
+            else:
+                assert res.witness_subset is None and brute_witness(g, char) is None
 
 
 def test_piece_dims_gets_only_irreducible_pieces(corpus7, monkeypatch):
@@ -252,7 +303,7 @@ def test_characteristic_dependence_flag_rp2():
     cliques = [c for k in (3, 4) for c in combinations(range(n), k) if all(e in edges for e in combinations(c, 2))]
     assert cliques == sorted(triangles)
     g = gc.from_edges(n, [e for e in combinations(range(n), 2) if e not in edges])
-    assert ro.independence_complex(g).facets == tuple(triangles)
+    assert independence_complex(g).facets == tuple(triangles)
     regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
     assert regs == {0: 3, 2: 4, 3: 3}
 
@@ -271,6 +322,17 @@ def test_regularity_cap():
         ro.regularity(edgeless(17), FieldSpec(0))
     with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
         ro.betti_table(path(17), FieldSpec(0))
+
+
+def test_regularity_cap_disconnected():
+    """The cap is checked on the whole graph before the component split,
+    so a 17-vertex union of small parts is still refused."""
+    g = gc.disjoint_union(cycle(9), path(8))
+    for char in (0, 2):
+        with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
+            ro.regularity(g, FieldSpec(char))
+        with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
+            ro._subset_walk(g, char)
 
 
 def test_recursion_value_cap():
