@@ -4,10 +4,10 @@ A graph is chordal when every cycle of length at least four has a chord,
 equivalently when it admits a perfect elimination order.  The searches run
 on adjacency bitmasks restricted to an ``alive`` vertex mask, so the
 subgraphs and complements they need are masks, not new graphs.  The
-recognizer runs lexicographic BFS (lowest index first among equal labels)
-and verifies the reversed visit order, stopping at the first violation:
-a vertex ``v`` with earlier neighbours ``w`` (the latest) and ``y`` not
-adjacent to each other.
+recognizer runs lexicographic BFS as partition refinement on vertex masks
+(lowest index first among equal labels) and verifies the reversed visit
+order, stopping at the first violation: a vertex ``v`` with earlier
+neighbours ``w`` (the latest) and ``y`` not adjacent to each other.
 
 The public refutation witness is a vertex peel: one ascending pass over
 the vertices drops each vertex whose removal leaves the graph non-chordal.
@@ -26,7 +26,12 @@ monotone under adding edges (a later edge can chord away an offending
 cycle in the complement), a part that currently fails is only pruned when
 some chordless cycle of its complement cannot be touched by any edge still
 unassigned.  That holds for any chordless cycle, so the cover found does
-not depend on which cycle the search reads.
+not depend on which cycle the search reads.  Each part keeps its own
+adjacency masks, updated as edges are assigned and taken back, and its
+complement is read off them; part verdicts are memoized by edge set.  The
+search refuses with ``WorkBoundExceeded`` (a ``CapExceeded``) once it has
+checked ``COCHORD_WORK_BOUND`` distinct parts, as it refuses past its size
+cap: neither refusal is an answer.
 """
 
 from __future__ import annotations
@@ -35,8 +40,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graph_core
-from .errors import CapExceeded, NotApplicable
+from .errors import CapExceeded, NotApplicable, WorkBoundExceeded
 from .graph_core import Graph, _bits
+
+# Part checks (co-chordality tests of distinct edge subsets) one cover
+# search may make before it refuses: ten times the most needed by any
+# graph of the n <= 7 corpus (1,412) or of the seeded sparse graphs on
+# 8-10 vertices in the tests (5,655).
+COCHORD_WORK_BOUND = 60_000
 
 
 @dataclass(frozen=True)
@@ -94,25 +105,36 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
     assigned in lexicographic order to the lowest-index part or the first
     empty one, which prunes permutation-equivalent covers.  If the minimum
     exceeds ``cap``, a ``CapExceeded`` is raised carrying a greedy upper
-    bound (a bound, never the answer).
+    bound (a bound, never the answer); past ``COCHORD_WORK_BOUND`` part
+    checks, a ``WorkBoundExceeded`` carrying the same bound.
     """
     if g.num_edges == 0:
         raise NotApplicable("co-chordal covers need at least one edge")
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    n = g.n
     edges = g.edges
     m = len(edges)
     ends = [1 << u | 1 << v for u, v in edges]
+    later = [ends[idx + 1:] for idx in range(m)]
 
     # Memoized co-chordality of edge subsets, evaluated on their support:
     # None when co-chordal, else the vertex mask of a chordless cycle of
-    # the part's complement.
+    # the part's complement.  Its size is the count of part checks, which
+    # the work bound caps.
     cycle_memo: dict[int, int | None] = {}
 
-    def part_status(edge_mask: int) -> int | None:
+    def part_status(edge_mask: int, part_adj: list[int]) -> int | None:
         if edge_mask in cycle_memo:
             return cycle_memo[edge_mask]
-        co_adj, support = _part_complement(g.n, [edges[i] for i in _bits(edge_mask)])
+        if len(cycle_memo) >= COCHORD_WORK_BOUND:
+            raise WorkBoundExceeded(
+                "co-chordal cover search stopped at its work bound of "
+                f"{COCHORD_WORK_BOUND} part checks",
+                best_bound=_greedy_star_cover_bound(g),
+            )
+        support = sum(1 << v for v, a in enumerate(part_adj) if a)
+        co_adj = _complement(part_adj, support)
         elimination, violation = _elimination_order(co_adj, support)
         cyc = None
         if elimination is None:
@@ -125,25 +147,31 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
 
     for k in range(1, cap + 1):
         parts = [0] * k
+        # Each part's own adjacency masks, kept in step with ``parts``.
+        adjs = [[0] * n for _ in range(k)]
 
         def assign(idx: int, used: int) -> bool:
             if idx == m:
-                return all(p == 0 or part_status(p) is None for p in parts)
-            limit = min(used + 1, k)
-            for p in range(limit):
-                parts[p] |= 1 << idx
-                cyc = part_status(parts[p])
-                if cyc is not None:
-                    # The part may still be repaired by a later edge that
-                    # chords the offending complement cycle away, which
-                    # needs both its endpoints on the cycle.
-                    fixable = any(ends[f] & ~cyc == 0 for f in range(idx + 1, m))
-                    if not fixable:
-                        parts[p] &= ~(1 << idx)
-                        continue
-                if assign(idx + 1, max(used, p + 1)):
-                    return True
-                parts[p] &= ~(1 << idx)
+                return all(
+                    not parts[p] or part_status(parts[p], adjs[p]) is None for p in range(k)
+                )
+            u, v = edges[idx]
+            bit, bu, bv = 1 << idx, 1 << u, 1 << v
+            for p in range(min(used + 1, k)):
+                adj = adjs[p]
+                parts[p] |= bit
+                adj[u] ^= bv
+                adj[v] ^= bu
+                cyc = part_status(parts[p], adj)
+                # A failing part may still be repaired by a later edge that
+                # chords the offending complement cycle away, which needs
+                # both its endpoints on the cycle.
+                if cyc is None or any(not e & ~cyc for e in later[idx]):
+                    if assign(idx + 1, max(used, p + 1)):
+                        return True
+                parts[p] ^= bit
+                adj[u] ^= bv
+                adj[v] ^= bu
             return False
 
         if assign(0, 0):
@@ -209,30 +237,46 @@ def _elimination_order(
     """Perfect elimination order of the graph induced on ``alive``, or the
     first violation of one.
 
-    Lexicographic BFS picks the lowest index among equal labels; each
-    visited vertex's earlier-visited neighbours must lie in the neighbourhood
-    of the latest-visited of them, which is the elimination test on the
-    reversed visit order.  Returns ``(order, None)`` on success, else
+    Lexicographic BFS by partition refinement: the unvisited vertices sit
+    in an ordered list of equal-label classes, highest label first, and the
+    next vertex is the lowest index of the first class.  Visiting ``v``
+    splits every class into its neighbours of ``v`` followed by the rest,
+    so a label beats its own prefixes.  Each visited vertex's
+    earlier-visited neighbours must lie in the neighbourhood of the
+    latest-visited of them, which is the elimination test on the reversed
+    visit order.  Returns ``(order, None)`` on success, else
     ``(None, (v, w, y))``: ``v`` the vertex just visited, ``w`` its
     latest-visited earlier neighbour and ``y`` the lowest earlier neighbour
     of ``v`` not adjacent to ``w``.
     """
-    labels: dict[int, list[int]] = {v: [] for v in _bits(alive)}
+    classes = [alive] if alive else []
     order: list[int] = []
-    left = alive
-    while left:
-        v = max(_bits(left), key=labels.__getitem__)
-        left &= ~(1 << v)
-        earlier = adj[v] & alive & ~left
+    visited = 0
+    while classes:
+        first = classes[0]
+        low = first & -first
+        v = low.bit_length() - 1
+        earlier = adj[v] & visited
         if earlier:
-            w = next(u for u in reversed(order) if earlier >> u & 1)
+            for w in reversed(order):
+                if earlier >> w & 1:
+                    break
             bad = earlier & ~adj[w] & ~(1 << w)
             if bad:
                 return None, (v, w, (bad & -bad).bit_length() - 1)
-        step = -len(order)
         order.append(v)
-        for u in _bits(adj[v] & left):
-            labels[u].append(step)
+        visited |= low
+        classes[0] = first ^ low
+        nb = adj[v]
+        refined = []
+        for c in classes:
+            hit = c & nb
+            if hit:
+                refined.append(hit)
+                c ^= hit
+            if c:
+                refined.append(c)
+        classes = refined
     return tuple(reversed(order)), None
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bounds_engine, chordality, classifier, formats_io, harness, matchings
-from .errors import CapExceeded, EilabError, MalformedDocument, NotApplicable
+from .errors import CapExceeded, EilabError, MalformedDocument, NotApplicable, WorkBoundExceeded
 from .formats_io import GraphDocument, ReportRow
 from .regularity_oracle import FieldSpec, regularity
 
@@ -221,6 +221,8 @@ def _cmd_invariants(args) -> int:
         row.nu = matchings.nu(g)
         try:
             row.cochord = chordality.cochord_number(g, cap=args.cochord_cap).k
+        except WorkBoundExceeded as exc:
+            row.certificate = f"cochord past work bound (bound <= {exc.best_bound})"
         except CapExceeded as exc:
             row.certificate = f"cochord > cap (bound <= {exc.best_bound})"
 

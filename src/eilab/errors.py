@@ -43,6 +43,10 @@ class CapExceeded(EilabError):
         self.best_bound = best_bound
 
 
+class WorkBoundExceeded(CapExceeded):
+    """An exact search used up its work bound before it could answer."""
+
+
 class NotApplicable(EilabError):
     """The operation is undefined for this input (e.g. edgeless graph)."""
 

@@ -4,7 +4,7 @@ import pytest
 
 from eilab import chordality as ch
 from eilab import graph_core as gc
-from eilab.errors import CapExceeded, NotApplicable
+from eilab.errors import CapExceeded, NotApplicable, WorkBoundExceeded
 
 from helpers import (
     brute_has_chordless_cycle,
@@ -146,6 +146,19 @@ def test_certificates_golden():
     )
 
 
+def test_cochord_work_bound(monkeypatch):
+    """Past its work bound the cover search refuses, naming the bound and
+    carrying the greedy star bound, however small the cover would be."""
+    monkeypatch.setattr(ch, "COCHORD_WORK_BOUND", 10)
+    with pytest.raises(WorkBoundExceeded) as rec:
+        ch.cochord_number(cycle(7), cap=4)
+    assert isinstance(rec.value, CapExceeded)
+    assert "work bound of 10 part checks" in str(rec.value)
+    assert "exceeds cap" not in str(rec.value)
+    assert rec.value.best_bound == 4
+    assert ch.cochord_number(cycle(5)).k == 2  # needs fewer part checks
+
+
 def test_cochord_c7_and_cap():
     c7 = cycle(7)
     assert ch.cochord_number(c7).k == 3
@@ -164,6 +177,38 @@ def test_woodroofe_bound_on_corpus(corpus6):
             continue
         cover = ch.cochord_number(g, cap=4)
         assert regularity(g, FieldSpec(0)).reg_star <= cover.k + 1
+
+
+def _reference_elimination(adj, alive):
+    """The slow LexBFS order with the first-violation rule: the first
+    visited ``v`` whose latest-visited earlier neighbour ``w`` misses
+    another earlier neighbour, ``y`` the lowest of those."""
+    order = lex_bfs_order(adj, alive)
+    for i, v in enumerate(order):
+        earlier = [u for u in order[:i] if adj[v] >> u & 1]
+        if earlier:
+            w = earlier[-1]
+            bad = [u for u in earlier if u != w and not adj[w] >> u & 1]
+            if bad:
+                return None, (v, w, min(bad))
+    return tuple(reversed(order)), None
+
+
+def test_elimination_order_matches_lex_bfs_reference(corpus6):
+    """Partition refinement gives the reference LexBFS order on chordal
+    graphs and its first violation on the others: every vertex submask of
+    every n <= 6 graph and of its complement, and the seeded sparse graphs
+    on 8-10 vertices with their complements."""
+    cases = [(g, alive) for g in corpus6 for alive in range(1 << g.n)]
+    cases += [(g, g.full_mask) for g in sparse_random_graphs()]
+    verdicts = set()
+    for g, alive in cases:
+        for h in (g, gc.complement(g)):
+            adj = [h.adj_mask(v) for v in range(h.n)]
+            got = ch._elimination_order(adj, alive)
+            assert got == _reference_elimination(adj, alive), (h.edges, alive)
+            verdicts.add(got[0] is not None)
+    assert verdicts == {True, False}
 
 
 def _with_edges(graphs):

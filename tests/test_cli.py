@@ -51,6 +51,20 @@ def test_invariants_csv(capsys, monkeypatch):
     assert out.strip().split("\r\n")[1].startswith("Dhc,5,5,2,1,2,2")
 
 
+def test_invariants_cochord_work_bound(capsys, monkeypatch):
+    """A cover search stopped by its work bound is reported as such, not as
+    a cover past the size cap, and the row is still written."""
+    from eilab import chordality
+
+    monkeypatch.setattr(chordality, "COCHORD_WORK_BOUND", 10)
+    g6 = formats_io.encode_graph6(cycle(7))
+    code, out, err = run(capsys, ["invariants", "--g6", "-"], g6 + "\n", monkeypatch)
+    assert code == 0 and err == ""
+    row = out.strip().split("\r\n")[1]
+    assert row == f"{g6},7,7,3,2,3,,,cochord past work bound (bound <= 4)"
+    assert "cochord > cap" not in out
+
+
 def test_bounds(capsys, monkeypatch):
     code, out, _ = run(capsys, ["bounds", "--g6", "-"], "Dhc\n", monkeypatch)
     assert code == 0
