@@ -1,8 +1,8 @@
-"""Recognition of graphs whose matching and induced matching numbers agree.
+"""Recognition of Cameron-Walker graphs: matching number equal to the
+induced matching number.
 
-Two independent routes are provided.  The invariant route simply computes
-both matching certificates and compares sizes.  The structural route tests
-the three connected shapes that are known to be exactly these graphs:
+The structural route decides.  It tests the three connected shapes that
+are known to be exactly these graphs (Cameron-Walker, Discrete Math. 2005):
 
 * a star (all edges through one center; a single vertex or edge counts);
 * a star triangle (finitely many triangles glued at one common vertex);
@@ -10,11 +10,15 @@ the three connected shapes that are known to be exactly these graphs:
   every vertex of X and any number of pendant triangles hanging off
   vertices of Y.
 
-The structural recognizer strips pendant triangles first, then treats the
-remaining degree-one vertices as leaves -- except vertices anchoring a
-stripped triangle, which must stay in the core.  Whatever survives must be
-a connected bipartite core satisfying the attachment conditions.  Every
-positive decomposition is re-validated against the invariant definition.
+The recognizer strips pendant triangles first, then treats the remaining
+degree-one vertices as leaves -- except vertices anchoring a stripped
+triangle, which must stay in the core.  Whatever survives must be a
+connected bipartite core satisfying the attachment conditions.  Every test
+is polynomial, so recognition has no vertex cap.
+
+The invariant route, ``cw_by_invariants``, is the defining test
+``nu == nu0`` by the NP-hard matching searches.  It is only the reference
+that the ``CaWa`` lemma sweep and the tests compare the shapes against.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from . import matchings
 from .errors import NotConnected
 from .graph_core import Graph
-from .matchings import MatchingCertificate
 
 
 @dataclass(frozen=True)
@@ -47,65 +50,26 @@ class BipartitePendant:
     triangle_map: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # y -> triangles
 
 
-@dataclass(frozen=True)
-class NotCW:
-    maximum: MatchingCertificate
-    induced: MatchingCertificate
+Shape = Star | StarTriangle | BipartitePendant
 
 
-Shape = Star | StarTriangle | BipartitePendant | NotCW
-
-
-@dataclass(frozen=True)
-class CWDecomposition:
-    verdict: bool
-    shape: Shape
-
-
-def cw_by_invariants(g: Graph) -> tuple[bool, MatchingCertificate, MatchingCertificate]:
+def cw_by_invariants(g: Graph) -> bool:
     """Defining test: matching number equals induced matching number."""
-    max_cert = matchings.max_matching(g)
-    ind_cert = matchings.induced_matching_number(g)
-    return max_cert.size == ind_cert.size, max_cert, ind_cert
+    return matchings.nu(g) == matchings.nu0(g)
 
 
-def recognize_structural(g: Graph) -> CWDecomposition:
-    """Classify a connected graph into one of the three shapes, or refute.
-
-    The verdict is cross-checked against the invariant definition; a
-    mismatch would mean a bug in one of the two routes and raises.
-    """
-    if g.n == 0 or not g.is_connected():
-        raise NotConnected("structural recognition requires a connected, nonempty graph")
-
-    shape = _try_star(g) or _try_star_triangle(g) or _try_bipartite_pendant(g)
-    equal, max_cert, ind_cert = cw_by_invariants(g)
-    if shape is not None:
-        if not equal:
-            raise AssertionError(
-                f"shape {shape!r} accepted but matching numbers differ on {g!r}"
-            )
-        return CWDecomposition(True, shape)
-    if equal:
-        raise AssertionError(f"no shape found but matching numbers agree on {g!r}")
-    return CWDecomposition(False, NotCW(max_cert, ind_cert))
+def recognize_structural(g: Graph) -> Shape | None:
+    """The shape of a connected graph, or None when it has none of the three."""
+    _require_connected(g)
+    return _try_star(g) or _try_star_triangle(g) or _try_bipartite_pendant(g)
 
 
-def validate_decomposition(g: Graph, dec: CWDecomposition) -> bool:
-    """Re-check a decomposition from scratch (attachments, bipartiteness,
-    exact edge coverage); for refutations, re-check both witnesses."""
-    shape = dec.shape
-    if isinstance(shape, NotCW):
-        return (
-            not dec.verdict
-            and matchings.validate_certificate(g, shape.maximum)
-            and matchings.validate_certificate(g, shape.induced)
-            and shape.maximum.size != shape.induced.size
-        )
-    if not dec.verdict:
-        return False
+def validate_decomposition(g: Graph, shape: Shape) -> bool:
+    """Re-check a shape from scratch (attachments, bipartiteness, exact
+    edge coverage) on a connected, nonempty graph."""
+    _require_connected(g)
     if isinstance(shape, Star):
-        return all(shape.center in e for e in g.edges)
+        return 0 <= shape.center < g.n and all(shape.center in e for e in g.edges)
     if isinstance(shape, StarTriangle):
         c = shape.center
         expect = set()
@@ -119,6 +83,11 @@ def validate_decomposition(g: Graph, dec: CWDecomposition) -> bool:
     if isinstance(shape, BipartitePendant):
         return _validate_bipartite_pendant(g, shape)
     return False
+
+
+def _require_connected(g: Graph) -> None:
+    if g.n == 0 or not g.is_connected():
+        raise NotConnected("structural recognition requires a connected, nonempty graph")
 
 
 # -- shape tests ---------------------------------------------------------------
@@ -264,7 +233,7 @@ def _validate_bipartite_pendant(g: Graph, shape: BipartitePendant) -> bool:
         return False
     for x, leaves in leaf_map.items():
         for leaf in leaves:
-            if leaf in claimed or g.degree(leaf) != 1:
+            if leaf in claimed or leaf not in g.vertices or g.degree(leaf) != 1:
                 return False
             claimed.add(leaf)
             expect.add(_e(x, leaf))
@@ -272,7 +241,7 @@ def _validate_bipartite_pendant(g: Graph, shape: BipartitePendant) -> bool:
         if y not in y_set:
             return False
         for a, b in triangles:
-            if a in claimed or b in claimed or g.degree(a) != 2 or g.degree(b) != 2:
+            if any(u in claimed or u not in g.vertices or g.degree(u) != 2 for u in (a, b)):
                 return False
             claimed.update((a, b))
             expect.update({_e(y, a), _e(y, b), _e(a, b)})

@@ -2,12 +2,14 @@
 
 For any graph, the regularity of its edge ideal reaches the upper bound
 ``matching number + 1`` exactly when every connected component is either a
-pentagon or has equal matching and induced matching numbers.  ``classify``
-evaluates the structural side (component shapes, no homology) and the
-numeric side (homological oracle vs. matching number) separately and
-reports both; a disagreement is surfaced as-is, never reconciled.  The
-field-free side (shapes, matching number) is evaluated once per graph, the
-numeric side once per characteristic.
+pentagon or a Cameron-Walker graph (equal matching and induced matching
+numbers).  ``classify`` evaluates the structural side and the numeric side
+separately and reports both; a disagreement is surfaced as-is, never
+reconciled.  The structural side is the pentagon test and the polynomial
+shape tests of ``cameron_walker``: no homology, no matching search and no
+vertex cap.  The numeric side compares the homological oracle with the
+matching number.  The field-free part (shapes, matching number) is
+evaluated once per graph, the oracle once per characteristic.
 """
 
 from __future__ import annotations
@@ -58,14 +60,14 @@ def component_shape(comp: Graph) -> str:
     """Shape tag for one connected component."""
     if pentagon_test(comp):
         return "pentagon"
-    dec = cameron_walker.recognize_structural(comp)
-    if not dec.verdict:
+    shape = cameron_walker.recognize_structural(comp)
+    if shape is None:
         return "not-cw"
     return {
         cameron_walker.Star: "star",
         cameron_walker.StarTriangle: "star-triangle",
         cameron_walker.BipartitePendant: "bipartite-pendant",
-    }[type(dec.shape)]
+    }[type(shape)]
 
 
 def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:

@@ -394,11 +394,13 @@ def _check_c2(g, chars):
 def _check_cawa(g, chars):
     if not g.is_connected() or g.n == 0:
         return []
-    try:
-        dec = cameron_walker.recognize_structural(g)
-    except AssertionError as exc:  # the shape and invariant routes disagree
-        return [str(exc)]
-    if not cameron_walker.validate_decomposition(g, dec):
+    shape = cameron_walker.recognize_structural(g)
+    equal = cameron_walker.cw_by_invariants(g)
+    if shape is None:
+        return ["no shape found but matching numbers agree"] if equal else []
+    if not equal:
+        return [f"shape {shape!r} accepted but matching numbers differ"]
+    if not cameron_walker.validate_decomposition(g, shape):
         return ["decomposition failed re-validation"]
     return []
 

@@ -47,6 +47,64 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     return graph_core.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def star_triangle(k: int) -> Graph:
+    """``k`` triangles glued at vertex 0."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return graph_core.from_edges(2 * k + 1, edges)
+
+
+def bipartite_pendant(rng: random.Random, n: int) -> Graph:
+    """A seeded connected bipartite core on (X, Y), at least one leaf on
+    every x and pendant triangles on some y's, with ``n`` vertices in all
+    (``n >= 3``), randomly relabelled."""
+    while True:  # |X| = a, |Y| = b, t triangles, the rest leaves (at least a)
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        if 2 * a + b <= n:
+            break
+    t = rng.randint(0, (n - 2 * a - b) // 2)
+    leaves = n - a - b - 2 * t
+    xs, ys = list(range(a)), list(range(a, a + b))
+    edges = {(0, a)}  # a random spanning tree of the core, grown from x0-y0 ...
+    placed_x, placed_y = [0], [a]
+    rest = xs[1:] + ys[1:]
+    rng.shuffle(rest)
+    for u in rest:
+        if u < a:
+            edges.add((u, rng.choice(placed_y)))
+            placed_x.append(u)
+        else:
+            edges.add((rng.choice(placed_x), u))
+            placed_y.append(u)
+    edges |= {(x, y) for x in xs for y in ys if rng.random() < 0.3}  # ... plus extra edges
+    v = a + b
+    for i in range(leaves):
+        edges.add((xs[i] if i < a else rng.choice(xs), v))
+        v += 1
+    for _ in range(t):
+        y = rng.choice(ys)
+        edges |= {(y, v), (y, v + 1), (v, v + 1)}
+        v += 2
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(graph_core.from_edges(n, sorted(edges)), perm)
+
+
+def add_one_edge(rng: random.Random, g: Graph) -> Graph:
+    """``g`` plus one seeded non-edge (``g`` must not be complete)."""
+    missing = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+    return graph_core.from_edges(g.n, list(g.edges) + [rng.choice(missing)])
+
+
+def subdivide_one_edge(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with one seeded edge replaced by a path through a new vertex."""
+    u, v = rng.choice(g.edges)
+    rest = [e for e in g.edges if e != (u, v)]
+    return graph_core.from_edges(g.n + 1, rest + [(u, g.n), (v, g.n)])
+
+
 # -- brute-force matching oracles ----------------------------------------------
 
 

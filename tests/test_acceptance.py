@@ -80,9 +80,9 @@ def test_criterion_4_cameron_walker_equivalence(corpus7):
     checked = 0
     for g in corpus7:
         checked += 1
-        equal, _, _ = cw.cw_by_invariants(g)
-        dec = cw.recognize_structural(g)
-        if dec.verdict != equal or not cw.validate_decomposition(g, dec):
+        shape = cw.recognize_structural(g)
+        valid = shape is None or cw.validate_decomposition(g, shape)
+        if (shape is not None) != cw.cw_by_invariants(g) or not valid:
             violations.append(fio.encode_graph6(g))
     _verdict(
         4,
