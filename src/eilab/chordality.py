@@ -217,7 +217,7 @@ def validate_elimination_order(g: Graph, order: tuple[int, ...]) -> bool:
 def validate_chordless_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
     """True when the vertices form an induced cycle of length >= 4."""
     k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+    if k < 4 or len(set(cycle)) != k or not all(0 <= v < g.n for v in cycle):
         return False
     for i, v in enumerate(cycle):
         for j in range(i + 1, k):

@@ -291,12 +291,7 @@ def _cmd_verify(args) -> int:
         reports.extend(harness.verify_lemma_suite(graphs, args.lemmas, chars=chars))
     else:
         reports.append(
-            harness.verify_theorem(
-                graphs,
-                chars=chars,
-                include_unions=not args.no_unions,
-                workers=harness.default_workers(),
-            )
+            harness.verify_theorem(graphs, chars=chars, include_unions=not args.no_unions)
         )
     failed = False
     for rep in reports:

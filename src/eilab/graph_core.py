@@ -267,36 +267,41 @@ def canonical_key(g: Graph) -> int:
     return best
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal strings exactly when graphs are isomorphic.
+def canonical_form(g: Graph) -> Graph:
+    """The canonically labelled copy of ``g``: equal results exactly when
+    graphs are isomorphic.
 
-    Defined as the lexicographically minimal upper-triangle bit string over
-    all vertex orders, the bits taken in column order x(0,1), x(0,2),
-    x(1,2), x(0,3), ...  Found by placing vertices one position at a time
-    and pruning any placement whose bit prefix already exceeds the best.
-    At each position only one vertex of each twin class is tried: twins
-    outside the placed prefix give the same column, and swapping them is an
-    automorphism fixing the prefix, so their subtrees give the same strings.
+    The vertex order is the one whose upper-triangle bit string is
+    lexicographically minimal, the bits taken in column order x(0,1),
+    x(0,2), x(1,2), x(0,3), ... (graph6's order, so within one vertex count
+    the graph6 strings of canonical forms sort as these bit strings do).
+    Found by placing vertices one position at a time and pruning any
+    placement whose bit prefix already exceeds the best.  At each position
+    only one vertex of each twin class is tried: twins outside the placed
+    prefix give the same column, and swapping them is an automorphism
+    fixing the prefix, so their subtrees give the same strings.
     """
     n = g.n
     if n > CANONICAL_LIMIT_DEFAULT:
         raise TooLarge(f"canonical_form capped at {CANONICAL_LIMIT_DEFAULT} vertices, got {n}")
     if n <= 1:
-        return bytes([n])
+        return g
 
     adj = g._adj
     twins = _twin_masks(adj)
     # Identity ordering seeds the bound; a dummy leading column keeps the
     # column list aligned with placement positions (position 0 adds no bits).
     best = [0] + _columns_for(adj, list(range(n)))
+    best_order = list(range(n))
 
     placed = [0] * n
 
     def descend(pos: int, used: int, cols: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if pos == n:
             if cols < best:
                 best = list(cols)
+                best_order = list(placed)
             return
         candidates = []
         tried = 0
@@ -327,23 +332,10 @@ def canonical_form(g: Graph) -> bytes:
             cols.pop()
 
     descend(0, 0, [])
-    return bytes([n]) + _pack_columns(n, best[1:])
-
-
-def graph_of_canonical_form(data: bytes) -> Graph:
-    """Rebuild the canonically labeled graph a canonical form encodes."""
-    if not data:
-        raise InvalidVertex("empty canonical form")
-    n = data[0]
-    bits = data[1:]
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos >> 3] >> (7 - (pos & 7)) & 1:
-                edges.append((i, j))
-            pos += 1
-    return from_edges(n, edges)
+    pos = [0] * n
+    for p, v in enumerate(best_order):
+        pos[v] = p
+    return Graph(n, [sum(1 << pos[u] for u in _bits(adj[v])) for v in best_order])
 
 
 # -- internals ...............................................................
@@ -447,19 +439,3 @@ def _columns_for(adj: Sequence[int], order: list[int]) -> list[int]:
             col = col << 1 | (aj >> order[i] & 1)
         cols.append(col)
     return cols
-
-
-def _pack_columns(n: int, cols: list[int]) -> bytes:
-    bits = []
-    for j in range(1, n):
-        col = cols[j - 1]
-        for i in range(j - 1, -1, -1):
-            bits.append(col >> i & 1)
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = byte << 1 | b
-        byte <<= 8 - len(bits[i : i + 8])
-        out.append(byte)
-    return bytes(out)

@@ -4,10 +4,11 @@ The corpus is every connected graph on up to eight vertices, one per
 isomorphism class, produced by vertex augmentation (attach a new vertex to
 each nonempty subset of a smaller connected graph).  Candidates are
 deduplicated by the refinement key ``graph_core.canonical_key``; each
-class is then labelled and ordered by the lex-min
-``graph_core.canonical_form``, computed once per class.  Sweeps then check
-the classification theorem and each supporting lemma over a corpus,
-optionally including two-component disjoint unions.
+class is then labelled by the lex-min ``graph_core.canonical_form``,
+computed once per class, and each vertex count is sorted by graph6 string.
+Sweeps then check the classification theorem and each supporting lemma
+over a corpus, optionally including two-component disjoint unions, in one
+process.
 
 Each per-graph check states its lemma and returns the detail strings of
 its violations, calling its searches in any order: each refuses past its
@@ -17,13 +18,10 @@ and a skip (a refused search) alike, so any failure is reproducible.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from . import (
     cameron_walker,
@@ -67,7 +65,37 @@ class SweepReport:
 
 # -- enumeration ----------------------------------------------------------------
 
-_connected_cache: dict[int, tuple[Graph, ...]] = {}
+
+def _connected_levels(max_n: int):
+    """Yield, for ``n = 1 .. max_n`` in turn, all connected graphs on ``n``
+    vertices, canonically labelled and sorted by graph6 string.  Each level
+    is built from the labelled previous one."""
+    if max_n > INTERNAL_ENUMERATION_CAP:
+        raise TooLarge(
+            f"internal enumeration caps at {INTERNAL_ENUMERATION_CAP} vertices; "
+            "ingest an external graph6 file instead"
+        )
+    level = (graph_core.from_edges(1, []),)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            seen: dict[int, Graph] = {}
+            for g in level:
+                base = [g.adj_mask(v) for v in range(n - 1)]
+                for attach in range(1, 1 << (n - 1)):
+                    adj = list(base) + [attach]
+                    for v in range(n - 1):
+                        if attach >> v & 1:
+                            adj[v] |= 1 << (n - 1)
+                    cand = Graph(n, adj)
+                    seen.setdefault(graph_core.canonical_key(cand), cand)
+            forms = (graph_core.canonical_form(g) for g in seen.values())
+            level = tuple(sorted(forms, key=formats_io.encode_graph6))
+        if n in CONNECTED_COUNTS and len(level) != CONNECTED_COUNTS[n]:
+            raise AssertionError(
+                f"enumeration found {len(level)} connected graphs on {n} vertices, "
+                f"expected {CONNECTED_COUNTS[n]}"
+            )
+        yield level
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
@@ -75,36 +103,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     in increasing order of canonical form."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > INTERNAL_ENUMERATION_CAP:
-        raise TooLarge(
-            f"internal enumeration caps at {INTERNAL_ENUMERATION_CAP} vertices; "
-            "ingest an external graph6 file instead"
-        )
-    hit = _connected_cache.get(n)
-    if hit is not None:
-        return hit
-    if n == 1:
-        out = (graph_core.from_edges(1, []),)
-    else:
-        seen: dict[int, Graph] = {}
-        for g in connected_graphs(n - 1):
-            base = [g.adj_mask(v) for v in range(n - 1)]
-            for attach in range(1, 1 << (n - 1)):
-                adj = list(base) + [attach]
-                for v in range(n - 1):
-                    if attach >> v & 1:
-                        adj[v] |= 1 << (n - 1)
-                cand = Graph(n, adj)
-                seen.setdefault(graph_core.canonical_key(cand), cand)
-        forms = sorted(graph_core.canonical_form(g) for g in seen.values())
-        out = tuple(graph_core.graph_of_canonical_form(f) for f in forms)
-    if n in CONNECTED_COUNTS and len(out) != CONNECTED_COUNTS[n]:
-        raise AssertionError(
-            f"enumeration found {len(out)} connected graphs on {n} vertices, "
-            f"expected {CONNECTED_COUNTS[n]}"
-        )
-    _connected_cache[n] = out
-    return out
+    *_, level = _connected_levels(n)
+    return level
 
 
 def enumerate_connected(n: int) -> Corpus:
@@ -116,12 +116,8 @@ def enumerate_all(n: int) -> Corpus:
     """Corpus of all graphs on ``n`` vertices, via component multisets."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > INTERNAL_ENUMERATION_CAP:
-        raise TooLarge(
-            f"internal enumeration caps at {INTERNAL_ENUMERATION_CAP} vertices"
-        )
     # Already in (vertex count, canonical form) order.
-    catalog = [g for k in range(1, n + 1) for g in connected_graphs(k)]
+    catalog = [g for level in _connected_levels(n) for g in level]
 
     out: list[Graph] = []
 
@@ -145,10 +141,7 @@ def enumerate_all(n: int) -> Corpus:
 
 
 def corpus_up_to(max_n: int) -> Corpus:
-    graphs: list[Graph] = []
-    for n in range(1, max_n + 1):
-        graphs.extend(connected_graphs(n))
-    return Corpus(tuple(graphs))
+    return Corpus(tuple(g for level in _connected_levels(max_n) for g in level))
 
 
 def corpus_from_graph6(text: str) -> Corpus:
@@ -173,27 +166,18 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
 # -- sweeps ------------------------------------------------------------------------
 
 
-def _sweep(name: str, graphs, check, chars, workers: int = 1) -> SweepReport:
+def _sweep(name: str, graphs, check, chars) -> SweepReport:
     """Run ``check(g, chars)`` on every graph of the sequence ``graphs``.
     Each detail string it returns is a violation, and a ``CapExceeded`` a
-    skip, both named by the graph's graph6 string.  With
-    ``workers > 1`` the graphs are dealt out to worker processes, each
-    running this same loop."""
+    skip, both named by the graph's graph6 string."""
     start = time.monotonic()
     violations: list[tuple[str, str]] = []
     skips: list[str] = []
-    if workers > 1:
-        part = partial(_sweep, name, check=check, chars=chars)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rep in pool.map(part, [graphs[i::workers] for i in range(workers)]):
-                violations.extend(rep.violations)
-                skips.extend(rep.skips)
-    else:
-        for g in graphs:
-            try:
-                violations.extend((_g6(g), detail) for detail in check(g, chars))
-            except CapExceeded:
-                skips.append(_g6(g))
+    for g in graphs:
+        try:
+            violations.extend((_g6(g), detail) for detail in check(g, chars))
+        except CapExceeded:
+            skips.append(_g6(g))
     return SweepReport(
         name,
         len(graphs),
@@ -210,11 +194,14 @@ def verify_theorem(
     union_total_cap: int = 9,
     workers: int = 1,
 ) -> SweepReport:
-    """Check structural == numeric on every graph (and optional unions)."""
+    """Check structural == numeric on every graph (and optional unions).
+    Sweeps run in one process; ``workers`` is accepted only as 1."""
+    if workers != 1:
+        raise ValueError(f"sweeps run in one process; workers must be 1, got {workers}")
     graphs = list(graphs)
     if include_unions:
         graphs += union_pairs(graphs, union_total_cap)
-    return _sweep("main-theorem", graphs, _check_theorem, tuple(chars), workers)
+    return _sweep("main-theorem", graphs, _check_theorem, tuple(chars))
 
 
 def verify_lemma_suite(
@@ -436,13 +423,3 @@ _LEMMA_CHECKS = {
 }
 
 LEMMA_TAGS = tuple(_LEMMA_CHECKS)
-
-
-def default_workers() -> int:
-    """Worker count from ``EILAB_THREADS``, clamped to the CPU count; 1 when
-    unset, not a number or below 1."""
-    try:
-        requested = int(os.environ.get("EILAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))

@@ -50,7 +50,7 @@ def validate_certificate(g: Graph, cert: MatchingCertificate) -> bool:
         return False
     used = 0
     for u, v in cert.edges:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             return False
         pair = 1 << u | 1 << v
         if used & pair:

@@ -102,7 +102,12 @@ class RegularityResult:
     reg_star: int
     characteristic: int
     witness_subset: tuple[int, ...] | None
-    witness_degree: int | None
+
+    @property
+    def witness_degree(self) -> int | None:
+        """The witness's homology degree ``t = reg_star - 2``; None when
+        there is no edge."""
+        return self.reg_star - 2 if self.witness_subset is not None else None
 
     @property
     def reg_quotient(self) -> int:
@@ -128,14 +133,8 @@ def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
     reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
     if g.num_edges == 0:
         reg_star = 0 if g.n == 0 else 1
-        return RegularityResult(reg_star, field.characteristic, None, None)
-    w_subset, w_degree = witness
-    return RegularityResult(
-        reg_star=reg_q + 1,
-        characteristic=field.characteristic,
-        witness_subset=w_subset,
-        witness_degree=w_degree,
-    )
+        return RegularityResult(reg_star, field.characteristic, None)
+    return RegularityResult(reg_q + 1, field.characteristic, witness)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(0)) -> BettiTable:
@@ -157,7 +156,7 @@ _SWEEP_MEMO: dict = {}
 
 
 def _hochster_sweep(g: Graph, char: int):
-    """Per-graph sweep: returns (reg_quotient, witness, betti entries).
+    """Per-graph sweep: returns (reg_quotient, witness subset, betti entries).
 
     A graph with more than ``ORACLE_VERTEX_CAP`` vertices is refused and a
     connected one is walked by ``_subset_walk``.  A disconnected graph
@@ -182,7 +181,7 @@ def _hochster_sweep(g: Graph, char: int):
         witness: list[int] = []
         betti = {(0, 0): 1}
         for verts, comp in parts:
-            reg_k, (w_k, _), betti_k = _hochster_sweep(comp, char)
+            reg_k, w_k, betti_k = _hochster_sweep(comp, char)
             if w_k is None:
                 continue  # an isolated vertex
             reg_q += reg_k
@@ -195,9 +194,9 @@ def _hochster_sweep(g: Graph, char: int):
             betti = product
         del betti[(0, 0)]
         if witness:
-            result = (reg_q, (tuple(sorted(witness)), reg_q - 1), betti)
+            result = (reg_q, tuple(sorted(witness)), betti)
         else:
-            result = (0, (None, None), {})
+            result = (0, None, {})
     _SWEEP_MEMO[key] = result
     return result
 
@@ -209,7 +208,7 @@ def _refuse_past_cap(g: Graph) -> None:
 
 def _subset_walk(g: Graph, char: int):
     """The subset walk over the whole graph, connected or not: returns
-    (reg_quotient, witness, betti entries), unmemoized.
+    (reg_quotient, witness subset, betti entries), unmemoized.
 
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
@@ -253,9 +252,9 @@ def _subset_walk(g: Graph, char: int):
             if best is None or cand < best:
                 best = cand
     if best is None:
-        return (0, (None, None), {})
+        return (0, None, {})
     t = -best[0]
-    return (t + 1, (best[2], t), betti)
+    return (t + 1, best[2], betti)
 
 
 def _fold_vertex(adj: list[int], alive: int) -> int | None:

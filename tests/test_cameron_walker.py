@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,31 @@ def test_validate_rejects_mutated_certificates():
     )
     with pytest.raises(NotConnected):
         cw.validate_decomposition(two_k2, shape)
+
+
+def test_validate_rejects_bad_shapes():
+    """Each rejection branch of the star-triangle and bipartite-pendant
+    checks, from one valid shape mutated at a time."""
+    bowtie = gc.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    assert not cw.validate_decomposition(bowtie, cw.StarTriangle(0, ((1, 2), (2, 3))))
+    # leaf 0 - x 1 - y 2, with the triangle {2, 3, 4} on y
+    g = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+    good = cw.BipartitePendant(
+        side_x=(1,), side_y=(2,), core_edges=((1, 2),), leaf_map=((1, (0,)),), triangle_map=((2, ((3, 4),)),)
+    )
+    assert cw.validate_decomposition(g, good)
+    for bad in [
+        replace(good, side_y=(1, 2)),  # the sides overlap
+        replace(good, side_x=(1, 2), side_y=(), triangle_map=()),  # core edge inside X
+        replace(good, core_edges=((1, 2), (2, 3))),  # 3 is on neither side
+        replace(good, leaf_map=()),  # leaf keys are not X
+        replace(good, leaf_map=((1, (0,)), (2, (3,)))),  # a leaf key outside X
+        replace(good, triangle_map=((1, ((3, 4),)),)),  # triangle on a vertex outside Y
+    ]:
+        assert not cw.validate_decomposition(g, bad), bad
+    # vertex 4 of the triangle also carries the pendant vertex 5
+    g5 = gc.from_edges(6, list(g.edges) + [(4, 5)])
+    assert not cw.validate_decomposition(g5, good)
 
 
 def test_recognition_past_the_matching_cap(monkeypatch):

@@ -66,6 +66,25 @@ def test_froberg():
         ch.froberg_reg_two(edgeless(3))
 
 
+def test_validators_reject_bad_certificates():
+    c4 = cycle(4)
+    two_k2 = gc.from_edges(4, [(0, 1), (2, 3)])
+    assert ch.validate_cover(two_k2, ch.CochordCover(2, (((0, 1),), ((2, 3),))))
+    assert not ch.validate_cover(two_k2, ch.CochordCover(2, (((0, 1),), ((1, 2),))))  # not an edge
+    assert not ch.validate_cover(two_k2, ch.CochordCover(1, (((0, 1), (2, 3)),)))  # complement C4
+    p3 = path(3)
+    assert ch.validate_elimination_order(p3, (0, 1, 2))
+    assert not ch.validate_elimination_order(p3, (0, 1, 1))  # not a permutation
+    assert not ch.validate_elimination_order(p3, (1, 0, 2))  # 0 and 2 follow 1, not adjacent
+    assert ch.validate_chordless_cycle(c4, (0, 1, 2, 3))
+    assert not ch.validate_chordless_cycle(complete(3), (0, 1, 2))  # too short
+    assert not ch.validate_chordless_cycle(c4, (0, 1, 0, 1))  # repeated vertices
+    assert not ch.validate_chordless_cycle(c4, (0, 2, 1, 3))  # 0 and 2 are not adjacent
+    assert not ch.validate_chordless_cycle(complete(4), (0, 1, 2, 3))  # chords 02 and 13
+    assert not ch.validate_chordless_cycle(c4, (-1, 0, 1, 2))  # not a vertex
+    assert not ch.validate_chordless_cycle(c4, (9, 0, 1, 2))
+
+
 def test_cochord_examples():
     single = gc.from_edges(2, [(0, 1)])
     assert ch.cochord_number(single).k == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -7,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from eilab import cli, formats_io
+from eilab import cli, formats_io, harness
 from eilab import graph_core as gc
 
 from helpers import cycle, path
@@ -101,6 +102,49 @@ def test_verify_empty_lemma_list_is_usage_error(capsys, lemmas):
     assert "Traceback" not in err
 
 
+def test_verify_all_lemmas(capsys):
+    """``--lemmas all`` runs every tag, in the harness's order."""
+    code = cli.main(["verify", "--max-n", "4", "--lemmas", "all", "--chars", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(":")[0] for line in lines] == [f"PASS {tag}" for tag in harness.LEMMA_TAGS]
+    assert lines[4].startswith("PASS Comp: 55 graphs checked [")  # the unions of 10 graphs
+
+
+def test_verify_violation_exits_1(capsys, monkeypatch):
+    """A violation prints a FAIL line and one line naming each graph."""
+    monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", lambda g, chars: ["planted"] if g.n == 3 else [])
+    code = cli.main(["verify", "--max-n", "3", "--lemmas", "UB", "--chars", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL UB: 4 graphs checked [")
+    assert out.splitlines()[1:] == ["  violation BW: planted", "  violation Bw: planted"]
+
+
+def test_invalid_json_is_bad_data(capsys, monkeypatch):
+    code, out, err = run(capsys, ["invariants", "--json", "-"], '[{"n": 2,\n "edges": [[0 1]]}]', monkeypatch)
+    assert code == 1
+    assert out == "id,n,m,nu,nu0,mm,cochord,verdict,certificate\r\n"
+    assert err == "error: invalid JSON: line 2: Expecting ',' delimiter\n"
+
+
+def test_edgeless_graph_rows(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["invariants", "--g6", "-"], "B?\n", monkeypatch)
+    assert code == 0
+    assert out.split("\r\n")[1] == "B?,3,0,0,0,0,,,"
+    code, out, _ = run(capsys, ["bounds", "--g6", "-"], "B?\n", monkeypatch)
+    assert code == 0
+    assert out.split("\r\n")[1] == "B?,3,0,,,,,edgeless,"
+
+
+def test_invariants_cochord_past_cap(capsys, monkeypatch):
+    """C5 needs two co-chordal parts; past a cap of one the row carries the
+    greedy bound instead."""
+    code, out, err = run(capsys, ["invariants", "--g6", "-", "--cochord-cap", "1"], "Dhc\n", monkeypatch)
+    assert code == 0 and err == ""
+    assert out.split("\r\n")[1] == "Dhc,5,5,2,1,2,,,cochord > cap (bound <= 3)"
+
+
 def test_enumerate(capsys):
     code = cli.main(["enumerate", "--n", "4", "--connected"])
     out = capsys.readouterr().out
@@ -109,6 +153,23 @@ def test_enumerate(capsys):
     code = cli.main(["enumerate", "--n", "4"])
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 11
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (["--n", "7", "--connected"], 853, "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"),
+        (["--n", "7"], 1044, "1ef1f2a77c942f3bfd37a1b8cb1ffa2df7443ab2a5e14d4fad84bf93d22a6e96"),
+    ],
+)
+def test_enumerate_bytes_pinned(capsys, argv, lines, digest):
+    """The graphs, their labelling and their order are pinned by the SHA-256
+    of stdout."""
+    code = cli.main(["enumerate"] + argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_error_exits_2():

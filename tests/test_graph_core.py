@@ -6,6 +6,7 @@ import pytest
 
 from eilab import graph_core as gc
 from eilab.errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
+from eilab.formats_io import encode_graph6, parse_graph6
 from eilab.graph_core import CloseEdge, CloseVertex, DeleteEdge, DeleteVertex
 
 from helpers import cycle, path, complete, edgeless, relabel
@@ -151,7 +152,7 @@ def test_canonical_form_relabel_invariance():
     assert gc.canonical_form(p4) == gc.canonical_form(rev)
     assert gc.canonical_form(cycle(4)) != gc.canonical_form(p4)
     k3 = complete(3)
-    assert gc.canonical_form(k3) == bytes([3]) + bytes([0b11100000])
+    assert encode_graph6(gc.canonical_form(k3)) == "Bw"  # bits 111, padded to 111000
 
 
 def test_canonical_form_random_permutations(corpus5):
@@ -176,15 +177,15 @@ def test_canonical_form_cap():
 
 def test_canonical_roundtrip(corpus5):
     for g in corpus5:
-        data = gc.canonical_form(g)
-        back = gc.graph_of_canonical_form(data)
-        assert gc.canonical_form(back) == data
+        data = encode_graph6(gc.canonical_form(g))
+        back = parse_graph6(data)
+        assert encode_graph6(gc.canonical_form(back)) == data
 
 
 def test_canonical_form_twins_pruned():
     # Each of these took seconds to minutes without the twin rule.
-    assert gc.canonical_form(complete(10)) == bytes([10]) + b"\xff" * 5 + b"\xf8"  # 45 ones
-    assert gc.canonical_form(edgeless(10)) == bytes([10]) + bytes(6)
+    assert encode_graph6(gc.canonical_form(complete(10))) == "I" + "~" * 7 + "w"  # 45 ones
+    assert encode_graph6(gc.canonical_form(edgeless(10))) == "I" + "?" * 8
     assert gc.canonical_form(complete(9)) == gc.canonical_form(relabel(complete(9), list(range(8, -1, -1))))
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -86,13 +85,12 @@ def test_verify_theorem_records_cap_skips():
     assert rep.passed  # skips are surfaced separately from violations
 
 
-def test_verify_theorem_parallel_matches_serial():
-    graphs = harness.corpus_up_to(4).graphs + (path(ORACLE_VERTEX_CAP + 1),)
-    serial = harness.verify_theorem(graphs, chars=(0,), include_unions=False)
-    parallel = harness.verify_theorem(graphs, chars=(0,), include_unions=False, workers=2)
-    assert serial.violations == parallel.violations
-    assert serial.skips == parallel.skips == (fio.encode_graph6(graphs[-1]),)
-    assert serial.checked == parallel.checked
+def test_verify_theorem_refuses_workers():
+    """Sweeps run in one process; ``workers`` is accepted only as 1."""
+    graphs = harness.corpus_up_to(3).graphs
+    assert harness.verify_theorem(graphs, chars=(0,), workers=1).passed
+    with pytest.raises(ValueError, match="workers must be 1"):
+        harness.verify_theorem(graphs, chars=(0,), workers=2)
 
 
 def test_verify_theorem_sweeps_graphs_not_graph6(monkeypatch):
@@ -261,28 +259,18 @@ def test_sweep_reports_are_deterministic(corpus5):
     assert a.violations == b.violations and a.checked == b.checked
 
 
-def test_default_workers_clamped(monkeypatch):
-    monkeypatch.setenv("EILAB_THREADS", "100000")
-    assert harness.default_workers() == os.cpu_count()
-    for value in ("x", "0", "-3", ""):
-        monkeypatch.setenv("EILAB_THREADS", value)
-        assert harness.default_workers() == 1
-    monkeypatch.delenv("EILAB_THREADS")
-    assert harness.default_workers() == 1
-
-
 def test_enumerate_all_order():
     """Each graph is a union of canonically labelled connected graphs in
-    (vertex count, lex-min form) order, and the corpus is sorted by that
+    (vertex count, graph6) order, and the corpus is sorted by that
     component sequence."""
     graphs = harness.enumerate_all(6).graphs
     seqs = []
     for g in graphs:
-        seq = [(comp.n, gc.canonical_form(comp)) for _, comp in gc.components(g)]
+        seq = [(comp.n, fio.encode_graph6(gc.canonical_form(comp))) for _, comp in gc.components(g)]
         assert seq == sorted(seq)
-        rebuilt = gc.graph_of_canonical_form(seq[0][1])
+        rebuilt = fio.parse_graph6(seq[0][1])
         for _, form in seq[1:]:
-            rebuilt = gc.disjoint_union(rebuilt, gc.graph_of_canonical_form(form))
+            rebuilt = gc.disjoint_union(rebuilt, fio.parse_graph6(form))
         assert rebuilt == g
         seqs.append(seq)
     assert seqs == sorted(seqs) and len(set(map(tuple, seqs))) == len(seqs) == 156
@@ -296,8 +284,6 @@ def test_connected_graphs_lex_min_once_per_class(monkeypatch):
         calls.append(g.n)
         return lex_min(g)
 
-    monkeypatch.setattr(harness, "_connected_cache", {})
     monkeypatch.setattr(gc, "canonical_form", counted)
-    for n in range(1, 8):
-        harness.connected_graphs(n)
+    assert len(harness.connected_graphs(7)) == 853
     assert len(calls) == sum(harness.CONNECTED_COUNTS[n] for n in range(2, 8)) == 995

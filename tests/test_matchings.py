@@ -59,6 +59,11 @@ def test_validate_rejects_bad_certificates():
     assert not M.validate_certificate(c5, bad)  # edge 1-2 joins the pair
     bad = M.MatchingCertificate(MatchingKind.MINIMUM_MAXIMAL, ((0, 1),), 1)
     assert not M.validate_certificate(c5, bad)  # edge 2-3 uncovered
+    bad = M.MatchingCertificate(MatchingKind.MAXIMUM, ((0, 1),), 2)
+    assert not M.validate_certificate(c5, bad)  # size is not the edge count
+    for edge in [(-1, 0), (4, 5), (7, 8)]:
+        bad = M.MatchingCertificate(MatchingKind.MAXIMUM, (edge,), 1)
+        assert not M.validate_certificate(c5, bad)  # a vertex outside the graph
 
 
 def test_against_brute_force(corpus5):

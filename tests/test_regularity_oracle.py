@@ -108,6 +108,7 @@ def test_regularity_conventions():
     assert ro.regularity(edgeless(3), FieldSpec(0)).reg_star == 1
     assert ro.regularity(gc.from_edges(0, []), FieldSpec(0)).reg_star == 0
     assert ro.regularity(edgeless(3), FieldSpec(0)).reg_ideal is None
+    assert ro.regularity(edgeless(3), FieldSpec(0)).witness_degree is None
     assert ro.regularity(gc.from_edges(0, [])).reg_recursion == 1
     assert ro.regularity(edgeless(2)).reg_recursion == 1
     assert ro.regularity(cycle(5)).reg_recursion == 3
