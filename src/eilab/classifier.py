@@ -8,8 +8,10 @@ separately and reports both; a disagreement is surfaced as-is, never
 reconciled.  The structural side is the pentagon test and the polynomial
 shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
-matching number.  The field-free part (shapes, matching number) is
-evaluated once per graph, the oracle once per characteristic.
+matching number, summed over the components.  The field-free part
+(shapes, matching number) is evaluated once per graph and ``regularity``
+once per characteristic; the oracle walks a graph again only at a
+characteristic that divides its torsion.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
     regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
-    shapes = tuple(component_shape(comp) for _, comp in graph_core.components(g))
+    comps = [comp for _, comp in graph_core.components(g)]
+    shapes = tuple(component_shape(comp) for comp in comps)
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    target = matchings.nu(g) + 1
+    target = sum(matchings.nu(comp) for comp in comps) + 1  # nu adds over components
     return [
         ClassificationVerdict(
             structural=structural,

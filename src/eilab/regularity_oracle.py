@@ -40,6 +40,10 @@ absolute value), and the rank over characteristic ``c`` is the pivot count
 plus the number of diagonal entries that ``c`` does not divide.  One exact
 integer path thus serves every field; floating point is never used, and
 every evaluated complex is checked against its Euler characteristic.
+Nothing else in the walk depends on ``c``, so one walk serves every
+characteristic that divides none of the diagonal entries other than +1 and
+-1 (the walk's torsion); only a characteristic that divides one is walked
+again.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class RegularityResult:
 
 def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
     """Exact regularity of the edge ideal over the given field."""
-    reg_q, witness, _ = _hochster_sweep(g, field.characteristic)
+    reg_q, witness, _, _ = _hochster_sweep(g, field.characteristic)
     if g.num_edges == 0:
         reg_star = 0 if g.n == 0 else 1
         return RegularityResult(reg_star, field.characteristic, None)
@@ -141,7 +145,7 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     """Full graded Betti table of ``R/I(G)`` over the given field."""
     if g.num_edges == 0:
         raise NotApplicable("Betti table requires at least one edge")
-    reg_q, _, betti = _hochster_sweep(g, field.characteristic)
+    reg_q, _, betti, _ = _hochster_sweep(g, field.characteristic)
     entries = dict(betti)
     entries[(0, 0)] = 1
     table = BettiTable(tuple(sorted(entries.items())), field.characteristic)
@@ -156,49 +160,67 @@ _SWEEP_MEMO: dict = {}
 
 
 def _hochster_sweep(g: Graph, char: int):
-    """Per-graph sweep: returns (reg_quotient, witness subset, betti entries).
+    """Per-graph sweep: returns (reg_quotient, witness subset, betti entries,
+    torsion).
 
-    A graph with more than ``ORACLE_VERTEX_CAP`` vertices is refused and a
-    connected one is walked by ``_subset_walk``.  A disconnected graph
-    combines its components' sweeps instead: its resolution is the tensor
-    product of theirs.  The regularities add over the components with an
-    edge.  The top degree needs each of those at its own top degree, so
-    the smallest witness is the union of theirs; it is also the
-    lexicographically first, since two such unions of equal size first
-    differ at a vertex of one component.  The Betti polynomials ``1 + B``
-    multiply.
+    ``torsion`` is the sorted tuple of the distinct absolute values above 1
+    left on the diagonal of any piece of the walk; it does not depend on the
+    characteristic.  ``_SWEEP_MEMO[(n, edges)]`` holds the char-0 result.
+    A characteristic that divides no torsion entry gives every piece the
+    same ranks, so the same dims, and the folds, joins, cones and universal
+    vertices do not depend on it: the char-0 table, witness and Betti
+    entries are its own.  Any other characteristic is walked again and
+    memoized under ``(n, edges, char)``.  A graph with more than
+    ``ORACLE_VERTEX_CAP`` vertices is refused.
     """
     _refuse_past_cap(g)
-    key = (g.n, g.edges, char)
+    key = (g.n, g.edges)
     hit = _SWEEP_MEMO.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = _SWEEP_MEMO[key] = _sweep(g, 0)
+    if char and any(p % char == 0 for p in hit[3]):
+        key += (char,)
+        hit = _SWEEP_MEMO.get(key)
+        if hit is None:
+            hit = _SWEEP_MEMO[key] = _sweep(g, char)
+    return hit
+
+
+def _sweep(g: Graph, char: int):
+    """One unmemoized sweep at ``char``: a connected graph is walked by
+    ``_subset_walk``.  A disconnected graph combines its components'
+    memoized sweeps instead: its resolution is the tensor product of
+    theirs.  The regularities add over the components with an edge.  The
+    top degree needs each of those at its own top degree, so the smallest
+    witness is the union of theirs; it is also the lexicographically first,
+    since two such unions of equal size first differ at a vertex of one
+    component.  The Betti polynomials ``1 + B`` multiply, and the torsion
+    is the union of the components'.
+    """
     parts = components(g)
     if len(parts) < 2:
-        result = _subset_walk(g, char)
-    else:
-        reg_q = 0
-        witness: list[int] = []
-        betti = {(0, 0): 1}
-        for verts, comp in parts:
-            reg_k, w_k, betti_k = _hochster_sweep(comp, char)
-            if w_k is None:
-                continue  # an isolated vertex
-            reg_q += reg_k
-            witness += [verts[v] for v in w_k]
-            product = dict(betti)  # the factor's own (0, 0) entry of 1
-            for (i, j), b in betti.items():
-                for (i2, j2), b2 in betti_k.items():
-                    ij = (i + i2, j + j2)
-                    product[ij] = product.get(ij, 0) + b * b2
-            betti = product
-        del betti[(0, 0)]
-        if witness:
-            result = (reg_q, tuple(sorted(witness)), betti)
-        else:
-            result = (0, None, {})
-    _SWEEP_MEMO[key] = result
-    return result
+        return _subset_walk(g, char)
+    reg_q = 0
+    witness: list[int] = []
+    betti = {(0, 0): 1}
+    torsion: set[int] = set()
+    for verts, comp in parts:
+        reg_k, w_k, betti_k, torsion_k = _hochster_sweep(comp, char)
+        torsion.update(torsion_k)
+        if w_k is None:
+            continue  # an isolated vertex
+        reg_q += reg_k
+        witness += [verts[v] for v in w_k]
+        product = dict(betti)  # the factor's own (0, 0) entry of 1
+        for (i, j), b in betti.items():
+            for (i2, j2), b2 in betti_k.items():
+                ij = (i + i2, j + j2)
+                product[ij] = product.get(ij, 0) + b * b2
+        betti = product
+    del betti[(0, 0)]
+    if not witness:
+        return (0, None, {}, tuple(sorted(torsion)))
+    return (reg_q, tuple(sorted(witness)), betti, tuple(sorted(torsion)))
 
 
 def _refuse_past_cap(g: Graph) -> None:
@@ -208,14 +230,16 @@ def _refuse_past_cap(g: Graph) -> None:
 
 def _subset_walk(g: Graph, char: int):
     """The subset walk over the whole graph, connected or not: returns
-    (reg_quotient, witness subset, betti entries), unmemoized.
+    (reg_quotient, witness subset, betti entries, torsion), unmemoized.
 
     ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
     when there is none.  Subsets are visited in ascending order, so every
     proper submask of ``W`` is filled before ``W`` is.  A fold is looked
     for before the component split, as the cheaper test that reduces most
     subsets, and a universal vertex after it.  It is the reference for the
-    component split of ``_hochster_sweep``, and refuses past the cap too.
+    component split of ``_hochster_sweep`` and, at each characteristic,
+    for its reuse of the char-0 walk.  It refuses past the cap too.  The
+    pieces it builds, and so its torsion, do not depend on ``char``.
     """
     _refuse_past_cap(g)
     n = g.n
@@ -223,6 +247,7 @@ def _subset_walk(g: Graph, char: int):
     table: list[tuple[int, ...]] = [()] * (1 << n)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-t, |W|, W)
     betti: dict[tuple[int, int], int] = {}
+    torsion: set[int] = set()
     for w_mask in range(1, 1 << n):
         low = w_mask & -w_mask
         if not adj[low.bit_length() - 1] & w_mask:
@@ -238,7 +263,8 @@ def _subset_walk(g: Graph, char: int):
                 rest = table[w_mask ^ u] or (0,)
                 dims = (rest[0] + 1,) + rest[1:]
             else:
-                dims = _piece_dims(adj, w_mask, char)
+                dims, diagonal = _piece_dims(adj, w_mask, char)
+                torsion.update(diagonal)
         if not any(dims):
             continue
         table[w_mask] = dims
@@ -252,9 +278,9 @@ def _subset_walk(g: Graph, char: int):
             if best is None or cand < best:
                 best = cand
     if best is None:
-        return (0, None, {})
+        return (0, None, {}, tuple(sorted(torsion)))
     t = -best[0]
-    return (t + 1, best[2], betti)
+    return (t + 1, best[2], betti, tuple(sorted(torsion)))
 
 
 def _fold_vertex(adj: list[int], alive: int) -> int | None:
@@ -288,9 +314,10 @@ def _universal_vertex(adj: list[int], alive: int) -> int:
     return 0
 
 
-def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[int, ...]:
+def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[tuple[int, ...], set[int]]:
     """Homology dims of the independence complex of one connected piece
-    that no fold or universal vertex reduces."""
+    that no fold or universal vertex reduces, and the absolute values above
+    1 left on the diagonals of its boundary maps."""
     by_dim: list[list[int]] = [[] for _ in range(piece_mask.bit_count())]
     for mask in _independent_masks(adj, piece_mask)[1:]:
         by_dim[mask.bit_count() - 1].append(mask)
@@ -309,20 +336,25 @@ def _join_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[int, ...]:
-    """Reduced homology dims (degrees 0..maxdim) from faces given as masks.
+def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, ...], set[int]]:
+    """Reduced homology dims (degrees 0..maxdim) from faces given as masks,
+    and the diagonal entries other than +1 and -1 (as absolute values) of
+    the boundary maps' diagonal forms.
 
     ``by_dim[d]`` lists the d-dimensional faces.  Raises if the alternating
     sum of the computed dims disagrees with the reduced Euler characteristic
     -- a built-in self-check on every evaluated complex.
     """
     if not by_dim or not by_dim[0]:
-        return ()
+        return (), set()
     maxdim = len(by_dim) - 1
     ranks = [0] * (maxdim + 2)
     ranks[0] = 1  # the augmentation map onto the empty face
+    torsion: set[int] = set()
     for d in range(1, maxdim + 1):
-        ranks[d] = _boundary_rank(by_dim[d - 1], by_dim[d], char)
+        pivots, diagonal = _boundary_form(by_dim[d - 1], by_dim[d])
+        ranks[d] = pivots + sum(1 for p in diagonal if char == 0 or p % char)
+        torsion.update(p for p in diagonal if p > 1)
     dims = tuple(
         len(by_dim[t]) - ranks[t] - ranks[t + 1] for t in range(maxdim + 1)
     )
@@ -331,10 +363,13 @@ def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[int, ...]:
         raise AssertionError("homology dims violate the Euler characteristic")
     if any(v < 0 for v in dims):
         raise AssertionError("negative homology dimension: rank bookkeeping broken")
-    return dims
+    return dims, torsion
 
 
-def _boundary_rank(rows_faces: list[int], cols_faces: list[int], char: int) -> int:
+def _boundary_form(rows_faces: list[int], cols_faces: list[int]) -> tuple[int, list[int]]:
+    """The boundary map from ``cols_faces`` to ``rows_faces`` brought to a
+    diagonal by unimodular steps: returns the unit pivot count and the
+    absolute values of the diagonal left from the core."""
     row_index = {m: i for i, m in enumerate(rows_faces)}
     cols = []
     for face in cols_faces:
@@ -347,8 +382,8 @@ def _boundary_rank(rows_faces: list[int], cols_faces: list[int], char: int) -> i
             sign = -sign
             m ^= low
         cols.append(col)
-    rank, core = _eliminate_units(cols)
-    return rank + _diagonal_rank(core, char)
+    pivots, core = _eliminate_units(cols)
+    return pivots, _diagonal(core)
 
 
 def _eliminate_units(cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -393,19 +428,20 @@ def _subtract(col: dict[int, int], other: dict[int, int], f: int) -> None:
             del col[rr]
 
 
-def _diagonal_rank(cols: list[dict[int, int]], char: int) -> int:
-    """Rank over characteristic ``char`` of the integer matrix with sparse
-    columns ``cols``, which are updated in place.
+def _diagonal(cols: list[dict[int, int]]) -> list[int]:
+    """The absolute values of a diagonal form of the integer matrix with
+    sparse columns ``cols``, which are updated in place.
 
     The matrix is brought to a diagonal by unimodular row and column steps:
     an entry of least absolute value divides its row and its column by
     Euclid, and when every remainder is zero its row and column are clear,
     so it leaves as one diagonal entry.  Otherwise a remainder is smaller
     and becomes the next pivot.  The steps are invertible over the integers
-    and so over every field: the rank is the number of diagonal entries
-    that ``char`` does not divide, and every entry counts at ``char = 0``.
+    and so over every field: the rank over characteristic ``c`` is the
+    number of entries that ``c`` does not divide, and every entry counts at
+    ``c = 0``.
     """
-    rank = 0
+    diagonal = []
     while cols := [col for col in cols if col]:
         col, r = min(((col, r) for col in cols for r in col), key=lambda e: abs(e[0][e[1]]))
         p = col[r]
@@ -425,10 +461,9 @@ def _diagonal_rank(cols: list[dict[int, int]], char: int) -> int:
                         del col2[r2]
             clear = clear and r2 not in col
         if clear:
-            if char == 0 or p % char:
-                rank += 1
+            diagonal.append(abs(p))
             col.clear()
-    return rank
+    return diagonal
 
 
 # -- small shared helpers -----------------------------------------------------

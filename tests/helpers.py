@@ -568,7 +568,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict
     if not faces:
         return {-1: 1}
     by_dim = [[_mask_of(f) for f in faces.get(d, [])] for d in range(max(faces) + 1)]
-    dims = _homology_from_masks(by_dim, field.characteristic)
+    dims, _ = _homology_from_masks(by_dim, field.characteristic)
     out = {-1: 0}
     for t, d in enumerate(dims):
         out[t] = d

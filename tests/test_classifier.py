@@ -77,9 +77,11 @@ def test_classify_per_characteristic_flag_rp2():
 
 
 def test_classify_field_free_side_once(monkeypatch):
+    """The shapes and the matching number are taken once per component,
+    not once per characteristic: ``nu`` adds over the components."""
     from eilab import matchings as M
 
-    calls = {"shape": 0, "nu": 0}
+    calls = {"shape": 0, "nu": []}
     shape, nu = cl.component_shape, M.nu
 
     def counted_shape(comp):
@@ -87,7 +89,7 @@ def test_classify_field_free_side_once(monkeypatch):
         return shape(comp)
 
     def counted_nu(g):
-        calls["nu"] += 1
+        calls["nu"].append(g)
         return nu(g)
 
     monkeypatch.setattr(cl, "component_shape", counted_shape)
@@ -95,7 +97,8 @@ def test_classify_field_free_side_once(monkeypatch):
     u = gc.disjoint_union(gc.disjoint_union(cycle(5), star(2)), path(4))
     verdicts = cl.classify(u, (0, 2, 3))
     assert len(verdicts) == 3
-    assert calls == {"shape": 3, "nu": 1}
+    assert calls == {"shape": 3, "nu": [comp for _, comp in gc.components(u)]}
+    assert all(v.numeric == (v.reg_star == nu(u) + 1) for v in verdicts)
 
 
 def test_classify_agreement_on_corpus(corpus6):

@@ -23,6 +23,7 @@ from helpers import (
     cycle,
     edgeless,
     flag_rp2,
+    flag_rp2_complement,
     independence_complex,
     path,
     reduced_homology_dims,
@@ -221,6 +222,84 @@ def test_component_split_matches_whole_graph_walk(corpus5):
                 assert res.witness_subset is None and brute_witness(g, char) is None
 
 
+def _count_walks(monkeypatch) -> list[tuple[int, tuple, int]]:
+    """Empties the sweep memo and records ``(n, edges, char)`` of every
+    subset walk from then on."""
+    walks = []
+    walk = ro._subset_walk
+
+    def counting(g, char):
+        walks.append((g.n, g.edges, char))
+        return walk(g, char)
+
+    monkeypatch.setattr(ro, "_subset_walk", counting)
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    return walks
+
+
+def _oracle_n14_graphs() -> list[gc.Graph]:
+    """C13, C14, P14 and the seeded G(14, 20) and G(14, 45)."""
+    pairs = list(combinations(range(14), 2))
+    return [
+        cycle(13),
+        cycle(14),
+        path(14),
+        gc.from_edges(14, random.Random(1).sample(pairs, 20)),
+        gc.from_edges(14, random.Random(3).sample(pairs, 45)),
+    ]
+
+
+def test_one_walk_serves_every_characteristic(corpus7, monkeypatch):
+    """``regularity`` and ``betti_table`` at chars 0, 2 and 3 walk each
+    connected graph once, at char 0: no walk of the corpus or of the five
+    14-vertex graphs leaves a diagonal entry other than +1 or -1."""
+    walks = _count_walks(monkeypatch)
+    connected = [g for g in corpus7 if g.is_connected()]
+    assert len(connected) == 996
+    for g in connected:
+        for char in (0, 2, 3):
+            ro.regularity(g, FieldSpec(char))
+            if g.num_edges:
+                ro.betti_table(g, FieldSpec(char))
+    assert sorted(walks) == sorted((g.n, g.edges, 0) for g in connected)
+    assert all(entry[3] == () for entry in ro._SWEEP_MEMO.values())
+    n14 = _oracle_n14_graphs()
+    assert len(gc.components(n14[3])) == 2
+    for g in n14:
+        walks.clear()
+        ro._SWEEP_MEMO.clear()
+        for char in (0, 2, 3):
+            ro.regularity(g, FieldSpec(char))
+            ro.betti_table(g, FieldSpec(char))
+        comps = {(comp.n, comp.edges, 0) for _, comp in gc.components(g)}
+        assert sorted(walks) == sorted(comps), g.edges
+
+
+def test_torsion_fallback_flag_rp2(corpus6, monkeypatch):
+    """The flag RP^2 leaves the diagonal entry 2, so char 2 is walked again
+    (and gains homology) while chars 0, 3 and 5 reuse the char-0 walk.
+    Every memoized result equals the walk at its own characteristic, on
+    the n <= 6 corpus, its unions up to 8 vertices, RP^2 and RP^2 plus a
+    component."""
+    rp2 = flag_rp2_complement()
+    assert encode_graph6(rp2) == "KWaqbO\\euTz["
+    reference = ro._subset_walk
+    walks = _count_walks(monkeypatch)
+    for char in (0, 3, 5):
+        assert ro.regularity(rp2, FieldSpec(char)).reg_star == 3
+    assert ro._SWEEP_MEMO[(rp2.n, rp2.edges)][3] == (2,)
+    assert walks == [(rp2.n, rp2.edges, 0)]
+    assert ro.regularity(rp2, FieldSpec(2)).reg_star == 4
+    assert walks == [(rp2.n, rp2.edges, 0), (rp2.n, rp2.edges, 2)]
+    union = gc.disjoint_union(cycle(4), rp2)
+    assert ro.regularity(union, FieldSpec(2)).reg_star == 5
+    assert ro._SWEEP_MEMO[(union.n, union.edges)][3] == (2,)
+    graphs = list(corpus6) + harness.union_pairs(corpus6, 8) + [rp2, union]
+    for g in graphs:
+        for char in (0, 2, 3, 5):
+            assert ro._hochster_sweep(g, char) == reference(g, char), (g.n, g.edges, char)
+
+
 def test_piece_dims_gets_only_irreducible_pieces(corpus7, monkeypatch):
     """Only connected pieces with no vertex pair ``N(u) <= N(v)`` and no
     vertex adjacent to all the others build a complex; every other subset
@@ -275,8 +354,9 @@ def test_unit_elimination_keeps_rank():
         ]
         dense = [[col.get(r, 0) for r in range(n_rows)] for col in cols]
         pivots, core = ro._eliminate_units([dict(col) for col in cols])
+        diagonal = ro._diagonal(core)
         for char in (0, 2, 3, 5):
-            rank = pivots + ro._diagonal_rank([dict(col) for col in core], char)
+            rank = pivots + sum(1 for p in diagonal if char == 0 or p % char)
             assert rank == brute_rank(dense, char), (cols, char)
 
 
