@@ -310,9 +310,9 @@ def _check_comp(u: Graph, chars):
     out = []
     comps = graph_core.components(u)
     for c in chars:
-        # ``reg_star`` of the union from the walk over all its subsets (an
-        # edgeless union has 1): ``regularity`` splits the union into its
-        # components and would compare their sum with itself.
+        # ``reg_star`` of the union from the walk over all its subsets, which
+        # uses no product formula (an edgeless union has 1): ``regularity``
+        # would combine the components and compare their sum with itself.
         reg = regularity_oracle._subset_walk(u, c)[0] + 1
         reg_sum = sum(_reg_star(comp, c) - 1 for _, comp in comps) + 1
         if reg != reg_sum:

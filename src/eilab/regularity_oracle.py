@@ -9,8 +9,8 @@ homology in degree ``j - i - 1`` over subsets of size ``j``.
 
 The sweep is one table over vertex subsets: ``W`` is visited in
 ascending order, so every proper submask of ``W`` already has its dims
-when ``W`` is reached.  Six observations spare most of the work: the first
-five fill table entries without building a complex, the sixth the whole
+when ``W`` is reached.  Five observations spare most of the work: the first
+three fill table entries without building a complex, the last the whole
 table of a disconnected graph:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
@@ -18,13 +18,13 @@ table of a disconnected graph:
 * by Engstrom's fold lemma, if ``N(u)`` is contained in ``N(v)`` for
   another vertex ``u``, then ``Ind(G)`` and ``Ind(G - v)`` are homotopy
   equivalent, so ``W`` takes the dims of ``W - v``;
-* the independence complex of a disjoint union is the join of the factors'
-  complexes, so a disconnected ``W`` combines the entries of the component
-  of its lowest vertex and of the rest by the join rule
-  ``dim H_t(X * Y) = sum over i+j = t-1 of dim H_i(X) * dim H_j(Y)``;
-* a vertex ``u`` adjacent to the rest of ``W`` is an isolated point of
-  ``Ind(G[W])``, beside the complex of ``W - u``, so ``W`` takes the dims
-  of ``W - u`` with one more in degree 0;
+* for a vertex ``v``, ``Ind(G[W])`` is the union of ``Ind(G[W - v])`` and
+  the cone ``v * Ind(G[W - N[v]])``, which meet in ``Ind(G[W - N[v]])``
+  (Adamaszek's splitting).  When no degree has homology in both, the
+  Mayer-Vietoris sequence makes the dims of ``W`` those of ``W - v`` plus
+  those of ``W - N[v]`` one degree up.  Counting from degree -1, where the
+  empty complex has its homology, this covers a vertex adjacent to the
+  rest of ``W``;
 * boundary ranks start with sparse elimination on pivots equal to +1 or
   -1, in every characteristic.  Those steps are unimodular, so they keep
   the rank over the integers and over every field;
@@ -33,13 +33,13 @@ table of a disconnected graph:
   regularities of its components add, their witnesses unite and their
   Betti polynomials multiply, from each component's memoized sweep.
 
-Only a connected ``W`` that no fold or universal vertex reduces gets its
-complex built.  The core left without a unit pivot is brought to a diagonal
-by unimodular integer row and column steps (Euclid on an entry of least
-absolute value), and the rank over characteristic ``c`` is the pivot count
-plus the number of diagonal entries that ``c`` does not divide.  One exact
-integer path thus serves every field; floating point is never used, and
-every evaluated complex is checked against its Euler characteristic.
+Only a ``W`` that no fold or split reduces gets its complex built.  The
+core left without a unit pivot is brought to a diagonal by unimodular
+integer row and column steps (Euclid on an entry of least absolute value),
+and the rank over characteristic ``c`` is the pivot count plus the number
+of diagonal entries that ``c`` does not divide.  One exact integer path
+thus serves every field; floating point is never used, and every evaluated
+complex is checked against its Euler characteristic.
 Nothing else in the walk depends on ``c``, so one walk serves every
 characteristic that divides none of the diagonal entries other than +1 and
 -1 (the walk's torsion); only a characteristic that divides one is walked
@@ -49,9 +49,10 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph, _bits, _reach, components
+from .graph_core import Graph, _bits, components
 
 ORACLE_VERTEX_CAP = 16
 
@@ -167,9 +168,9 @@ def _hochster_sweep(g: Graph, char: int):
     left on the diagonal of any piece of the walk; it does not depend on the
     characteristic.  ``_SWEEP_MEMO[(n, edges)]`` holds the char-0 result.
     A characteristic that divides no torsion entry gives every piece the
-    same ranks, so the same dims, and the folds, joins, cones and universal
-    vertices do not depend on it: the char-0 table, witness and Betti
-    entries are its own.  Any other characteristic is walked again and
+    same ranks, so the same dims, and the cones, folds and splits read only
+    the graph and the table: the char-0 table, witness and Betti entries
+    are its own.  Any other characteristic is walked again and
     memoized under ``(n, edges, char)``.  A graph with more than
     ``ORACLE_VERTEX_CAP`` vertices is refused.
     """
@@ -232,20 +233,22 @@ def _subset_walk(g: Graph, char: int):
     """The subset walk over the whole graph, connected or not: returns
     (reg_quotient, witness subset, betti entries, torsion), unmemoized.
 
-    ``table[W]`` holds the reduced homology dims of ``Ind(G[W])``, ``()``
-    when there is none.  Subsets are visited in ascending order, so every
-    proper submask of ``W`` is filled before ``W`` is.  A fold is looked
-    for before the component split, as the cheaper test that reduces most
-    subsets, and a universal vertex after it.  It is the reference for the
-    component split of ``_hochster_sweep`` and, at each characteristic,
-    for its reuse of the char-0 walk.  It refuses past the cap too.  The
-    pieces it builds, and so its torsion, do not depend on ``char``.
+    ``table[W][k]`` is the dimension of the reduced homology of
+    ``Ind(G[W])`` in degree ``k - 1``, ``()`` when there is none, and
+    ``table[0] = (1,)`` is the empty complex.  Subsets are visited in
+    ascending order, so every proper submask of ``W`` is filled before
+    ``W`` is.  A fold is looked for before a split, as the cheaper test
+    that reduces most subsets.  It is the reference for the component
+    split of ``_hochster_sweep`` and, at each characteristic, for its reuse
+    of the char-0 walk.  It refuses past the cap too.  The pieces it builds,
+    and so its torsion, do not depend on ``char``.
     """
     _refuse_past_cap(g)
     n = g.n
     adj = [g.adj_mask(v) for v in range(n)]
     table: list[tuple[int, ...]] = [()] * (1 << n)
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (-t, |W|, W)
+    table[0] = (1,)
+    best: tuple[int, int, tuple[int, ...]] | None = None  # (-k, |W|, W)
     betti: dict[tuple[int, int], int] = {}
     torsion: set[int] = set()
     for w_mask in range(1, 1 << n):
@@ -256,31 +259,26 @@ def _subset_walk(g: Graph, char: int):
         if v is not None:
             dims = table[w_mask ^ (1 << v)]
         else:
-            comp = _reach(adj, low, w_mask)
-            if comp != w_mask:
-                dims = _join_dims(table[comp], table[w_mask ^ comp])
-            elif u := _universal_vertex(adj, w_mask):
-                rest = table[w_mask ^ u] or (0,)
-                dims = (rest[0] + 1,) + rest[1:]
-            else:
+            dims = _split_dims(adj, w_mask, table)
+            if dims is None:
                 dims, diagonal = _piece_dims(adj, w_mask, char)
+                dims = (0,) + dims
                 torsion.update(diagonal)
         if not any(dims):
             continue
         table[w_mask] = dims
         size = w_mask.bit_count()
-        for t, d in enumerate(dims):
+        for k, d in enumerate(dims):
             if d:
-                betti[(size - t - 1, size)] = betti.get((size - t - 1, size), 0) + d
-                top = t
+                betti[(size - k, size)] = betti.get((size - k, size), 0) + d
+                top = k
         if best is None or (-top, size) <= best[:2]:
             cand = (-top, size, tuple(_bits(w_mask)))
             if best is None or cand < best:
                 best = cand
     if best is None:
         return (0, None, {}, tuple(sorted(torsion)))
-    t = -best[0]
-    return (t + 1, best[2], betti, tuple(sorted(torsion)))
+    return (-best[0], best[2], betti, tuple(sorted(torsion)))
 
 
 def _fold_vertex(adj: list[int], alive: int) -> int | None:
@@ -306,34 +304,33 @@ def _fold_vertex(adj: list[int], alive: int) -> int | None:
     return None
 
 
-def _universal_vertex(adj: list[int], alive: int) -> int:
-    """The bit of the lowest vertex of ``alive`` adjacent to all the others, or 0."""
+def _split_dims(adj: list[int], alive: int, table: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The dims of ``Ind(G[alive])`` split at the lowest vertex ``v`` of
+    ``alive`` for which no degree has homology both in ``alive - v`` and in
+    ``alive - N[v]``, or None when there is none.  Then the inclusion of
+    the second complex in the first induces zero in homology, and the
+    Mayer-Vietoris sequence adds the first's dims to the second's shifted
+    up one degree."""
     for v in _bits(alive):
-        if adj[v] & alive == alive ^ (1 << v):
-            return 1 << v
-    return 0
+        a = table[alive ^ (1 << v)]
+        b = table[alive & ~adj[v] & ~(1 << v)]
+        if not a:  # the common case: all the homology comes from the link
+            return (0,) + b
+        if not any(x and y for x, y in zip(a, b)):
+            return tuple(x + y for x, y in zip_longest(a, (0,) + b, fillvalue=0))
+    return None
 
 
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[tuple[int, ...], set[int]]:
-    """Homology dims of the independence complex of one connected piece
-    that no fold or universal vertex reduces, and the absolute values above
-    1 left on the diagonals of its boundary maps."""
+    """Homology dims, from degree 0, of the independence complex of one
+    piece that no fold or split reduces, and the absolute values above 1
+    left on the diagonals of its boundary maps."""
     by_dim: list[list[int]] = [[] for _ in range(piece_mask.bit_count())]
     for mask in _independent_masks(adj, piece_mask)[1:]:
         by_dim[mask.bit_count() - 1].append(mask)
     while by_dim and not by_dim[-1]:
         by_dim.pop()
     return _homology_from_masks(by_dim, char)
-
-
-def _join_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j + 1] += ai * bj
-    return tuple(out)
 
 
 def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, ...], set[int]]:

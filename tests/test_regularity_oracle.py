@@ -156,7 +156,7 @@ def test_betti_table_matches_brute_force(corpus6):
 def test_betti_table_matches_per_subset_reference():
     """The subset table against the per-subset reference path, which builds
     the independence complex of every induced subgraph and takes its
-    homology with no fold, no universal-vertex rule and no table."""
+    homology with no cone, fold or split and no table."""
     rng = random.Random(1212)
     pairs = list(combinations(range(10), 2))
     graphs = [cycle(12), path(12)]
@@ -300,35 +300,96 @@ def test_torsion_fallback_flag_rp2(corpus6, monkeypatch):
             assert ro._hochster_sweep(g, char) == reference(g, char), (g.n, g.edges, char)
 
 
-def test_piece_dims_gets_only_irreducible_pieces(corpus7, monkeypatch):
-    """Only connected pieces with no vertex pair ``N(u) <= N(v)`` and no
-    vertex adjacent to all the others build a complex; every other subset
-    is a cone, folded, split or reduced by its universal vertex in the
+def _rp2_minus_vertex_and_edge() -> gc.Graph:
+    """The flag RP^2 graph without vertex 11 and edge (9, 10): 11 vertices,
+    25 edges, still characteristic-dependent."""
+    rp2 = flag_rp2_complement()
+    return gc.from_edges(11, [e for e in rp2.edges if 11 not in e and e != (9, 10)])
+
+
+def _ind_dims(g: gc.Graph, w: int, char: int) -> dict[int, int]:
+    """Reduced homology of ``Ind(G[w])`` by the per-subset reference path,
+    from degree -1."""
+    sub = gc.induced_subgraph(g, [v for v in range(g.n) if w >> v & 1])
+    return reduced_homology_dims(independence_complex(sub), FieldSpec(char))
+
+
+def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
+    """On the pieces that the two characteristic-dependent graphs build:
+    only connected pieces with no vertex
+    pair ``N(u) <= N(v)`` and no vertex adjacent to all the others build a
+    complex, and no vertex ``v`` splits them: at every ``v`` some degree
+    has homology both in ``W - v`` and in ``W - N[v]`` (by the per-subset
+    reference).  Every other subset is a cone, folded or split in the
     table."""
     pieces = []
 
     def record(adj, piece_mask, char):
-        pieces.append((adj, piece_mask))
+        pieces.append((adj, piece_mask, char))
         return piece_dims(adj, piece_mask, char)
 
     piece_dims = ro._piece_dims
     monkeypatch.setattr(ro, "_piece_dims", record)
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
-    for g in corpus7:
-        ro.regularity(g, FieldSpec(0))
-    assert pieces
-    for adj, w in pieces:
-        verts = [v for v in range(len(adj)) if w >> v & 1]
-        nbrs = {v: adj[v] & w for v in verts}
-        assert gc._reach(adj, 1 << verts[0], w) == w, verts
-        assert not any(u != v and nbrs[u] & ~nbrs[v] == 0 for u in verts for v in verts), verts
-        assert not any(nbrs[u] == w ^ (1 << u) for u in verts), verts
+    for g in (flag_rp2_complement(), _rp2_minus_vertex_and_edge()):
+        pieces.clear()
+        for char in (0, 2, 3):
+            ro._subset_walk(g, char)
+        assert pieces, g.edges
+        for adj, w, char in pieces:
+            verts = [v for v in range(len(adj)) if w >> v & 1]
+            nbrs = {v: adj[v] & w for v in verts}
+            assert gc._reach(adj, 1 << verts[0], w) == w, verts
+            assert not any(u != v and nbrs[u] & ~nbrs[v] == 0 for u in verts for v in verts), verts
+            assert not any(nbrs[u] == w ^ (1 << u) for u in verts), verts
+            for v in verts:
+                a = _ind_dims(g, w ^ (1 << v), char)
+                b = _ind_dims(g, w & ~adj[v] & ~(1 << v), char)
+                assert any(a.get(t) and b.get(t) for t in a), (verts, v, char)
+
+
+def test_piece_dims_matches_reference_homology(corpus7):
+    """The rank kernel, tested directly: ``_piece_dims`` on every connected,
+    fold-free subset of at least two vertices of the n <= 7 corpus graphs,
+    of the flag RP^2 graph and of its 11-vertex relative, against the
+    per-subset reference path and the dense elimination of
+    ``brute_homology``, at chars 0, 2 and 3.  Each distinct induced
+    subgraph is checked once: relabelling in vertex order leaves the
+    kernel's steps the same.  The dims at a characteristic differ from
+    the char-0 dims only if it divides an entry of the piece's torsion."""
+    rp2, rp2_minor = flag_rp2_complement(), _rp2_minus_vertex_and_edge()
+    seen = set()
+    torsion_free = 0
+    for g in list(corpus7) + [rp2, rp2_minor]:
+        adj = [g.adj_mask(v) for v in range(g.n)]
+        for w in range(1, 1 << g.n):
+            if not w & (w - 1) or gc._reach(adj, w & -w, w) != w or ro._fold_vertex(adj, w) is not None:
+                continue
+            verts = [v for v in range(g.n) if w >> v & 1]
+            sub = gc.induced_subgraph(g, verts)
+            if (sub.n, sub.edges) in seen:
+                continue
+            seen.add((sub.n, sub.edges))
+            facets = list(independence_complex(sub).facets)
+            dims0, torsion = ro._piece_dims(adj, w, 0)
+            torsion_free += not torsion
+            for char in (0, 2, 3):
+                dims, diagonal = ro._piece_dims(adj, w, char)
+                assert diagonal == torsion, (g.edges, verts)
+                ref = _ind_dims(g, w, char)
+                assert ref == brute_homology(facets, char), (g.edges, verts, char)
+                assert ref == {-1: 0, **dict(enumerate(dims))}, (g.edges, verts, char)
+                if dims != dims0:
+                    assert any(p % char == 0 for p in torsion), (g.edges, verts, char)
+    assert 0 < torsion_free < len(seen) and (rp2.n, rp2.edges) in seen
 
 
 def test_cliques_and_bowtie_build_no_complex(monkeypatch):
-    """Every connected subset of a complete graph or of two triangles
-    sharing a vertex has a universal vertex, so the table fills them all
-    without building a complex, and the Betti tables stay exact."""
+    """The table fills every subset of a complete graph or of two triangles
+    sharing a vertex without building a complex: a connected subset has a
+    vertex adjacent to all the others, which the split always takes, its
+    link being the empty complex with homology in degree -1, and the
+    bowtie's two disjoint edges are split too.  The Betti tables stay
+    exact."""
 
     def refuse(adj, piece_mask, char):
         raise AssertionError(f"complex built for subset {piece_mask:b}")
@@ -387,6 +448,21 @@ def test_characteristic_dependence_flag_rp2():
     assert independence_complex(g).facets == tuple(triangles)
     regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
     assert regs == {0: 3, 2: 4, 3: 3}
+
+
+def test_characteristic_dependence_11_vertices(monkeypatch):
+    """The flag RP^2 graph without vertex 11 and edge (9, 10) still has
+    more homology over GF(2): ``reg_star`` is 3, 4 and 3 at chars 0, 2 and
+    3, the char-0 walk leaves the diagonal entry 2, and the Betti tables at
+    chars 0 and 2 match Hochster's formula by brute force."""
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    g = _rp2_minus_vertex_and_edge()
+    assert encode_graph6(g) == "JWaqbO\\euT?" and g.num_edges == 25
+    regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
+    assert regs == {0: 3, 2: 4, 3: 3}
+    assert ro._SWEEP_MEMO[(g.n, g.edges)][3] == (2,)
+    for char in (0, 2):
+        assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), char
 
 
 def test_regularity_at_vertex_cap():
