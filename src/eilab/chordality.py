@@ -174,7 +174,11 @@ def cochord_number(g: Graph, cap: int = 4) -> CochordCover:
                 adj[v] ^= bu
             return False
 
-        if assign(0, 0):
+        try:
+            found = assign(0, 0)
+        finally:
+            assign = None  # break its self-reference, so the memo dies with the call
+        if found:
             out = []
             for p in parts:
                 if p:

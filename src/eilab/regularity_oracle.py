@@ -9,22 +9,21 @@ homology in degree ``j - i - 1`` over subsets of size ``j``.
 
 The sweep is one table over vertex subsets: ``W`` is visited in
 ascending order, so every proper submask of ``W`` already has its dims
-when ``W`` is reached.  Five observations spare most of the work: the first
-three fill table entries without building a complex, the last the whole
+when ``W`` is reached.  Four observations spare most of the work: the first
+two fill table entries without building a complex, the last the whole
 table of a disconnected graph:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
   with no reduced homology;
-* by Engstrom's fold lemma, if ``N(u)`` is contained in ``N(v)`` for
-  another vertex ``u``, then ``Ind(G)`` and ``Ind(G - v)`` are homotopy
-  equivalent, so ``W`` takes the dims of ``W - v``;
 * for a vertex ``v``, ``Ind(G[W])`` is the union of ``Ind(G[W - v])`` and
   the cone ``v * Ind(G[W - N[v]])``, which meet in ``Ind(G[W - N[v]])``
   (Adamaszek's splitting).  When no degree has homology in both, the
   Mayer-Vietoris sequence makes the dims of ``W`` those of ``W - v`` plus
   those of ``W - N[v]`` one degree up.  Counting from degree -1, where the
   empty complex has its homology, this covers a vertex adjacent to the
-  rest of ``W``;
+  rest of ``W``; and Engstrom's fold lemma, ``N(u)`` contained in
+  ``N(v)`` for another vertex ``u``, is the case where ``u`` is isolated
+  in ``G[W - N[v]]``, so that ``W`` takes the dims of ``W - v``;
 * boundary ranks start with sparse elimination on pivots equal to +1 or
   -1, in every characteristic.  Those steps are unimodular, so they keep
   the rank over the integers and over every field;
@@ -33,7 +32,7 @@ table of a disconnected graph:
   regularities of its components add, their witnesses unite and their
   Betti polynomials multiply, from each component's memoized sweep.
 
-Only a ``W`` that no fold or split reduces gets its complex built.  The
+Only a ``W`` that no split reduces gets its complex built.  The
 core left without a unit pivot is brought to a diagonal by unimodular
 integer row and column steps (Euclid on an entry of least absolute value),
 and the rank over characteristic ``c`` is the pivot count plus the number
@@ -168,7 +167,7 @@ def _hochster_sweep(g: Graph, char: int):
     left on the diagonal of any piece of the walk; it does not depend on the
     characteristic.  ``_SWEEP_MEMO[(n, edges)]`` holds the char-0 result.
     A characteristic that divides no torsion entry gives every piece the
-    same ranks, so the same dims, and the cones, folds and splits read only
+    same ranks, so the same dims, and the cones and splits read only
     the graph and the table: the char-0 table, witness and Betti entries
     are its own.  Any other characteristic is walked again and
     memoized under ``(n, edges, char)``.  A graph with more than
@@ -237,11 +236,12 @@ def _subset_walk(g: Graph, char: int):
     ``Ind(G[W])`` in degree ``k - 1``, ``()`` when there is none, and
     ``table[0] = (1,)`` is the empty complex.  Subsets are visited in
     ascending order, so every proper submask of ``W`` is filled before
-    ``W`` is.  A fold is looked for before a split, as the cheaper test
-    that reduces most subsets.  It is the reference for the component
-    split of ``_hochster_sweep`` and, at each characteristic, for its reuse
-    of the char-0 walk.  It refuses past the cap too.  The pieces it builds,
-    and so its torsion, do not depend on ``char``.
+    ``W`` is.  Each ``W`` is a cone, split or built piece; the dims are
+    exact whichever fills them, and equal dims tuples are shared within the
+    walk.  It is the reference for the component split of
+    ``_hochster_sweep`` and, at each characteristic, for its reuse of the
+    char-0 walk.  It refuses past the cap too.  The pieces it builds, and
+    so its torsion, do not depend on ``char``.
     """
     _refuse_past_cap(g)
     n = g.n
@@ -251,22 +251,19 @@ def _subset_walk(g: Graph, char: int):
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-k, |W|, W)
     betti: dict[tuple[int, int], int] = {}
     torsion: set[int] = set()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w_mask in range(1, 1 << n):
         low = w_mask & -w_mask
         if not adj[low.bit_length() - 1] & w_mask:
             continue  # an isolated vertex makes the complex a cone
-        v = _fold_vertex(adj, w_mask)
-        if v is not None:
-            dims = table[w_mask ^ (1 << v)]
-        else:
-            dims = _split_dims(adj, w_mask, table)
-            if dims is None:
-                dims, diagonal = _piece_dims(adj, w_mask, char)
-                dims = (0,) + dims
-                torsion.update(diagonal)
+        dims = _split_dims(adj, w_mask, table)
+        if dims is None:
+            dims, diagonal = _piece_dims(adj, w_mask, char)
+            dims = (0,) + dims
+            torsion.update(diagonal)
         if not any(dims):
             continue
-        table[w_mask] = dims
+        table[w_mask] = dims = shared.setdefault(dims, dims)
         size = w_mask.bit_count()
         for k, d in enumerate(dims):
             if d:
@@ -281,41 +278,25 @@ def _subset_walk(g: Graph, char: int):
     return (-best[0], best[2], betti, tuple(sorted(torsion)))
 
 
-def _fold_vertex(adj: list[int], alive: int) -> int | None:
-    """A vertex that the fold lemma drops from the graph induced on ``alive``.
-
-    That is a vertex ``v`` adjacent to every live neighbour of some other
-    live vertex ``u``, i.e. ``N(u)`` is contained in ``N(v)`` within
-    ``alive`` (so ``v`` is never ``u``'s neighbour), and then ``Ind`` keeps
-    its homotopy type without ``v``.  None when no vertex can be dropped.
-    """
-    rest = alive
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        dominating = alive ^ low
-        nbrs = adj[low.bit_length() - 1] & alive
-        while nbrs and dominating:
-            lo = nbrs & -nbrs
-            dominating &= adj[lo.bit_length() - 1]
-            nbrs ^= lo
-        if dominating:
-            return (dominating & -dominating).bit_length() - 1
-    return None
-
-
 def _split_dims(adj: list[int], alive: int, table: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """The dims of ``Ind(G[alive])`` split at the lowest vertex ``v`` of
     ``alive`` for which no degree has homology both in ``alive - v`` and in
     ``alive - N[v]``, or None when there is none.  Then the inclusion of
     the second complex in the first induces zero in homology, and the
     Mayer-Vietoris sequence adds the first's dims to the second's shifted
-    up one degree."""
-    for v in _bits(alive):
-        a = table[alive ^ (1 << v)]
-        b = table[alive & ~adj[v] & ~(1 << v)]
+    up one degree.  A ``v`` with no homology in ``alive - N[v]``, as when
+    ``N(u)`` lies in ``N(v)`` for some other ``u`` (a fold), shares the
+    dims of ``alive - v``."""
+    rest = alive
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        a = table[alive ^ bit]
+        b = table[alive & ~adj[bit.bit_length() - 1] & ~bit]
         if not a:  # the common case: all the homology comes from the link
             return (0,) + b
+        if not b:  # e.g. a fold: some u is isolated in alive - N[v]
+            return a
         if not any(x and y for x, y in zip(a, b)):
             return tuple(x + y for x, y in zip_longest(a, (0,) + b, fillvalue=0))
     return None
@@ -323,7 +304,7 @@ def _split_dims(adj: list[int], alive: int, table: list[tuple[int, ...]]) -> tup
 
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[tuple[int, ...], set[int]]:
     """Homology dims, from degree 0, of the independence complex of one
-    piece that no fold or split reduces, and the absolute values above 1
+    piece that no split reduces, and the absolute values above 1
     left on the diagonals of its boundary maps."""
     by_dim: list[list[int]] = [[] for _ in range(piece_mask.bit_count())]
     for mask in _independent_masks(adj, piece_mask)[1:]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc as gc_module
+
 import pytest
 
 from eilab import chordality as ch
@@ -186,6 +188,25 @@ def test_cochord_c7_and_cap():
     assert rec.value.best_bound >= 3
     with pytest.raises(NotApplicable):
         ch.cochord_number(edgeless(2))
+
+
+def test_cochord_leaves_no_reference_cycle(monkeypatch):
+    """The search frees its memo when it returns or refuses, without
+    waiting for the cyclic collector: an answer, a cap refusal and a work
+    bound refusal leave nothing for ``gc.collect`` to find."""
+    c7 = cycle(7)
+    gc_module.collect()
+    gc_module.disable()
+    try:
+        assert ch.cochord_number(c7).k == 3
+        with pytest.raises(CapExceeded):
+            ch.cochord_number(c7, cap=2)
+        monkeypatch.setattr(ch, "COCHORD_WORK_BOUND", 10)
+        with pytest.raises(WorkBoundExceeded):
+            ch.cochord_number(c7, cap=4)
+        assert gc_module.collect() == 0
+    finally:
+        gc_module.enable()
 
 
 def test_woodroofe_bound_on_corpus(corpus6):

@@ -140,8 +140,9 @@ def test_witness_is_first_by_tie_break(corpus6):
 
 
 def test_betti_table_matches_brute_force(corpus6):
-    """The fast path (folds, unit pivots, dense cores) against Hochster's
-    formula evaluated with dense elimination over every vertex subset."""
+    """The fast path (cones, splits, unit pivots, dense cores) against
+    Hochster's formula evaluated with dense elimination over every vertex
+    subset."""
     rng = random.Random(4242)
     graphs = [g for g in corpus6 if g.num_edges]
     for _ in range(12):
@@ -156,10 +157,12 @@ def test_betti_table_matches_brute_force(corpus6):
 def test_betti_table_matches_per_subset_reference():
     """The subset table against the per-subset reference path, which builds
     the independence complex of every induced subgraph and takes its
-    homology with no cone, fold or split and no table."""
+    homology with no cone or split and no table.  The 11-vertex relative of
+    the flag RP^2 graph has a subset that no vertex splits, so a split
+    taken without its condition shows here as a wrong Betti table."""
     rng = random.Random(1212)
     pairs = list(combinations(range(10), 2))
-    graphs = [cycle(12), path(12)]
+    graphs = [cycle(12), path(12), _rp2_minus_vertex_and_edge()]
     graphs += [gc.from_edges(10, rng.sample(pairs, rng.randint(10, 20))) for _ in range(2)]
     for g in graphs:
         complexes = []
@@ -320,8 +323,10 @@ def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
     pair ``N(u) <= N(v)`` and no vertex adjacent to all the others build a
     complex, and no vertex ``v`` splits them: at every ``v`` some degree
     has homology both in ``W - v`` and in ``W - N[v]`` (by the per-subset
-    reference).  Every other subset is a cone, folded or split in the
-    table."""
+    reference).  Every other subset is a cone or split in the table.  The
+    walk has no fold test, so the no-pair assertion checks that a fold
+    always splits: ``u`` is isolated in ``G[W - N[v]]``, which then has no
+    homology."""
     pieces = []
 
     def record(adj, piece_mask, char):
@@ -348,11 +353,11 @@ def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
 
 
 def test_piece_dims_matches_reference_homology(corpus7):
-    """The rank kernel, tested directly: ``_piece_dims`` on every connected,
-    fold-free subset of at least two vertices of the n <= 7 corpus graphs,
-    of the flag RP^2 graph and of its 11-vertex relative, against the
-    per-subset reference path and the dense elimination of
-    ``brute_homology``, at chars 0, 2 and 3.  Each distinct induced
+    """The rank kernel, tested directly: ``_piece_dims`` on every connected
+    subset of at least two vertices with no vertex pair ``N(u) <= N(v)``
+    (no fold) of the n <= 7 corpus graphs, of the flag RP^2 graph and of
+    its 11-vertex relative, against the per-subset reference path and the
+    dense elimination of ``brute_homology``, at chars 0, 2 and 3.  Each distinct induced
     subgraph is checked once: relabelling in vertex order leaves the
     kernel's steps the same.  The dims at a characteristic differ from
     the char-0 dims only if it divides an entry of the piece's torsion."""
@@ -362,9 +367,11 @@ def test_piece_dims_matches_reference_homology(corpus7):
     for g in list(corpus7) + [rp2, rp2_minor]:
         adj = [g.adj_mask(v) for v in range(g.n)]
         for w in range(1, 1 << g.n):
-            if not w & (w - 1) or gc._reach(adj, w & -w, w) != w or ro._fold_vertex(adj, w) is not None:
+            if not w & (w - 1) or gc._reach(adj, w & -w, w) != w:
                 continue
             verts = [v for v in range(g.n) if w >> v & 1]
+            if any(u != v and adj[u] & w & ~adj[v] == 0 for u in verts for v in verts):
+                continue
             sub = gc.induced_subgraph(g, verts)
             if (sub.n, sub.edges) in seen:
                 continue
