@@ -263,7 +263,10 @@ def canonical_key(g: Graph) -> int:
 
     # Splitting by the whole vertex set gives the degree partition first.
     cells = [g.full_mask] if n else []
-    search(_equitable(adj, cells, list(cells)))
+    try:
+        search(_equitable(adj, cells, list(cells)))
+    finally:
+        search = None  # break its self-reference, so nothing waits for the collector
     return best
 
 
@@ -331,7 +334,10 @@ def canonical_form(g: Graph) -> Graph:
             descend(pos + 1, used | 1 << v, cols)
             cols.pop()
 
-    descend(0, 0, [])
+    try:
+        descend(0, 0, [])
+    finally:
+        descend = None  # break its self-reference, so nothing waits for the collector
     pos = [0] * n
     for p, v in enumerate(best_order):
         pos[v] = p

@@ -14,6 +14,13 @@ Each per-graph check states its lemma and returns the detail strings of
 its violations, calling its searches in any order: each refuses past its
 own cap.  The sweep names the graph by its graph6 string, for a violation
 and a skip (a refused search) alike, so any failure is reproducible.
+
+FL1, FL2, FL3 and C1a walk no surgery and add nothing to the oracle's
+memo: they read the regularity of ``G - x``, ``G - N[x]``, ``G - N[e]``
+and any other induced subgraph off one subset table of ``G``
+(``subgraph_oracle.subgraph_regularity``), and that of ``G - e`` off a
+copy that refills only the subsets holding both ends.  C1a builds
+``G - e`` only for its matching number.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from . import (
     graph_core,
     matchings,
     regularity_oracle,
+    subgraph_oracle,
 )
 from .errors import CapExceeded, TooLarge, UnknownProperty
-from .graph_core import DeleteEdge, Graph
+from .graph_core import Graph
 from .regularity_oracle import FieldSpec
 
 INTERNAL_ENUMERATION_CAP = 8
@@ -236,8 +244,12 @@ def _reg_star(g: Graph, char: int) -> int:
     return regularity_oracle.regularity(g, FieldSpec(char)).reg_star
 
 
-def _reg_recursion(g: Graph, char: int) -> int:
-    return regularity_oracle.regularity(g, FieldSpec(char)).reg_recursion
+def _subgraph_regs(g: Graph, chars):
+    """``(char, readings)`` for each characteristic: ``g``'s subset table
+    walked once at char 0 and shared by every characteristic that divides
+    none of its torsion entries."""
+    base = subgraph_oracle.subgraph_regularity(g, FieldSpec(0))
+    return [(c, base.at(FieldSpec(c))) for c in chars]
 
 
 def _check_theorem(g, chars):
@@ -262,27 +274,34 @@ def _check_ub(g, chars):
 
 
 def _check_fl1(g, chars):
+    """Restriction: no induced subgraph has a larger regularity.  Five
+    seeded vertex subsets are read off ``g``'s own table."""
     out = []
     rng = random.Random(_FL1_SEED ^ zlib.crc32(_g6(g).encode()))
     subsets = []
     for _ in range(_FL1_SAMPLES):
         subsets.append([v for v in range(g.n) if rng.random() < 0.6])
-    for c in chars:
-        reg = _reg_star(g, c)
+    for c, sub in _subgraph_regs(g, chars):
+        reg = sub.induced(g.full_mask)
         for w in subsets:
-            reg_h = _reg_star(graph_core.induced_subgraph(g, w), c)
+            reg_h = sub.induced(sum(1 << v for v in w))
             if reg_h > reg:
                 out.append(f"char {c}: induced {w} has reg {reg_h} > {reg}")
     return out
 
 
 def _check_fl2(g, chars):
+    """Vertex recursion: ``reg(G)`` is ``reg(G - x)`` or
+    ``reg(G - N[x]) + 1`` at every vertex ``x``, in the convention that
+    gives every edgeless graph 1.  Both are induced subgraphs, read off
+    ``g``'s own table."""
     out = []
-    for c in chars:
-        reg = _reg_recursion(g, c)
+    full = g.full_mask
+    for c, sub in _subgraph_regs(g, chars):
+        reg = max(sub.induced(full), 1)
         for x in range(g.n):
-            minus = _reg_recursion(graph_core.apply_surgery(g, graph_core.DeleteVertex(x)), c)
-            closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseVertex(x)), c)
+            minus = max(sub.induced(full ^ 1 << x), 1)
+            closed = max(sub.induced(full & ~(g.adj_mask(x) | 1 << x)), 1)
             if reg not in (minus, closed + 1):
                 out.append(
                     f"char {c}: vertex {x}: reg {reg} not in "
@@ -292,12 +311,17 @@ def _check_fl2(g, chars):
 
 
 def _check_fl3(g, chars):
+    """Edge recursion: ``reg(G) <= max(reg(G - e), reg(G - N[e]) + 1)``
+    at every edge, in FL2's convention.  ``G - N[e]`` is read off ``g``'s
+    own table, and ``G - e`` refills only the subsets holding both ends."""
     out = []
-    for c in chars:
-        reg = _reg_recursion(g, c)
+    full = g.full_mask
+    for c, sub in _subgraph_regs(g, chars):
+        reg = max(sub.induced(full), 1)
         for e in g.edges:
-            minus = _reg_recursion(graph_core.apply_surgery(g, DeleteEdge(e)), c)
-            closed = _reg_recursion(graph_core.apply_surgery(g, graph_core.CloseEdge(e)), c)
+            u, v = e
+            minus = sub.edge_deleted(u, v)
+            closed = max(sub.induced(full & ~(g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v)), 1)
             if reg > max(minus, closed + 1):
                 out.append(
                     f"char {c}: edge {e}: reg {reg} > "
@@ -349,16 +373,18 @@ def _middle_edges(g: Graph):
 
 
 def _check_c1a(g, chars):
+    """Where ``reg = nu + 1``, deleting an edge in the middle of a path on
+    three edges keeps both ``reg`` and ``nu``; ``reg(G - e)`` is read off
+    ``g``'s table."""
     out = []
     nu = matchings.nu(g)
-    for c in chars:
-        reg = _reg_star(g, c)
+    for c, sub in _subgraph_regs(g, chars):
+        reg = sub.induced(g.full_mask)
         if reg != nu + 1:
             continue
         for e in _middle_edges(g):
-            h = graph_core.apply_surgery(g, DeleteEdge(e))
-            reg_h = _reg_star(h, c)
-            nu_h = matchings.nu(h)
+            reg_h = sub.edge_deleted(*e)
+            nu_h = matchings.nu(graph_core.from_edges(g.n, [f for f in g.edges if f != e]))
             if not (reg_h == reg and nu_h == nu):
                 out.append(
                     f"char {c}: middle edge {e}: expected reg and nu preserved, "

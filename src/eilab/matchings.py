@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CapExceeded
 from .graph_core import Graph, components
@@ -101,26 +102,26 @@ def nu(g: Graph) -> int:
 
 
 def _nu_of_mask_fn(g: Graph):
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    memo: dict[int, int] = {0: 0}
+    """The matching number of ``G[mask]`` as a function of ``mask``, with a
+    memo that lives as long as the function."""
+    return partial(_nu_of_mask, [g.adj_mask(v) for v in range(g.n)], {0: 0})
 
-    def size(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        v = (mask & -mask).bit_length() - 1
-        best = size(mask & ~(1 << v))
-        nbrs = adj[v] & mask
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            cand = 1 + size(mask & ~(1 << v) & ~low)
-            if cand > best:
-                best = cand
-        memo[mask] = best
-        return best
 
-    return size
+def _nu_of_mask(adj: list[int], memo: dict[int, int], mask: int) -> int:
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    v = (mask & -mask).bit_length() - 1
+    best = _nu_of_mask(adj, memo, mask & ~(1 << v))
+    nbrs = adj[v] & mask
+    while nbrs:
+        low = nbrs & -nbrs
+        nbrs ^= low
+        cand = 1 + _nu_of_mask(adj, memo, mask & ~(1 << v) & ~low)
+        if cand > best:
+            best = cand
+    memo[mask] = best
+    return best
 
 
 # -- induced matching number --------------------------------------------------
@@ -150,7 +151,10 @@ def induced_matching_number(g: Graph) -> MatchingCertificate:
                 search(idx + 1, avail & ~closed[idx], chosen)
                 chosen.pop()
 
-    search(0, g.full_mask, [])
+    try:
+        search(0, g.full_mask, [])
+    finally:
+        search = None  # break its self-reference, so nothing waits for the collector
     return MatchingCertificate(MatchingKind.MAXIMUM_INDUCED, best_edges, best_size)
 
 
@@ -211,7 +215,10 @@ def _min_maximal_edges(g: Graph) -> tuple[tuple[int, int], ...]:
                 search(matched | pair, chosen)
                 chosen.pop()
 
-    search(0, [])
+    try:
+        search(0, [])
+    finally:
+        search = None  # break its self-reference, so nothing waits for the collector
     assert best is not None
     return best[1]
 

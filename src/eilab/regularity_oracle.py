@@ -48,7 +48,7 @@ again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, islice, zip_longest
 
 from .errors import CapExceeded, NotApplicable
 from .graph_core import Graph, _bits, components
@@ -232,38 +232,19 @@ def _subset_walk(g: Graph, char: int):
     """The subset walk over the whole graph, connected or not: returns
     (reg_quotient, witness subset, betti entries, torsion), unmemoized.
 
-    ``table[W][k]`` is the dimension of the reduced homology of
-    ``Ind(G[W])`` in degree ``k - 1``, ``()`` when there is none, and
-    ``table[0] = (1,)`` is the empty complex.  Subsets are visited in
-    ascending order, so every proper submask of ``W`` is filled before
-    ``W`` is.  Each ``W`` is a cone, split or built piece; the dims are
-    exact whichever fills them, and equal dims tuples are shared within the
-    walk.  It is the reference for the component split of
-    ``_hochster_sweep`` and, at each characteristic, for its reuse of the
-    char-0 walk.  It refuses past the cap too.  The pieces it builds, and
-    so its torsion, do not depend on ``char``.
+    ``_fill`` builds the table over every subset in ascending order; each
+    nonzero dim is a Betti entry, and the witness is a subset of the top
+    degree, the smallest and then the lexicographically first.
+    It is the reference for the component split of ``_hochster_sweep`` and,
+    at each characteristic, for its reuse of the char-0 walk.  It refuses
+    past the cap too.  The pieces it builds, and so its torsion, do not
+    depend on ``char``.
     """
-    _refuse_past_cap(g)
-    n = g.n
-    adj = [g.adj_mask(v) for v in range(n)]
-    table: list[tuple[int, ...]] = [()] * (1 << n)
-    table[0] = (1,)
+    table, torsion = _walk_table(g, char)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-k, |W|, W)
     betti: dict[tuple[int, int], int] = {}
-    torsion: set[int] = set()
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w_mask in range(1, 1 << n):
-        low = w_mask & -w_mask
-        if not adj[low.bit_length() - 1] & w_mask:
-            continue  # an isolated vertex makes the complex a cone
-        dims = _split_dims(adj, w_mask, table)
-        if dims is None:
-            dims, diagonal = _piece_dims(adj, w_mask, char)
-            dims = (0,) + dims
-            torsion.update(diagonal)
-        if not any(dims):
-            continue
-        table[w_mask] = dims = shared.setdefault(dims, dims)
+    for w_mask in compress(range(1, len(table)), islice(table, 1, None)):
+        dims = table[w_mask]
         size = w_mask.bit_count()
         for k, d in enumerate(dims):
             if d:
@@ -278,7 +259,51 @@ def _subset_walk(g: Graph, char: int):
     return (-best[0], best[2], betti, tuple(sorted(torsion)))
 
 
-def _split_dims(adj: list[int], alive: int, table: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+def _walk_table(g: Graph, char: int) -> tuple[list[tuple[int, ...]], set[int]]:
+    """The whole subset table of ``g`` at ``char``, and its torsion;
+    refused past the cap."""
+    _refuse_past_cap(g)
+    table: list[tuple[int, ...]] = [()] * (1 << g.n)
+    table[0] = (1,)  # the empty complex
+    torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)
+    return table, torsion
+
+
+def _fill(adj: list[int], masks, table: list[tuple[int, ...]], char: int) -> set[int]:
+    """Write ``table[W]`` for each ``W`` of ``masks``, an ascending
+    sequence, and return the torsion of the pieces built.
+
+    ``table[W][k]`` is the dimension of the reduced homology of
+    ``Ind(G[W])`` in degree ``k - 1``, ``()`` when there is none, and
+    ``table[0] = (1,)`` is the empty complex.  A proper submask of ``W``
+    that ``masks`` holds comes before ``W``; every other one must already
+    be right in ``table``.  Each ``W`` is a cone, split or built piece; the
+    dims are exact whichever fills them, and end in a nonzero entry, so
+    ``len(table[W]) - 1`` is the top homology index.  Every ``W`` is
+    written, cones and empty results as ``()``, so a table copied from
+    another graph keeps nothing stale at the masks refilled.  Equal dims
+    tuples are shared within one call.
+    """
+    torsion: set[int] = set()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    closed = {1 << v: nbrs | 1 << v for v, nbrs in enumerate(adj)}  # N[v], keyed by v's bit
+    for w_mask in masks:
+        low = w_mask & -w_mask
+        if closed[low] & w_mask == low:
+            table[w_mask] = ()  # an isolated vertex makes the complex a cone
+            continue
+        dims = _split_dims(closed, w_mask, table)
+        if dims is None:
+            dims, diagonal = _piece_dims(adj, w_mask, char)
+            torsion.update(diagonal)
+            dims = (0,) + dims
+            while dims and not dims[-1]:
+                dims = dims[:-1]
+        table[w_mask] = shared.setdefault(dims, dims) if dims else ()
+    return torsion
+
+
+def _split_dims(closed: dict[int, int], alive: int, table: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """The dims of ``Ind(G[alive])`` split at the lowest vertex ``v`` of
     ``alive`` for which no degree has homology both in ``alive - v`` and in
     ``alive - N[v]``, or None when there is none.  Then the inclusion of
@@ -292,13 +317,13 @@ def _split_dims(adj: list[int], alive: int, table: list[tuple[int, ...]]) -> tup
         bit = rest & -rest
         rest ^= bit
         a = table[alive ^ bit]
-        b = table[alive & ~adj[bit.bit_length() - 1] & ~bit]
+        b = table[alive & ~closed[bit]]
         if not a:  # the common case: all the homology comes from the link
-            return (0,) + b
+            return b and (0,) + b
         if not b:  # e.g. a fold: some u is isolated in alive - N[v]
             return a
-        if not any(x and y for x, y in zip(a, b)):
-            return tuple(x + y for x, y in zip_longest(a, (0,) + b, fillvalue=0))
+        if not any(map(min, a, b)):  # dims are never negative
+            return tuple(map(sum, zip_longest(a, (0,) + b, fillvalue=0)))
     return None
 
 

@@ -545,6 +545,13 @@ class SimplicialComplex:
         return out
 
 
+def rp2_minus_vertex_and_edge() -> Graph:
+    """The flag RP^2 graph without vertex 11 and edge (9, 10): 11 vertices,
+    25 edges, still characteristic-dependent."""
+    rp2 = flag_rp2_complement()
+    return graph_core.from_edges(11, [e for e in rp2.edges if 11 not in e and e != (9, 10)])
+
+
 def independence_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent vertex sets of ``g``."""
     adj = [g.adj_mask(v) for v in range(g.n)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc as gc_module
 import random
 
 import pytest
@@ -277,3 +278,18 @@ def test_canonical_key_small_and_cap():
     assert gc.canonical_key(edgeless(3)) != gc.canonical_key(edgeless(2))
     with pytest.raises(TooLarge):
         gc.canonical_key(edgeless(11))
+
+
+def test_canonical_searches_leave_no_reference_cycle():
+    """``canonical_form`` and ``canonical_key`` free their search closures
+    when they return, without waiting for the cyclic collector."""
+    c7 = cycle(7)
+    gc_module.collect()
+    gc_module.disable()
+    try:
+        assert encode_graph6(gc.canonical_form(c7)) == "F@Ue?"
+        assert gc_module.collect() == 0
+        assert gc.canonical_key(c7) == 987921977082499
+        assert gc_module.collect() == 0
+    finally:
+        gc_module.enable()

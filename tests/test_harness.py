@@ -6,7 +6,7 @@ import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import cameron_walker, classifier, harness, matchings
+from eilab import cameron_walker, classifier, harness, matchings, subgraph_oracle
 from eilab import regularity_oracle as ro
 from eilab.errors import TooLarge, UnknownProperty
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
@@ -192,6 +192,91 @@ def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):
     monkeypatch.setattr(classifier, "contains_c5_subgraph", lambda h: False)
     (rep,) = harness.verify_lemma_suite([g], ["C1"], chars=(0, 2))
     assert rep.skips == (fio.encode_graph6(g),)
+
+
+def test_subgraph_checks_build_no_surgery(corpus6, monkeypatch):
+    """FL1, FL2, FL3 and C1a read every regularity off the graph's own
+    table: with ``regularity`` and ``apply_surgery`` refusing, they pass on
+    the n <= 6 corpus at chars 0, 2 and 3 with no skip, as they did when
+    they walked each surgery, and they leave the oracle's memo empty."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgraph check called regularity or apply_surgery")
+
+    monkeypatch.setattr(ro, "regularity", refuse)
+    monkeypatch.setattr(gc, "apply_surgery", refuse)
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    reports = harness.verify_lemma_suite(corpus6, ["FL1", "FL2", "FL3", "C1a"], chars=(0, 2, 3))
+    assert [(rep.checked, rep.violations, rep.skips) for rep in reports] == [(len(corpus6), (), ())] * 4
+    assert ro._SWEEP_MEMO == {}
+
+
+class _SkewedReadings:
+    """A graph's subgraph readings with one of them wrong: ``method`` at
+    ``arg`` returns ``value``.  Other characteristics share the skew, and
+    ``queries`` records the masks that ``induced`` is asked for."""
+
+    def __init__(self, real, method, arg, value, queries):
+        self.real, self.method, self.arg, self.value, self.queries = real, method, arg, value, queries
+
+    def induced(self, keep_mask):
+        self.queries.append(keep_mask)
+        if (self.method, self.arg) == ("induced", keep_mask):
+            return self.value
+        return self.real.induced(keep_mask)
+
+    def edge_deleted(self, u, v):
+        if (self.method, self.arg) == ("edge_deleted", (u, v)):
+            return self.value
+        return self.real.edge_deleted(u, v)
+
+    def at(self, field):
+        return _SkewedReadings(self.real.at(field), self.method, self.arg, self.value, self.queries)
+
+
+def test_subgraph_checks_report_a_wrong_reading(monkeypatch):
+    """One wrong reading of C5's table is a violation of the check that
+    reads it, at each characteristic, with the check's detail string.  C5
+    has reg 3 and nu 2; C5 minus a vertex or an edge is a path, with reg 2
+    or 3; every edge of C5 is a middle edge."""
+    c5 = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    name = fio.encode_graph6(c5)
+    subgraph_regularity = subgraph_oracle.subgraph_regularity
+    queries = []
+
+    def skew(method, arg, value):
+        def skewed(g, field=ro.FieldSpec(0)):
+            return _SkewedReadings(subgraph_regularity(g, field), method, arg, value, queries)
+
+        monkeypatch.setattr(subgraph_oracle, "subgraph_regularity", skewed)
+
+    def violations(tag):
+        (rep,) = harness.verify_lemma_suite([c5], [tag], chars=(0, 2))
+        return rep.violations
+
+    skew(None, None, None)
+    assert violations("FL1") == ()
+    sampled = [m for m in queries if m != c5.full_mask]  # at both characteristics
+    w = [v for v in range(5) if sampled[0] >> v & 1]
+    skew("induced", sampled[0], 4)
+    assert violations("FL1") == tuple(
+        (name, f"char {c}: induced {w} has reg 4 > 3") for c in (0, 2) for _ in range(sampled.count(sampled[0]) // 2)
+    )
+    skew("induced", 0b01100, 5)  # C5 - N[0] is the edge {2, 3}
+    assert violations("FL2") == (
+        (name, "char 0: vertex 0: reg 3 not in {del=2, closed+1=6}"),
+        (name, "char 2: vertex 0: reg 3 not in {del=2, closed+1=6}"),
+    )
+    skew("edge_deleted", (0, 1), 1)
+    assert violations("FL3") == (
+        (name, "char 0: edge (0, 1): reg 3 > max(del=1, closed+1=2)"),
+        (name, "char 2: edge (0, 1): reg 3 > max(del=1, closed+1=2)"),
+    )
+    skew("edge_deleted", (0, 1), 2)
+    assert violations("C1a") == (
+        (name, "char 0: middle edge (0, 1): expected reg and nu preserved, got reg 2 (was 3), nu 2 (was 2)"),
+        (name, "char 2: middle edge (0, 1): expected reg and nu preserved, got reg 2 (was 3), nu 2 (was 2)"),
+    )
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):

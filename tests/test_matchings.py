@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc as gc_module
 import random
 import time
 
@@ -138,3 +139,25 @@ def test_mm_by_components_matches_whole_search(corpus5):
     unions += [relabel(g, rng.sample(range(g.n), g.n)) for g in unions]  # interleave the parts
     for g in unions:
         assert M.min_maximal_matching(g).edges == M._min_maximal_edges(g)
+
+
+def test_searches_leave_no_reference_cycle():
+    """The matching searches free their memos and closures when they
+    return, without waiting for the cyclic collector, and their answers
+    and certificates are unchanged."""
+    c7 = cycle(7)
+    gc_module.collect()
+    gc_module.disable()
+    try:
+        for search, answer in [
+            (M.nu, 3),
+            (M.nu0, 2),
+            (M.mm, 3),
+            (M.max_matching, M.MatchingCertificate(MatchingKind.MAXIMUM, ((0, 1), (2, 3), (4, 5)), 3)),
+            (M.induced_matching_number, M.MatchingCertificate(MatchingKind.MAXIMUM_INDUCED, ((0, 1), (3, 4)), 2)),
+            (M.min_maximal_matching, M.MatchingCertificate(MatchingKind.MINIMUM_MAXIMAL, ((0, 1), (2, 3), (4, 5)), 3)),
+        ]:
+            assert search(c7) == answer, search.__name__
+            assert gc_module.collect() == 0, search.__name__
+    finally:
+        gc_module.enable()

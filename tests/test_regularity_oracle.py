@@ -28,6 +28,7 @@ from helpers import (
     path,
     reduced_homology_dims,
     relabel,
+    rp2_minus_vertex_and_edge,
     star,
 )
 
@@ -162,7 +163,7 @@ def test_betti_table_matches_per_subset_reference():
     taken without its condition shows here as a wrong Betti table."""
     rng = random.Random(1212)
     pairs = list(combinations(range(10), 2))
-    graphs = [cycle(12), path(12), _rp2_minus_vertex_and_edge()]
+    graphs = [cycle(12), path(12), rp2_minus_vertex_and_edge()]
     graphs += [gc.from_edges(10, rng.sample(pairs, rng.randint(10, 20))) for _ in range(2)]
     for g in graphs:
         complexes = []
@@ -303,13 +304,6 @@ def test_torsion_fallback_flag_rp2(corpus6, monkeypatch):
             assert ro._hochster_sweep(g, char) == reference(g, char), (g.n, g.edges, char)
 
 
-def _rp2_minus_vertex_and_edge() -> gc.Graph:
-    """The flag RP^2 graph without vertex 11 and edge (9, 10): 11 vertices,
-    25 edges, still characteristic-dependent."""
-    rp2 = flag_rp2_complement()
-    return gc.from_edges(11, [e for e in rp2.edges if 11 not in e and e != (9, 10)])
-
-
 def _ind_dims(g: gc.Graph, w: int, char: int) -> dict[int, int]:
     """Reduced homology of ``Ind(G[w])`` by the per-subset reference path,
     from degree -1."""
@@ -335,7 +329,7 @@ def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
 
     piece_dims = ro._piece_dims
     monkeypatch.setattr(ro, "_piece_dims", record)
-    for g in (flag_rp2_complement(), _rp2_minus_vertex_and_edge()):
+    for g in (flag_rp2_complement(), rp2_minus_vertex_and_edge()):
         pieces.clear()
         for char in (0, 2, 3):
             ro._subset_walk(g, char)
@@ -361,7 +355,7 @@ def test_piece_dims_matches_reference_homology(corpus7):
     subgraph is checked once: relabelling in vertex order leaves the
     kernel's steps the same.  The dims at a characteristic differ from
     the char-0 dims only if it divides an entry of the piece's torsion."""
-    rp2, rp2_minor = flag_rp2_complement(), _rp2_minus_vertex_and_edge()
+    rp2, rp2_minor = flag_rp2_complement(), rp2_minus_vertex_and_edge()
     seen = set()
     torsion_free = 0
     for g in list(corpus7) + [rp2, rp2_minor]:
@@ -463,7 +457,7 @@ def test_characteristic_dependence_11_vertices(monkeypatch):
     3, the char-0 walk leaves the diagonal entry 2, and the Betti tables at
     chars 0 and 2 match Hochster's formula by brute force."""
     monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
-    g = _rp2_minus_vertex_and_edge()
+    g = rp2_minus_vertex_and_edge()
     assert encode_graph6(g) == "JWaqbO\\euT?" and g.num_edges == 25
     regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
     assert regs == {0: 3, 2: 4, 3: 3}
@@ -500,9 +494,9 @@ def test_regularity_cap_disconnected():
 
 
 def test_recursion_value_cap():
-    """The recursion value comes from ``regularity``, which refuses past
-    the cap, so FL2 and FL3 record the graph as a skip instead of checking
-    it."""
+    """The recursion value comes from ``regularity`` or, in FL2 and FL3,
+    from the graph's subset table; both refuse past the cap, so FL2 and
+    FL3 record the graph as a skip instead of checking it."""
     with pytest.raises(CapExceeded):
         ro.regularity(path(17)).reg_recursion
     g = path(17)
