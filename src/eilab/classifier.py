@@ -9,9 +9,11 @@ reconciled.  The structural side is the pentagon test and the polynomial
 shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
 matching number, summed over the components.  The field-free part
-(shapes, matching number) is evaluated once per graph and ``regularity``
-once per characteristic; the oracle walks a graph again only at a
-characteristic that divides its torsion.
+(shape and matching number of each component) is evaluated once per
+distinct component of a graph, or of a whole sweep when the sweep hands
+``_classify`` one dict for all its graphs, and ``regularity`` once per
+characteristic; the oracle walks a graph again only at a characteristic
+that divides its torsion.
 """
 
 from __future__ import annotations
@@ -75,13 +77,25 @@ def component_shape(comp: Graph) -> str:
 def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     """Evaluate both sides of the equivalence on one graph: one verdict per
     characteristic in ``chars``, in the order given, duplicates kept."""
+    return _classify(g, chars, {})
+
+
+def _classify(g: Graph, chars, facts: dict) -> list[ClassificationVerdict]:
+    """``classify``, taking each component's ``(shape, nu)`` from
+    ``facts`` and recording there those it computes.  A sweep passes one
+    dict for all its graphs, so a component met again, as each corpus graph
+    is inside its unions, is measured once."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
     regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
-    comps = [comp for _, comp in graph_core.components(g)]
-    shapes = tuple(component_shape(comp) for comp in comps)
+    parts = []
+    for _, comp in graph_core.components(g):
+        if comp not in facts:
+            facts[comp] = (component_shape(comp), matchings.nu(comp))
+        parts.append(facts[comp])
+    shapes = tuple(shape for shape, _ in parts)
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    target = sum(matchings.nu(comp) for comp in comps) + 1  # nu adds over components
+    target = sum(nu for _, nu in parts) + 1  # nu adds over components
     return [
         ClassificationVerdict(
             structural=structural,

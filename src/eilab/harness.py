@@ -19,8 +19,17 @@ FL1, FL2, FL3 and C1a walk no surgery and add nothing to the oracle's
 memo: they read the regularity of ``G - x``, ``G - N[x]``, ``G - N[e]``
 and any other induced subgraph off one subset table of ``G``
 (``subgraph_oracle.subgraph_regularity``), and that of ``G - e`` off a
-copy that refills only the subsets holding both ends.  C1a builds
-``G - e`` only for its matching number.
+copy that refills only the subsets holding both ends.  FL3 decides an
+edge from the table first: ``G - e`` shares the subsets missing ``u`` or
+``v``, so ``reg(G - e)`` is at least the larger of ``reg(G - u)`` and
+``reg(G - v)``, and only an edge that bound leaves undecided is refilled.
+C1a builds ``G - e`` only for its matching number.
+
+Comp reads the union's regularity as the longest dims of its whole subset
+table (``regularity_oracle._walk_table``), with no Betti or witness pass.
+The theorem sweep keeps one dict, from each component graph to its shape
+and matching number, for as long as the sweep runs: the unions' components
+are relabelled corpus graphs, so each distinct one is measured once.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 from . import (
     cameron_walker,
@@ -209,7 +219,8 @@ def verify_theorem(
     graphs = list(graphs)
     if include_unions:
         graphs += union_pairs(graphs, union_total_cap)
-    return _sweep("main-theorem", graphs, _check_theorem, tuple(chars))
+    facts: dict = {}  # component -> (shape, nu), for this sweep only
+    return _sweep("main-theorem", graphs, partial(_check_theorem, facts=facts), tuple(chars))
 
 
 def verify_lemma_suite(
@@ -252,11 +263,13 @@ def _subgraph_regs(g: Graph, chars):
     return [(c, base.at(FieldSpec(c))) for c in chars]
 
 
-def _check_theorem(g, chars):
+def _check_theorem(g, chars, facts):
+    """``classify``'s verdicts that disagree, with each component's shape
+    and ``nu`` taken from, or recorded in, the sweep's ``facts``."""
     return [
         f"char {v.characteristic}: structural={v.structural} "
         f"numeric={v.numeric} shapes={v.component_shapes}"
-        for v in classifier.classify(g, chars)
+        for v in classifier._classify(g, chars, facts)
         if not v.agreement
     ]
 
@@ -313,15 +326,21 @@ def _check_fl2(g, chars):
 def _check_fl3(g, chars):
     """Edge recursion: ``reg(G) <= max(reg(G - e), reg(G - N[e]) + 1)``
     at every edge, in FL2's convention.  ``G - N[e]`` is read off ``g``'s
-    own table, and ``G - e`` refills only the subsets holding both ends."""
+    own table.  So is a lower bound on ``reg(G - e)``: the larger of
+    ``reg(G - u)`` and ``reg(G - v)``, since ``G - e`` shares every subset
+    that misses an end.  Only an edge that bound leaves undecided refills
+    the subsets holding both ends for ``reg(G - e)`` itself."""
     out = []
     full = g.full_mask
     for c, sub in _subgraph_regs(g, chars):
         reg = max(sub.induced(full), 1)
         for e in g.edges:
             u, v = e
-            minus = sub.edge_deleted(u, v)
             closed = max(sub.induced(full & ~(g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v)), 1)
+            shared = max(sub.induced(full ^ 1 << u), sub.induced(full ^ 1 << v))
+            if reg <= max(shared, closed + 1):
+                continue
+            minus = sub.edge_deleted(u, v)
             if reg > max(minus, closed + 1):
                 out.append(
                     f"char {c}: edge {e}: reg {reg} > "
@@ -334,10 +353,11 @@ def _check_comp(u: Graph, chars):
     out = []
     comps = graph_core.components(u)
     for c in chars:
-        # ``reg_star`` of the union from the walk over all its subsets, which
-        # uses no product formula (an edgeless union has 1): ``regularity``
-        # would combine the components and compare their sum with itself.
-        reg = regularity_oracle._subset_walk(u, c)[0] + 1
+        # ``reg_star`` of the union is the longest dims of the table over
+        # all its subsets, which uses no product formula (an edgeless union
+        # has 1, from the empty complex): ``regularity`` would combine the
+        # components and compare their sum with itself.
+        reg = max(map(len, regularity_oracle._walk_table(u, c)[0]))
         reg_sum = sum(_reg_star(comp, c) - 1 for _, comp in comps) + 1
         if reg != reg_sum:
             out.append(f"char {c}: reg {reg} != component sum {reg_sum}")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc as gc_module
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,7 @@ from eilab import regularity_oracle as ro
 from eilab.errors import TooLarge, UnknownProperty
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import brute_middle_edges, path
+from helpers import brute_middle_edges, flag_rp2_complement, path, rp2_minus_vertex_and_edge
 
 
 def test_enumeration_counts():
@@ -93,6 +95,56 @@ def test_verify_theorem_refuses_workers():
         harness.verify_theorem(graphs, chars=(0,), workers=2)
 
 
+def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
+    """The theorem sweep takes each distinct component's shape and ``nu``
+    once, from one dict that lives as long as the sweep: a union's
+    components are corpus graphs, and a second sweep starts afresh.  Its
+    report is the one that plain ``classify`` gives graph by graph."""
+
+    def plain(g, chars):
+        return [
+            f"char {v.characteristic}: structural={v.structural} "
+            f"numeric={v.numeric} shapes={v.component_shapes}"
+            for v in classifier.classify(g, chars)
+            if not v.agreement
+        ]
+
+    graphs = list(corpus5) + harness.union_pairs(corpus5)
+    reference = harness._sweep("main-theorem", graphs, plain, (0, 2))
+    measured = []
+    stores = []
+    shape, nu, classify = classifier.component_shape, matchings.nu, classifier._classify
+
+    def counted_shape(comp):
+        measured.append(("shape", comp))
+        return shape(comp)
+
+    def counted_nu(g):
+        measured.append(("nu", g))
+        return nu(g)
+
+    def recorded(g, chars, facts):
+        if not any(s is facts for s in stores):
+            stores.append(facts)
+        return classify(g, chars, facts)
+
+    monkeypatch.setattr(classifier, "component_shape", counted_shape)
+    monkeypatch.setattr(matchings, "nu", counted_nu)
+    monkeypatch.setattr(classifier, "_classify", recorded)
+    reports = []
+    for _ in range(2):
+        rep = harness.verify_theorem(corpus5, chars=(0, 2))
+        assert (rep.property_name, rep.checked, rep.violations, rep.skips) == (
+            reference.property_name, reference.checked, reference.violations, reference.skips
+        )
+        assert Counter(measured) == Counter((what, g) for g in corpus5 for what in ("shape", "nu"))
+        measured.clear()
+        reports.append(rep)
+    assert reports[0].violations == reports[1].violations and reports[0].checked == reports[1].checked
+    assert len(stores) == 2 and all(set(store) == set(corpus5) for store in stores)
+    assert [gc_module.get_referrers(store) for store in stores] == [[stores], [stores]]
+
+
 def test_verify_theorem_sweeps_graphs_not_graph6(monkeypatch):
     def refuse(text):
         raise AssertionError("the theorem sweep parsed graph6")
@@ -125,23 +177,92 @@ def test_lemma_comp_records_cap_skips():
     assert rep.passed
 
 
-def test_lemma_comp_reads_whole_graph_walk(monkeypatch):
-    """Comp takes the union's regularity from the walk over all its
+def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
+    """Comp takes the union's regularity from the table over all its
     subsets, not from ``regularity``, which splits the union into its
-    components: a walk off by one on disconnected graphs is caught on
-    every union, at every characteristic."""
-    walk = ro._subset_walk
+    components.  Its reading, the longest dims of the table, is the
+    whole-graph walk's ``reg_star``, and a table off by one on disconnected
+    graphs is caught on every union, at every characteristic."""
+    for u in harness.union_pairs(corpus5):
+        for c in (0, 2, 3):
+            assert max(map(len, ro._walk_table(u, c)[0])) == ro._subset_walk(u, c)[0] + 1
+    walk_table = ro._walk_table
 
     def off_by_one(g, char):
-        reg_q, *rest = walk(g, char)
-        return (reg_q + (not g.is_connected()), *rest)
+        table, torsion = walk_table(g, char)
+        if not g.is_connected():
+            table[g.full_mask] = (0,) * max(map(len, table)) + (1,)
+        return table, torsion
 
-    monkeypatch.setattr(ro, "_subset_walk", off_by_one)
+    monkeypatch.setattr(ro, "_walk_table", off_by_one)
     graphs = harness.corpus_up_to(4).graphs
     (rep,) = harness.verify_lemma_suite(graphs, ["Comp"], chars=(0, 2), union_total_cap=6)
     assert rep.checked == len(harness.union_pairs(graphs, 6))
     assert len(rep.violations) == 2 * rep.checked
     assert all("!= component sum" in detail for _, detail in rep.violations)
+
+
+def _fl3_reference(g, chars):
+    """FL3 with ``G - e`` refilled at every edge."""
+    out = []
+    full = g.full_mask
+    for c in chars:
+        sub = subgraph_oracle.subgraph_regularity(g, ro.FieldSpec(c))
+        reg = max(sub.induced(full), 1)
+        for e in g.edges:
+            u, v = e
+            minus = sub.edge_deleted(u, v)
+            closed = max(sub.induced(full & ~(g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v)), 1)
+            if reg > max(minus, closed + 1):
+                out.append(f"char {c}: edge {e}: reg {reg} > max(del={minus}, closed+1={closed + 1})")
+    return out
+
+
+def _fl3_undecided(g, c):
+    """The edges whose ``reg(G - e)`` FL3 needs: ``reg(G)`` exceeds both
+    ``reg(G - N[e]) + 1`` and the larger of ``reg(G - u)`` and
+    ``reg(G - v)``, which ``G - e`` shares."""
+    sub = subgraph_oracle.subgraph_regularity(g, ro.FieldSpec(c))
+    full = g.full_mask
+    reg = max(sub.induced(full), 1)
+    out = []
+    for u, v in g.edges:
+        closed = max(sub.induced(full & ~(g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v)), 1)
+        shared = max(sub.induced(full ^ 1 << u), sub.induced(full ^ 1 << v))
+        if reg > max(shared, closed + 1):
+            out.append((g, c, (u, v)))
+    return out
+
+
+def test_fl3_refills_only_undecided_edges(corpus7, monkeypatch):
+    """FL3 reports what refilling every edge reports, and refills only the
+    edges that the subsets shared with ``G - e`` leave undecided: 222 of
+    the 10,664 edges of the n <= 7 corpus at char 0 (190 of the 9,552 on
+    7 vertices), and every edge of the two characteristic-dependent graphs
+    at char 2 alone, where their regularity rises."""
+    rp2, rp2_less = flag_rp2_complement(), rp2_minus_vertex_and_edge()
+    runs = [(corpus7, (0,))] + [([g], (c,)) for g in (rp2, rp2_less) for c in (0, 2, 3)]
+    for graphs, chars in runs:
+        reference = harness._sweep("FL3", graphs, _fl3_reference, chars)
+        (rep,) = harness.verify_lemma_suite(graphs, ["FL3"], chars=chars)
+        assert (rep.checked, rep.violations, rep.skips) == (reference.checked, reference.violations, reference.skips)
+    edge_deleted = subgraph_oracle.SubgraphRegularity.edge_deleted
+    refilled = []
+
+    def counted(self, u, v):
+        refilled.append((self._graph, self.characteristic, (u, v)))
+        return edge_deleted(self, u, v)
+
+    monkeypatch.setattr(subgraph_oracle.SubgraphRegularity, "edge_deleted", counted)
+    for graphs, (c,) in runs:
+        refilled.clear()
+        harness.verify_lemma_suite(graphs, ["FL3"], chars=(c,))
+        assert refilled == [x for g in graphs for x in _fl3_undecided(g, c)]
+        if graphs is corpus7:
+            assert (len(refilled), sum(g.num_edges for g in graphs)) == (222, 10664)
+            assert sum(g.n == 7 for g, _, _ in refilled) == 190
+        else:
+            assert len(refilled) == (graphs[0].num_edges if c == 2 else 0)
 
 
 def test_lemma_cawa_reports_route_disagreement(monkeypatch):
@@ -238,7 +359,9 @@ def test_subgraph_checks_report_a_wrong_reading(monkeypatch):
     """One wrong reading of C5's table is a violation of the check that
     reads it, at each characteristic, with the check's detail string.  C5
     has reg 3 and nu 2; C5 minus a vertex or an edge is a path, with reg 2
-    or 3; every edge of C5 is a middle edge."""
+    or 3; every edge of C5 is a middle edge.  FL3 must refill C5's edge
+    (0, 1): ``reg 3`` exceeds both ``closed+1 = 2`` and the regularity 2
+    of ``C5 - 0`` and ``C5 - 1``, which ``C5 - (0, 1)`` shares."""
     c5 = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     name = fio.encode_graph6(c5)
     subgraph_regularity = subgraph_oracle.subgraph_regularity
