@@ -27,9 +27,19 @@ C1a builds ``G - e`` only for its matching number.
 
 Comp reads the union's regularity as the longest dims of its whole subset
 table (``regularity_oracle._walk_table``), with no Betti or witness pass.
+The table is walked once at char 0 and serves every characteristic that
+divides none of its torsion, as ``SubgraphRegularity.at`` does; only a
+characteristic that divides it is walked again.
 The theorem sweep keeps one dict, from each component graph to its shape
 and matching number, for as long as the sweep runs: the unions' components
 are relabelled corpus graphs, so each distinct one is measured once.
+
+Squeeze checks Woodroofe's ``reg <= cochord + 1`` without the cover number
+itself: it reads ``reg`` first and asks the cover search only whether a
+cover with at most ``max(reg) - 2`` parts exists, capped there and at 4.
+A refusal at that cap is the bound holding; a cover found has the least
+size, since the search deepens from one part, so a violation names the
+cover number as before.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from . import (
     regularity_oracle,
     subgraph_oracle,
 )
-from .errors import CapExceeded, TooLarge, UnknownProperty
+from .errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from .graph_core import Graph
 from .regularity_oracle import FieldSpec
 
@@ -352,12 +362,17 @@ def _check_fl3(g, chars):
 def _check_comp(u: Graph, chars):
     out = []
     comps = graph_core.components(u)
+    # ``reg_star`` of the union is the longest dims of the table over all
+    # its subsets, which uses no product formula (an edgeless union has 1,
+    # from the empty complex): ``regularity`` would combine the components
+    # and compare their sum with itself.  The char-0 table serves every
+    # characteristic that divides none of its torsion.
+    base, torsion = regularity_oracle._walk_table(u, 0)
     for c in chars:
-        # ``reg_star`` of the union is the longest dims of the table over
-        # all its subsets, which uses no product formula (an edgeless union
-        # has 1, from the empty complex): ``regularity`` would combine the
-        # components and compare their sum with itself.
-        reg = max(map(len, regularity_oracle._walk_table(u, c)[0]))
+        table = base
+        if c and any(p % c == 0 for p in torsion):
+            table = regularity_oracle._walk_table(u, c)[0]
+        reg = max(map(len, table))
         reg_sum = sum(_reg_star(comp, c) - 1 for _, comp in comps) + 1
         if reg != reg_sum:
             out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
@@ -439,19 +454,38 @@ def _check_cawa(g, chars):
 
 
 def _check_squeeze(g, chars):
+    """The chain ``nu0+1 <= reg <= mm+1 <= nu+1`` and ``reg <= cochord+1``
+    at each characteristic.  The bound needs only to know whether a cover
+    with fewer than ``need = max(reg) - 1`` parts exists.  When ``need <=
+    1`` it holds: a graph with an edge has a cover.  Otherwise the cover
+    search runs with cap ``min(need - 1, 4)``.  It deepens from one part,
+    so a cover it returns has the least ``k``, and the bound fails at each
+    characteristic whose ``reg`` exceeds ``k + 1``.  A refusal at cap
+    ``need - 1`` means ``cochord >= need``, so the bound holds.  A refusal
+    at the work bound, or at cap 4 below ``need - 1``, is a skip."""
     out = []
     if g.num_edges == 0:
         return out
     lo = matchings.nu0(g) + 1
     mid = matchings.mm(g) + 1
     hi = matchings.nu(g) + 1
-    cochord_hi = chordality.cochord_number(g).k + 1
-    for c in chars:
-        reg = _reg_star(g, c)
+    regs = [(c, _reg_star(g, c)) for c in chars]
+    for c, reg in regs:
         if not (lo <= reg <= mid <= hi):
             out.append(f"char {c}: chain broken: {lo} <= {reg} <= {mid} <= {hi}")
-        if reg > cochord_hi:
-            out.append(f"char {c}: reg {reg} > cochord+1 = {cochord_hi}")
+    need = max((reg for _, reg in regs), default=0) - 1
+    if need <= 1:
+        return out
+    cap = min(need - 1, 4)
+    try:
+        k = chordality.cochord_number(g, cap=cap).k
+    except WorkBoundExceeded:
+        raise
+    except CapExceeded:
+        if cap < need - 1:
+            raise
+        return out
+    out.extend(f"char {c}: reg {reg} > cochord+1 = {k + 1}" for c, reg in regs if reg > k + 1)
     return out
 
 

@@ -8,12 +8,12 @@ import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import cameron_walker, classifier, harness, matchings, subgraph_oracle
+from eilab import cameron_walker, chordality, classifier, harness, matchings, subgraph_oracle
 from eilab import regularity_oracle as ro
-from eilab.errors import TooLarge, UnknownProperty
+from eilab.errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import brute_middle_edges, flag_rp2_complement, path, rp2_minus_vertex_and_edge
+from helpers import brute_middle_edges, complete, cycle, flag_rp2_complement, path, rp2_minus_vertex_and_edge
 
 
 def test_enumeration_counts():
@@ -400,6 +400,152 @@ def test_subgraph_checks_report_a_wrong_reading(monkeypatch):
         (name, "char 0: middle edge (0, 1): expected reg and nu preserved, got reg 2 (was 3), nu 2 (was 2)"),
         (name, "char 2: middle edge (0, 1): expected reg and nu preserved, got reg 2 (was 3), nu 2 (was 2)"),
     )
+
+
+def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
+    """Squeeze's capped search decides ``reg <= cochord_number(g).k + 1``
+    at every characteristic, on true readings and on readings raised by one
+    at char 2 (which turns every equality into a violation there).  At
+    char 0 with true readings, 599 graphs search at cap 1 and 4 at cap 2."""
+    chars = (0, 2, 3)
+    graphs = [g for g in corpus7 if g.num_edges]
+    exact = [chordality.cochord_number(g).k for g in graphs]
+    regs = [[harness._reg_star(g, c) for c in chars] for g in graphs]
+    reg_star = harness._reg_star
+    cochord_number = chordality.cochord_number
+    caps = Counter()
+
+    def counted(g, cap=4):
+        caps[cap] += 1
+        return cochord_number(g, cap)
+
+    monkeypatch.setattr(chordality, "cochord_number", counted)
+    for shift in (0, 1):
+        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg_star(g, c) + shift * (c == 2))
+        (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=chars)
+        expected = {
+            (fio.encode_graph6(g), f"char {c}: reg {r + shift * (c == 2)} > cochord+1 = {k + 1}")
+            for g, k, rs in zip(graphs, exact, regs)
+            for c, r in zip(chars, rs)
+            if r + shift * (c == 2) > k + 1
+        }
+        assert {v for v in rep.violations if "cochord" in v[1]} == expected
+        assert rep.skips == ()
+        assert bool(expected) == bool(shift)
+    monkeypatch.setattr(harness, "_reg_star", reg_star)
+    caps.clear()
+    (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0,))
+    assert rep.passed and not rep.skips
+    assert caps == {1: 599, 2: 4}
+
+
+def test_squeeze_reports_a_wrong_reading(monkeypatch):
+    """A ``reg`` read too high where the cover search then finds a cover
+    is a violation with the exact detail string, at each characteristic
+    whose reading exceeds the cover number plus one.  K4 has reg 2,
+    cochord 1 and mm 2; C5 has reg 3, cochord 2 and mm 2.  Raised by one
+    at char 2, K4's reading breaks only the bound, at cap 1, and C5's
+    breaks both, at cap 2.  Raised by one at char 0 and by two at char 2,
+    K4's search runs at cap 2 and finds its one-part cover, so both
+    characteristics break the bound."""
+    k4, c5 = complete(4), cycle(5)
+    reg_star = harness._reg_star
+
+    def violations(graphs, skew):
+        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg_star(g, c) + skew.get(c, 0))
+        (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0, 2))
+        assert rep.skips == ()
+        return rep.violations
+
+    assert violations([k4, c5], {2: 1}) == tuple(
+        sorted(
+            [
+                (fio.encode_graph6(k4), "char 2: reg 3 > cochord+1 = 2"),
+                (fio.encode_graph6(c5), "char 2: chain broken: 2 <= 4 <= 3 <= 3"),
+                (fio.encode_graph6(c5), "char 2: reg 4 > cochord+1 = 3"),
+            ]
+        )
+    )
+    assert violations([k4], {0: 1, 2: 2}) == (
+        (fio.encode_graph6(k4), "char 0: reg 3 > cochord+1 = 2"),
+        (fio.encode_graph6(k4), "char 2: chain broken: 2 <= 4 <= 3 <= 3"),
+        (fio.encode_graph6(k4), "char 2: reg 4 > cochord+1 = 2"),
+    )
+
+
+def test_squeeze_refusals(monkeypatch):
+    """The work bound is a skip at any cap, since it is a refusal, not an
+    answer.  So is the cap of 4 below ``need - 1``; at ``need - 1`` it is
+    the bound holding.  A graph with ``need <= 1`` runs no search."""
+    c5 = cycle(5)
+    name = fio.encode_graph6(c5)
+    caps = []
+
+    def refuse(error):
+        def search(g, cap=4):
+            caps.append(cap)
+            raise error("refused", best_bound=3)
+
+        monkeypatch.setattr(chordality, "cochord_number", search)
+
+    def report(reg):
+        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg)
+        (rep,) = harness.verify_lemma_suite([c5], ["Squeeze"], chars=(0,))
+        return [v for _, v in rep.violations if "cochord" in v], rep.skips
+
+    refuse(WorkBoundExceeded)
+    assert report(3) == ([], (name,))
+    refuse(CapExceeded)
+    assert report(3) == ([], ())
+    assert report(6) == ([], ())
+    assert report(7) == ([], (name,))
+    assert caps == [1, 1, 4, 4]
+    assert report(2) == ([], ()) and len(caps) == 4
+
+
+def test_squeeze_pinned_flag_reports():
+    """The capped search decides where the full one hit its work bound.
+    ``JWaqbO\\euT?`` has reg 3, 4, 3 at chars 0, 2, 3: at cap 2 and at cap
+    1 the search refuses at its cap, so both reports pass.  RP² has the
+    same readings; at cap 2 it still hits the work bound, a skip, and at
+    cap 1 it refuses at the cap and passes."""
+    j = rp2_minus_vertex_and_edge()
+    rp2 = flag_rp2_complement()
+    assert (fio.encode_graph6(j), fio.encode_graph6(rp2)) == ("JWaqbO\\euT?", "KWaqbO\\euTz[")
+
+    def outcome(g, chars):
+        (rep,) = harness.verify_lemma_suite([g], ["Squeeze"], chars=chars)
+        assert rep.violations == ()
+        return "skip" if rep.skips else "pass"
+
+    assert [outcome(g, chars) for g in (j, rp2) for chars in ((0, 2, 3), (0, 3))] == [
+        "pass",
+        "pass",
+        "skip",
+        "pass",
+    ]
+
+
+def test_comp_walks_once_per_union(corpus5, monkeypatch):
+    """Comp walks each union once, at char 0, and reads that table at every
+    characteristic that divides none of its torsion.  ``JWaqbO\\euT?`` has
+    torsion 2, so its union with a vertex is walked again at char 2 only,
+    and reads reg 3, 4, 3 at chars 0, 2, 3, as its components sum to."""
+    walks = []
+    walk_table = ro._walk_table
+
+    def counted(g, char):
+        walks.append(char)
+        return walk_table(g, char)
+
+    monkeypatch.setattr(ro, "_walk_table", counted)
+    (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], chars=(0, 2, 3))
+    assert rep.passed and not rep.skips
+    assert walks == [0] * rep.checked
+    walks.clear()
+    u = gc.disjoint_union(rp2_minus_vertex_and_edge(), gc.from_edges(1, []))
+    assert harness._check_comp(u, (0, 2, 3)) == []
+    assert walks == [0, 2]
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):
