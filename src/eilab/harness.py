@@ -15,24 +15,34 @@ its violations, calling its searches in any order: each refuses past its
 own cap.  The sweep names the graph by its graph6 string, for a violation
 and a skip (a refused search) alike, so any failure is reproducible.
 
+The lemma suite runs graph-major: each graph gets one ``_GraphFacts``
+record, which every tag's check reads and which is dropped before the
+next graph.  The record computes each fact on first use and keeps it: the
+char-0 subgraph readings (``subgraph_oracle.subgraph_regularity``) and
+their ``at(c)``, ``reg_star`` at each characteristic (the digit count of
+the largest entry of that table), ``nu``, ``nu0`` and ``mm``.  So UB, FL1,
+FL2, FL3, C1, C1a, C2 and Squeeze share one walk of the graph, and a
+refusal is kept as well, so that every tag needing the refused fact skips
+the graph.  A report's ``seconds`` is the sum of its tag's check time.
+
 FL1, FL2, FL3 and C1a walk no surgery and add nothing to the oracle's
 memo: they read the regularity of ``G - x``, ``G - N[x]``, ``G - N[e]``
-and any other induced subgraph off one subset table of ``G``
-(``subgraph_oracle.subgraph_regularity``), and that of ``G - e`` off a
-copy that refills only the subsets holding both ends.  FL3 decides an
-edge from the table first: ``G - e`` shares the subsets missing ``u`` or
-``v``, so ``reg(G - e)`` is at least the larger of ``reg(G - u)`` and
-``reg(G - v)``, and only an edge that bound leaves undecided is refilled.
-C1a builds ``G - e`` only for its matching number.
+and any other induced subgraph off the graph's one subset table, and that
+of ``G - e`` off a copy that refills only the subsets holding both ends.
+FL3 decides an edge from the table first: ``G - e`` shares the subsets
+missing ``u`` or ``v``, so ``reg(G - e)`` is at least the larger of
+``reg(G - u)`` and ``reg(G - v)``, and only an edge that bound leaves
+undecided is refilled.  C1a builds ``G - e`` only for its matching number.
 
-Comp reads the union's regularity as the longest dims of its whole subset
-table (``regularity_oracle._walk_table``), with no Betti or witness pass.
-The table is walked once at char 0 and serves every characteristic that
-divides none of its torsion, as ``SubgraphRegularity.at`` does; only a
-characteristic that divides it is walked again.
-The theorem sweep keeps one dict, from each component graph to its shape
-and matching number, for as long as the sweep runs: the unions' components
-are relabelled corpus graphs, so each distinct one is measured once.
+Comp reads the union's regularity as the digit count of the largest entry
+of its whole subset table (``regularity_oracle._walk_table``), with no
+Betti or witness pass.  The table is walked once at char 0 and serves
+every characteristic that divides none of its torsion, as
+``SubgraphRegularity.at`` does; only a characteristic that divides it is
+walked again.  Comp and the theorem sweep each keep one dict from each
+component graph to the facts they compare, for as long as the sweep runs:
+the unions' components are relabelled corpus graphs, so each distinct one
+is measured once.
 
 Squeeze checks Woodroofe's ``reg <= cochord + 1`` without the cover number
 itself: it reads ``reg`` first and asks the cover search only whether a
@@ -44,6 +54,7 @@ cover number as before.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 import zlib
@@ -195,24 +206,34 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
 
 
 def _sweep(name: str, graphs, check, chars) -> SweepReport:
-    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``.
-    Each detail string it returns is a violation, and a ``CapExceeded`` a
-    skip, both named by the graph's graph6 string."""
-    start = time.monotonic()
-    violations: list[tuple[str, str]] = []
-    skips: list[str] = []
+    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``."""
+    (report,) = _sweeps({name: lambda g, chars, facts: check(g, chars)}, graphs, chars, lambda g: None)
+    return report
+
+
+def _sweeps(checks: dict, graphs, chars, facts_for) -> list[SweepReport]:
+    """One report per entry of ``checks``, graph by graph: each graph of
+    the sequence ``graphs`` gets ``facts = facts_for(g)``, then every
+    ``check(g, chars, facts)`` in turn.  Each detail string a check returns
+    is a violation, and a ``CapExceeded`` a skip, both named by the graph's
+    graph6 string.  A report's ``seconds`` sums its own check's time."""
+    violations: dict[str, list[tuple[str, str]]] = {name: [] for name in checks}
+    skips: dict[str, list[str]] = {name: [] for name in checks}
+    seconds = dict.fromkeys(checks, 0.0)
     for g in graphs:
-        try:
-            violations.extend((_g6(g), detail) for detail in check(g, chars))
-        except CapExceeded:
-            skips.append(_g6(g))
-    return SweepReport(
-        name,
-        len(graphs),
-        tuple(sorted(violations)),
-        tuple(sorted(skips)),
-        time.monotonic() - start,
-    )
+        facts = facts_for(g)
+        for name, check in checks.items():
+            start = time.monotonic()
+            try:
+                violations[name].extend((_g6(g), detail) for detail in check(g, chars, facts))
+            except CapExceeded:
+                skips[name].append(_g6(g))
+            seconds[name] += time.monotonic() - start
+        del facts  # before the next graph's record is made
+    return [
+        SweepReport(name, len(graphs), tuple(sorted(violations[name])), tuple(sorted(skips[name])), seconds[name])
+        for name in checks
+    ]
 
 
 def verify_theorem(
@@ -239,19 +260,26 @@ def verify_lemma_suite(
     chars=(0,),
     union_total_cap: int = 9,
 ) -> list[SweepReport]:
-    """One report per requested lemma tag, over the given corpus graphs;
-    ``Comp`` runs over their two-component unions instead.  Bad tags and
-    union caps are refused before any sweep runs."""
+    """One report per requested lemma tag, in the order given, over the
+    given corpus graphs; ``Comp`` runs over their two-component unions
+    instead.  The other tags run graph by graph, sharing one
+    ``_GraphFacts`` record per graph.  Bad tags and union caps are refused
+    before any sweep runs."""
     for tag in tags:
         if tag not in _LEMMA_CHECKS:
             raise UnknownProperty(
                 f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}"
             )
     unions = union_pairs(graphs, union_total_cap) if "Comp" in tags else []
-    return [
-        _sweep(tag, unions if tag == "Comp" else graphs, _LEMMA_CHECKS[tag], chars)
-        for tag in tags
-    ]
+    per_graph = {tag: _LEMMA_CHECKS[tag] for tag in tags if tag != "Comp"}
+    reports = {rep.property_name: rep for rep in _sweeps(per_graph, graphs, chars, _GraphFacts)}
+    if "Comp" in tags:
+        # component -> (nu, nu0), for this sweep only; keyed from the start
+        # by the corpus graphs, which every part of a union of two connected
+        # ones equals, so that no part is kept as a key of its own.
+        components = dict.fromkeys(graphs)
+        (reports["Comp"],) = _sweeps({"Comp": _LEMMA_CHECKS["Comp"]}, unions, chars, lambda u: components)
+    return [reports[tag] for tag in tags]
 
 
 def _g6(g: Graph) -> str:
@@ -261,16 +289,52 @@ def _g6(g: Graph) -> str:
 # -- per-graph checks ----------------------------------------------------------------
 
 
-def _reg_star(g: Graph, char: int) -> int:
-    return regularity_oracle.regularity(g, FieldSpec(char)).reg_star
+class _GraphFacts:
+    """One graph's facts, each computed on first use and then kept: the
+    subgraph readings at each characteristic, ``reg_star`` at each
+    characteristic, ``nu``, ``nu0`` and ``mm``.  A lemma sweep makes one
+    per graph and drops it before the next.
 
+    The char-0 readings are one walk of the graph; ``at(c)`` shares that
+    table with every characteristic that divides none of its torsion.  A
+    refusal is kept in place of its fact, as a copy with no traceback or
+    context that could tie it back to the record, and raised again, as a
+    fresh copy, to every check that asks."""
 
-def _subgraph_regs(g: Graph, chars):
-    """``(char, readings)`` for each characteristic: ``g``'s subset table
-    walked once at char 0 and shared by every characteristic that divides
-    none of its torsion entries."""
-    base = subgraph_oracle.subgraph_regularity(g, FieldSpec(0))
-    return [(c, base.at(FieldSpec(c))) for c in chars]
+    __slots__ = ("graph", "_known")
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._known: dict = {}
+
+    def _fact(self, key, compute):
+        known = self._known
+        if key not in known:
+            try:
+                known[key] = compute()
+            except CapExceeded as exc:
+                known[key] = copy.copy(exc)
+        value = known[key]
+        if isinstance(value, CapExceeded):
+            raise copy.copy(value)
+        return value
+
+    def readings(self, c: int) -> subgraph_oracle.SubgraphRegularity:
+        if c == 0:
+            return self._fact(("readings", 0), lambda: subgraph_oracle.subgraph_regularity(self.graph, FieldSpec(0)))
+        return self._fact(("readings", c), lambda: self.readings(0).at(FieldSpec(c)))
+
+    def reg(self, c: int) -> int:
+        return self._fact(("reg", c), lambda: self.readings(c).whole())
+
+    def nu(self) -> int:
+        return self._fact("nu", lambda: matchings.nu(self.graph))
+
+    def nu0(self) -> int:
+        return self._fact("nu0", lambda: matchings.nu0(self.graph))
+
+    def mm(self) -> int:
+        return self._fact("mm", lambda: matchings.mm(self.graph))
 
 
 def _check_theorem(g, chars, facts):
@@ -284,19 +348,19 @@ def _check_theorem(g, chars, facts):
     ]
 
 
-def _check_ub(g, chars):
+def _check_ub(g, chars, facts):
     out = []
     if g.num_edges == 0:
         return out
-    bound = matchings.mm(g) + 1
+    bound = facts.mm() + 1
     for c in chars:
-        reg = _reg_star(g, c)
+        reg = facts.reg(c)
         if reg > bound:
             out.append(f"char {c}: reg {reg} > mm+1 = {bound}")
     return out
 
 
-def _check_fl1(g, chars):
+def _check_fl1(g, chars, facts):
     """Restriction: no induced subgraph has a larger regularity.  Five
     seeded vertex subsets are read off ``g``'s own table."""
     out = []
@@ -304,7 +368,8 @@ def _check_fl1(g, chars):
     subsets = []
     for _ in range(_FL1_SAMPLES):
         subsets.append([v for v in range(g.n) if rng.random() < 0.6])
-    for c, sub in _subgraph_regs(g, chars):
+    for c in chars:
+        sub = facts.readings(c)
         reg = sub.induced(g.full_mask)
         for w in subsets:
             reg_h = sub.induced(sum(1 << v for v in w))
@@ -313,14 +378,15 @@ def _check_fl1(g, chars):
     return out
 
 
-def _check_fl2(g, chars):
+def _check_fl2(g, chars, facts):
     """Vertex recursion: ``reg(G)`` is ``reg(G - x)`` or
     ``reg(G - N[x]) + 1`` at every vertex ``x``, in the convention that
     gives every edgeless graph 1.  Both are induced subgraphs, read off
     ``g``'s own table."""
     out = []
     full = g.full_mask
-    for c, sub in _subgraph_regs(g, chars):
+    for c in chars:
+        sub = facts.readings(c)
         reg = max(sub.induced(full), 1)
         for x in range(g.n):
             minus = max(sub.induced(full ^ 1 << x), 1)
@@ -333,7 +399,7 @@ def _check_fl2(g, chars):
     return out
 
 
-def _check_fl3(g, chars):
+def _check_fl3(g, chars, facts):
     """Edge recursion: ``reg(G) <= max(reg(G - e), reg(G - N[e]) + 1)``
     at every edge, in FL2's convention.  ``G - N[e]`` is read off ``g``'s
     own table.  So is a lower bound on ``reg(G - e)``: the larger of
@@ -342,7 +408,8 @@ def _check_fl3(g, chars):
     the subsets holding both ends for ``reg(G - e)`` itself."""
     out = []
     full = g.full_mask
-    for c, sub in _subgraph_regs(g, chars):
+    for c in chars:
+        sub = facts.readings(c)
         reg = max(sub.induced(full), 1)
         for e in g.edges:
             u, v = e
@@ -359,38 +426,60 @@ def _check_fl3(g, chars):
     return out
 
 
-def _check_comp(u: Graph, chars):
+def _check_comp(u: Graph, chars, facts):
+    """``reg``, ``nu`` and ``nu0`` add over the components of ``u``.
+
+    ``reg_star`` of the union is the digit count of the largest entry of
+    its table over all its subsets, which uses no product formula (an
+    edgeless union has 1, from the empty complex): ``regularity`` would
+    combine the components and compare their sum with itself.  Each
+    component's ``reg_star`` is read off the same table, over the subsets
+    of its own vertices, which the walk fills as it would the component's
+    own table.  The char-0 table serves every characteristic that divides
+    none of its torsion.  Each component's ``nu`` and ``nu0`` come from,
+    or are recorded in, the sweep's ``facts``."""
     out = []
-    comps = graph_core.components(u)
-    # ``reg_star`` of the union is the longest dims of the table over all
-    # its subsets, which uses no product formula (an edgeless union has 1,
-    # from the empty complex): ``regularity`` would combine the components
-    # and compare their sum with itself.  The char-0 table serves every
-    # characteristic that divides none of its torsion.
     base, torsion = regularity_oracle._walk_table(u, 0)
+    parts = []
+    for verts, comp in graph_core.components(u):
+        if facts.get(comp) is None:
+            facts[comp] = (matchings.nu(comp), matchings.nu0(comp))
+        parts.append((verts, *facts[comp]))
     for c in chars:
         table = base
         if c and any(p % c == 0 for p in torsion):
             table = regularity_oracle._walk_table(u, c)[0]
-        reg = max(map(len, table))
-        reg_sum = sum(_reg_star(comp, c) - 1 for _, comp in comps) + 1
+        reg = regularity_oracle._digits(max(table))
+        reg_sum = sum(regularity_oracle._digits(max(_submask_entries(table, verts))) - 1 for verts, _, _ in parts) + 1
         if reg != reg_sum:
             out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
-    if matchings.nu(u) != sum(matchings.nu(comp) for _, comp in comps):
+    if matchings.nu(u) != sum(nu for _, nu, _ in parts):
         out.append("matching number not additive over components")
-    if matchings.nu0(u) != sum(matchings.nu0(comp) for _, comp in comps):
+    if matchings.nu0(u) != sum(nu0 for _, _, nu0 in parts):
         out.append("induced matching number not additive over components")
     return out
 
 
-def _check_c1(g, chars):
+def _submask_entries(table: list, verts: tuple[int, ...]) -> list:
+    """The entries of ``table`` at the subsets of ``verts``, in ascending
+    order."""
+    mask = sum(1 << v for v in verts)
+    sub = 0
+    entries = [table[0]]
+    while sub != mask:
+        sub = (sub - mask) & mask  # the next submask, ascending
+        entries.append(table[sub])
+    return entries
+
+
+def _check_c1(g, chars, facts):
     if classifier.contains_c5_subgraph(g):
         return []
-    nu = matchings.nu(g)
-    tight = [c for c in chars if _reg_star(g, c) == nu + 1]
+    nu = facts.nu()
+    tight = [c for c in chars if facts.reg(c) == nu + 1]
     if not tight:
         return []
-    nu0 = matchings.nu0(g)
+    nu0 = facts.nu0()
     if nu == nu0:
         return []
     return [f"char {c}: C5-free, reg = nu+1 but nu {nu} != nu0 {nu0}" for c in tight]
@@ -407,13 +496,14 @@ def _middle_edges(g: Graph):
             yield (u, v)
 
 
-def _check_c1a(g, chars):
+def _check_c1a(g, chars, facts):
     """Where ``reg = nu + 1``, deleting an edge in the middle of a path on
     three edges keeps both ``reg`` and ``nu``; ``reg(G - e)`` is read off
     ``g``'s table."""
     out = []
-    nu = matchings.nu(g)
-    for c, sub in _subgraph_regs(g, chars):
+    nu = facts.nu()
+    for c in chars:
+        sub = facts.readings(c)
         reg = sub.induced(g.full_mask)
         if reg != nu + 1:
             continue
@@ -428,18 +518,18 @@ def _check_c1a(g, chars):
     return out
 
 
-def _check_c2(g, chars):
+def _check_c2(g, chars, facts):
     if not g.is_connected() or not classifier.contains_c5_subgraph(g):
         return []
-    nu = matchings.nu(g)
+    nu = facts.nu()
     return [
         f"char {c}: contains C5, reg = nu+1, but not the pentagon"
         for c in chars
-        if _reg_star(g, c) == nu + 1 and not classifier.pentagon_test(g)
+        if facts.reg(c) == nu + 1 and not classifier.pentagon_test(g)
     ]
 
 
-def _check_cawa(g, chars):
+def _check_cawa(g, chars, facts):
     if not g.is_connected() or g.n == 0:
         return []
     shape = cameron_walker.recognize_structural(g)
@@ -453,7 +543,7 @@ def _check_cawa(g, chars):
     return []
 
 
-def _check_squeeze(g, chars):
+def _check_squeeze(g, chars, facts):
     """The chain ``nu0+1 <= reg <= mm+1 <= nu+1`` and ``reg <= cochord+1``
     at each characteristic.  The bound needs only to know whether a cover
     with fewer than ``need = max(reg) - 1`` parts exists.  When ``need <=
@@ -466,10 +556,10 @@ def _check_squeeze(g, chars):
     out = []
     if g.num_edges == 0:
         return out
-    lo = matchings.nu0(g) + 1
-    mid = matchings.mm(g) + 1
-    hi = matchings.nu(g) + 1
-    regs = [(c, _reg_star(g, c)) for c in chars]
+    lo = facts.nu0() + 1
+    mid = facts.mm() + 1
+    hi = facts.nu() + 1
+    regs = [(c, facts.reg(c)) for c in chars]
     for c, reg in regs:
         if not (lo <= reg <= mid <= hi):
             out.append(f"char {c}: chain broken: {lo} <= {reg} <= {mid} <= {hi}")

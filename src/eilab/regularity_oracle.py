@@ -9,9 +9,13 @@ homology in degree ``j - i - 1`` over subsets of size ``j``.
 
 The sweep is one table over vertex subsets: ``W`` is visited in
 ascending order, so every proper submask of ``W`` already has its dims
-when ``W`` is reached.  Four observations spare most of the work: the first
-two fill table entries without building a complex, the last the whole
-table of a disconnected graph:
+when ``W`` is reached.  ``table[W]`` is one integer: the dimension of the
+reduced homology of ``Ind(G[W])`` in degree ``k - 1`` is its digit ``k``,
+``_WIDTH`` bits wide.  No dim exceeds the number of faces of its degree,
+at most ``comb(ORACLE_VERTEX_CAP, ORACLE_VERTEX_CAP // 2)``, so the top
+bit of every digit stays clear.  Four observations spare most of the
+work: the first two fill table entries without building a complex, the
+last the whole table of a disconnected graph:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
   with no reduced homology;
@@ -19,11 +23,13 @@ table of a disconnected graph:
   the cone ``v * Ind(G[W - N[v]])``, which meet in ``Ind(G[W - N[v]])``
   (Adamaszek's splitting).  When no degree has homology in both, the
   Mayer-Vietoris sequence makes the dims of ``W`` those of ``W - v`` plus
-  those of ``W - N[v]`` one degree up.  Counting from degree -1, where the
-  empty complex has its homology, this covers a vertex adjacent to the
-  rest of ``W``; and Engstrom's fold lemma, ``N(u)`` contained in
-  ``N(v)`` for another vertex ``u``, is the case where ``u`` is isolated
-  in ``G[W - N[v]]``, so that ``W`` takes the dims of ``W - v``;
+  those of ``W - N[v]`` one degree up: ``a + (b << _WIDTH)`` on the packed
+  entries, once a carry-free test on their digits finds no degree nonzero
+  in both.  Counting from degree -1, where the empty complex has its
+  homology, this covers a vertex adjacent to the rest of ``W``; and
+  Engstrom's fold lemma, ``N(u)`` contained in ``N(v)`` for another vertex
+  ``u``, is the case where ``u`` is isolated in ``G[W - N[v]]``, so that
+  ``W`` takes the dims of ``W - v``;
 * boundary ranks start with sparse elimination on pivots equal to +1 or
   -1, in every characteristic.  Those steps are unimodular, so they keep
   the rank over the integers and over every field;
@@ -47,13 +53,26 @@ again.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice, zip_longest
+from itertools import compress, islice
+from math import comb
 
 from .errors import CapExceeded, NotApplicable
 from .graph_core import Graph, _bits, components
 
 ORACLE_VERTEX_CAP = 16
+
+# The packed subset table: digit ``k`` of ``table[W]`` is ``_WIDTH`` bits
+# wide, enough for any face count below the cap with the top bit clear.
+# ``a + _MID`` sets the top bit of exactly the nonzero digits of ``a``
+# without a carry, so ``(a + _MID) & (b + _MID) & _HIGH`` marks the digits
+# nonzero in both.
+_WIDTH = comb(ORACLE_VERTEX_CAP, ORACLE_VERTEX_CAP // 2).bit_length() + 1
+_DIGIT = (1 << _WIDTH) - 1
+_ONES = sum(1 << _WIDTH * k for k in range(ORACLE_VERTEX_CAP + 1))
+_HIGH = _ONES << _WIDTH - 1
+_MID = _HIGH - _ONES
 
 
 @dataclass(frozen=True)
@@ -122,14 +141,6 @@ class RegularityResult:
     def reg_ideal(self) -> int | None:
         """Regularity of the edge ideal; None when there is no edge."""
         return self.reg_star if self.witness_subset is not None else None
-
-    @property
-    def reg_recursion(self) -> int:
-        """The convention under which the vertex and edge deletion
-        recursions are exact: ``reg I(G)`` when an edge exists and 1 for
-        every edgeless graph, including the empty graph (its quotient ring
-        is the field itself)."""
-        return max(self.reg_star, 1)
 
 
 def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
@@ -232,99 +243,106 @@ def _subset_walk(g: Graph, char: int):
     """The subset walk over the whole graph, connected or not: returns
     (reg_quotient, witness subset, betti entries, torsion), unmemoized.
 
-    ``_fill`` builds the table over every subset in ascending order; each
-    nonzero dim is a Betti entry, and the witness is a subset of the top
-    degree, the smallest and then the lexicographically first.
-    It is the reference for the component split of ``_hochster_sweep`` and,
-    at each characteristic, for its reuse of the char-0 walk.  It refuses
-    past the cap too.  The pieces it builds, and so its torsion, do not
-    depend on ``char``.
+    ``_fill`` builds the table over every subset in ascending order.  Each
+    distinct ``(|W|, table[W])`` is decoded once into Betti entries,
+    weighted by how often it occurs.  The witness is a subset of the top
+    degree, the smallest and then the lexicographically first: of two
+    subsets of one size, the first holds the lowest vertex where they
+    differ.  It is the reference for the component split of
+    ``_hochster_sweep`` and, at each characteristic, for its reuse of the
+    char-0 walk.  It refuses past the cap too.  The pieces it builds, and
+    so its torsion, do not depend on ``char``.
     """
     table, torsion = _walk_table(g, char)
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (-k, |W|, W)
+    torsion = tuple(sorted(torsion))
+    top_value = max(islice(table, 1, None), default=0)
+    if not top_value:
+        return (0, None, {}, torsion)
     betti: dict[tuple[int, int], int] = {}
-    for w_mask in compress(range(1, len(table)), islice(table, 1, None)):
-        dims = table[w_mask]
+    sizes = map(int.bit_count, compress(range(1, len(table)), islice(table, 1, None)))
+    for (size, value), count in Counter(zip(sizes, filter(None, islice(table, 1, None)))).items():
+        k = 0
+        while value:
+            if value & _DIGIT:
+                key = (size - k, size)
+                betti[key] = betti.get(key, 0) + count * (value & _DIGIT)
+            value >>= _WIDTH
+            k += 1
+    top = _digits(top_value) - 1
+    best = best_size = 0
+    for w_mask in compress(range(len(table)), map((1 << _WIDTH * top).__le__, table)):
         size = w_mask.bit_count()
-        for k, d in enumerate(dims):
-            if d:
-                betti[(size - k, size)] = betti.get((size - k, size), 0) + d
-                top = k
-        if best is None or (-top, size) <= best[:2]:
-            cand = (-top, size, tuple(_bits(w_mask)))
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return (0, None, {}, tuple(sorted(torsion)))
-    return (-best[0], best[2], betti, tuple(sorted(torsion)))
+        diff = w_mask ^ best
+        if not best or size < best_size or size == best_size and diff & -diff & w_mask:
+            best, best_size = w_mask, size
+    return (top, tuple(_bits(best)), betti, torsion)
 
 
-def _walk_table(g: Graph, char: int) -> tuple[list[tuple[int, ...]], set[int]]:
-    """The whole subset table of ``g`` at ``char``, and its torsion;
+def _digits(value: int) -> int:
+    """The digit count of a packed entry: its top homology index plus one,
+    0 for an entry with no homology."""
+    return -(-value.bit_length() // _WIDTH)
+
+
+def _walk_table(g: Graph, char: int) -> tuple[list[int], set[int]]:
+    """The whole packed subset table of ``g`` at ``char``, and its torsion;
     refused past the cap."""
     _refuse_past_cap(g)
-    table: list[tuple[int, ...]] = [()] * (1 << g.n)
-    table[0] = (1,)  # the empty complex
+    table = [0] * (1 << g.n)
+    table[0] = 1  # the empty complex: dim 1 in degree -1
     torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)
     return table, torsion
 
 
-def _fill(adj: list[int], masks, table: list[tuple[int, ...]], char: int) -> set[int]:
+def _fill(adj: list[int], masks, table: list[int], char: int) -> set[int]:
     """Write ``table[W]`` for each ``W`` of ``masks``, an ascending
     sequence, and return the torsion of the pieces built.
 
-    ``table[W][k]`` is the dimension of the reduced homology of
-    ``Ind(G[W])`` in degree ``k - 1``, ``()`` when there is none, and
-    ``table[0] = (1,)`` is the empty complex.  A proper submask of ``W``
-    that ``masks`` holds comes before ``W``; every other one must already
-    be right in ``table``.  Each ``W`` is a cone, split or built piece; the
-    dims are exact whichever fills them, and end in a nonzero entry, so
-    ``len(table[W]) - 1`` is the top homology index.  Every ``W`` is
-    written, cones and empty results as ``()``, so a table copied from
-    another graph keeps nothing stale at the masks refilled.  Equal dims
-    tuples are shared within one call.
+    ``table[W]`` packs the dims of the reduced homology of ``Ind(G[W])``:
+    digit ``k`` (bits ``k * _WIDTH`` up) holds the dim in degree ``k - 1``,
+    so ``_digits(table[W]) - 1`` is the top homology index, 0 means no
+    homology, and ``table[0] = 1`` is the empty complex.  A proper submask
+    of ``W`` that ``masks`` holds comes before ``W``; every other one must
+    already be right in ``table``.  Each ``W`` is a cone, a split or a
+    built piece.  A split takes the lowest vertex ``v`` of ``W`` for which
+    no degree has homology both in ``W - v`` and in ``W - N[v]``: then the
+    inclusion of the second complex in the first induces zero in homology,
+    and the Mayer-Vietoris sequence adds the first's dims to the second's
+    shifted up one degree.  A ``v`` with no homology in ``W - N[v]``, as
+    when ``N(u)`` lies in ``N(v)`` for some other ``u`` (a fold), shares
+    the dims of ``W - v``.  Every ``W`` is written, cones as 0, so a table
+    copied from another graph keeps nothing stale at the masks refilled.
+    Equal entries are one shared integer within a call: a table holds a
+    few dozen distinct values, and an integer object each would cost ~32
+    bytes a subset.
     """
     torsion: set[int] = set()
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     closed = {1 << v: nbrs | 1 << v for v, nbrs in enumerate(adj)}  # N[v], keyed by v's bit
+    mid, high, width = _MID, _HIGH, _WIDTH
+    shared: dict[int, int] = {}
     for w_mask in masks:
         low = w_mask & -w_mask
         if closed[low] & w_mask == low:
-            table[w_mask] = ()  # an isolated vertex makes the complex a cone
+            table[w_mask] = 0  # an isolated vertex makes the complex a cone
             continue
-        dims = _split_dims(closed, w_mask, table)
-        if dims is None:
+        rest = w_mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            a = table[w_mask ^ bit]
+            b = table[w_mask & ~closed[bit]]
+            if not a:  # the common case: all the homology comes from the link
+                value = b << width
+                break
+            if not (a + mid) & (b + mid) & high:  # dims are never negative
+                value = a + (b << width)
+                break
+        else:
             dims, diagonal = _piece_dims(adj, w_mask, char)
             torsion.update(diagonal)
-            dims = (0,) + dims
-            while dims and not dims[-1]:
-                dims = dims[:-1]
-        table[w_mask] = shared.setdefault(dims, dims) if dims else ()
+            value = sum(d << width * k for k, d in enumerate(dims, 1))
+        table[w_mask] = shared.setdefault(value, value)
     return torsion
-
-
-def _split_dims(closed: dict[int, int], alive: int, table: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The dims of ``Ind(G[alive])`` split at the lowest vertex ``v`` of
-    ``alive`` for which no degree has homology both in ``alive - v`` and in
-    ``alive - N[v]``, or None when there is none.  Then the inclusion of
-    the second complex in the first induces zero in homology, and the
-    Mayer-Vietoris sequence adds the first's dims to the second's shifted
-    up one degree.  A ``v`` with no homology in ``alive - N[v]``, as when
-    ``N(u)`` lies in ``N(v)`` for some other ``u`` (a fold), shares the
-    dims of ``alive - v``."""
-    rest = alive
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        a = table[alive ^ bit]
-        b = table[alive & ~closed[bit]]
-        if not a:  # the common case: all the homology comes from the link
-            return b and (0,) + b
-        if not b:  # e.g. a fold: some u is isolated in alive - N[v]
-            return a
-        if not any(map(min, a, b)):  # dims are never negative
-            return tuple(map(sum, zip_longest(a, (0,) + b, fillvalue=0)))
-    return None
 
 
 def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[tuple[int, ...], set[int]]:

@@ -2,18 +2,19 @@
 read off one subset table of the graph.
 
 The oracle's walk fills ``table[W]`` with the homology of ``Ind(G[W])``
-for every vertex subset ``W``.  The table of an induced subgraph ``G[W]``
-is the restriction of that table to the submasks of ``W``, so its
-regularity is a maximum over them; and ``G`` less an edge differs from
-``G`` only on the subsets holding both ends, so a copy of the table with
-those subsets walked again is the table of ``G - e``.  Nothing is
-memoized: the readings live as long as the object.
+for every vertex subset ``W``, packed into one integer whose digit count
+is the top homology index plus one.  The table of an induced subgraph
+``G[W]`` is the restriction of that table to the submasks of ``W``, so
+its regularity is a maximum of digit counts over them; and ``G`` less an
+edge differs from ``G`` only on the subsets holding both ends, so a copy
+of the table with those subsets walked again is the table of ``G - e``.
+Nothing is memoized: the readings live as long as the object.
 """
 
 from __future__ import annotations
 
 from .graph_core import Graph, _check_edge
-from .regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec, _fill, _walk_table
+from .regularity_oracle import _WIDTH, ORACLE_VERTEX_CAP, FieldSpec, _digits, _fill, _walk_table
 
 
 def subgraph_regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> SubgraphRegularity:
@@ -27,26 +28,38 @@ def subgraph_regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> SubgraphRe
 class SubgraphRegularity:
     """One graph's subset table at one characteristic, kept for reading.
 
-    ``best[W]`` is the largest ``len(table[S])`` over the submasks ``S`` of
-    ``W``: the top homology index plus one, which is ``reg_star`` of
-    ``G[W]``, and 1 on an edgeless ``W`` since the empty complex
-    ``table[0] = (1,)`` counts.  It is filled once, in ``O(n 2^n)``.
-    ``torsion`` is the walk's, as in ``_subset_walk``.
+    ``best[W]`` is the largest digit count of ``table[S]`` over the
+    submasks ``S`` of ``W``: the top homology index plus one, which is
+    ``reg_star`` of ``G[W]``, and 1 on an edgeless ``W`` since the empty
+    complex ``table[0] = 1`` counts.  It is filled at the first induced
+    reading, in ``O(n 2^n)``; ``whole`` needs no such pass.  ``torsion``
+    is the walk's, as in ``_subset_walk``.
     """
 
     __slots__ = ("characteristic", "torsion", "_graph", "_table", "_best")
 
-    def __init__(self, g: Graph, char: int, table: list[tuple[int, ...]], torsion: tuple[int, ...]):
+    def __init__(self, g: Graph, char: int, table: list[int], torsion: tuple[int, ...]):
         self.characteristic = char
         self.torsion = torsion
         self._graph = g
         self._table = table
-        self._best = _submask_max(bytes(map(len, table)), g.n)
+        self._best = None
+
+    def whole(self) -> int:
+        """``reg_star`` of ``G`` itself: the digit count of the largest
+        entry, since entries with more digits are larger; 0 for the empty
+        graph."""
+        return _digits(max(self._table)) if self._graph.n else 0
 
     def induced(self, keep_mask: int) -> int:
         """``reg_star`` of ``G[keep]``: 0 when ``keep`` is empty, 1 when
         it spans no edge."""
-        return self._best[keep_mask] if keep_mask else 0
+        if not keep_mask:
+            return 0
+        if self._best is None:
+            counts = bytes(map(_DIGIT_COUNT.__getitem__, map(int.bit_length, self._table)))
+            self._best = _submask_max(counts, self._graph.n)
+        return self._best[keep_mask]
 
     def edge_deleted(self, u: int, v: int) -> int:
         """``reg_star`` of ``G - uv``.  A subset without both ends induces
@@ -69,8 +82,8 @@ class SubgraphRegularity:
             masks.append(sub | both)
         table = list(self._table)
         _fill(adj, masks, table, self.characteristic)
-        best = self._best
-        return max(best[g.full_mask ^ 1 << u], best[g.full_mask ^ 1 << v], *(len(table[m]) for m in masks))
+        refilled = _digits(max(map(table.__getitem__, masks)))
+        return max(self.induced(g.full_mask ^ 1 << u), self.induced(g.full_mask ^ 1 << v), refilled)
 
     def at(self, field: FieldSpec) -> SubgraphRegularity:
         """The same readings over another field.  A char-0 table serves
@@ -81,9 +94,14 @@ class SubgraphRegularity:
         if c == self.characteristic:
             return self
         if self.characteristic == 0 and not any(p % c == 0 for p in self.torsion):
-            return SubgraphRegularity(self._graph, c, self._table, self.torsion)
+            shared = SubgraphRegularity(self._graph, c, self._table, self.torsion)
+            shared._best = self._best
+            return shared
         return subgraph_regularity(self._graph, field)
 
+
+# _DIGIT_COUNT[b] is the digit count of a packed entry of bit length b.
+_DIGIT_COUNT = bytes(-(-b // _WIDTH) for b in range(_WIDTH * (ORACLE_VERTEX_CAP + 1) + 1))
 
 # _AT_LEAST[v] maps a byte x to 1 when x >= v and to 0 otherwise.
 _AT_LEAST = tuple(b"\0" * v + b"\1" * (256 - v) for v in range(ORACLE_VERTEX_CAP + 2))

@@ -113,7 +113,7 @@ def test_verify_all_lemmas(capsys):
 
 def test_verify_violation_exits_1(capsys, monkeypatch):
     """A violation prints a FAIL line and one line naming each graph."""
-    monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", lambda g, chars: ["planted"] if g.n == 3 else [])
+    monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", lambda g, chars, facts: ["planted"] if g.n == 3 else [])
     code = cli.main(["verify", "--max-n", "3", "--lemmas", "UB", "--chars", "0"])
     out = capsys.readouterr().out
     assert code == 1

@@ -147,6 +147,36 @@ def test_components_reglue(corpus5):
         assert rebuilt_edges == set(g.edges)
 
 
+def test_components_shift_route_matches_drop_route(corpus6):
+    """A component on consecutive vertices is built by shifting its
+    adjacency masks down, any other by ``_drop_vertices``.  Both routes
+    give the same parts: on the unions of the n <= 6 corpus, whose parts
+    are all consecutive, and on seeded relabellings of those unions with
+    an isolated vertex added, whose parts mostly interleave."""
+    from eilab import harness
+
+    unions = harness.union_pairs(corpus6, 9)
+    rng = random.Random(2727)
+    relabelled = []
+    for u in rng.sample(unions, 200):
+        g = gc.disjoint_union(u, edgeless(1))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled.append(relabel(g, perm))
+    routes = {True: 0, False: 0}
+    for g in unions + relabelled:
+        seen = 0
+        for verts, comp in gc.components(g):
+            mask = sum(1 << v for v in verts)
+            assert verts == tuple(v for v in range(g.n) if mask >> v & 1)
+            assert gc._reach(g._adj, mask) == mask and not seen & mask
+            assert comp == gc._drop_vertices(g, g.full_mask ^ mask), (g, verts)
+            routes[verts == tuple(range(verts[0], verts[-1] + 1))] += 1
+            seen |= mask
+        assert seen == g.full_mask
+    assert routes[True] > 2 * len(unions) and routes[False] > 100
+
+
 def test_canonical_form_relabel_invariance():
     p4 = path(4)
     rev = relabel(p4, [3, 2, 1, 0])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc as gc_module
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -180,18 +181,19 @@ def test_lemma_comp_records_cap_skips():
 def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
     """Comp takes the union's regularity from the table over all its
     subsets, not from ``regularity``, which splits the union into its
-    components.  Its reading, the longest dims of the table, is the
-    whole-graph walk's ``reg_star``, and a table off by one on disconnected
-    graphs is caught on every union, at every characteristic."""
+    components.  Its reading, the digit count of the table's largest
+    entry, is the whole-graph walk's ``reg_star``, and a table off by one
+    on disconnected graphs is caught on every union, at every
+    characteristic."""
     for u in harness.union_pairs(corpus5):
         for c in (0, 2, 3):
-            assert max(map(len, ro._walk_table(u, c)[0])) == ro._subset_walk(u, c)[0] + 1
+            assert ro._digits(max(ro._walk_table(u, c)[0])) == ro._subset_walk(u, c)[0] + 1
     walk_table = ro._walk_table
 
     def off_by_one(g, char):
         table, torsion = walk_table(g, char)
         if not g.is_connected():
-            table[g.full_mask] = (0,) * max(map(len, table)) + (1,)
+            table[g.full_mask] = 1 << ro._WIDTH * ro._digits(max(table))
         return table, torsion
 
     monkeypatch.setattr(ro, "_walk_table", off_by_one)
@@ -410,8 +412,8 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
     chars = (0, 2, 3)
     graphs = [g for g in corpus7 if g.num_edges]
     exact = [chordality.cochord_number(g).k for g in graphs]
-    regs = [[harness._reg_star(g, c) for c in chars] for g in graphs]
-    reg_star = harness._reg_star
+    regs = [[ro.regularity(g, ro.FieldSpec(c)).reg_star for c in chars] for g in graphs]
+    reg_star = harness._GraphFacts.reg
     cochord_number = chordality.cochord_number
     caps = Counter()
 
@@ -421,7 +423,7 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
 
     monkeypatch.setattr(chordality, "cochord_number", counted)
     for shift in (0, 1):
-        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg_star(g, c) + shift * (c == 2))
+        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + shift * (c == 2))
         (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=chars)
         expected = {
             (fio.encode_graph6(g), f"char {c}: reg {r + shift * (c == 2)} > cochord+1 = {k + 1}")
@@ -432,7 +434,7 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
         assert {v for v in rep.violations if "cochord" in v[1]} == expected
         assert rep.skips == ()
         assert bool(expected) == bool(shift)
-    monkeypatch.setattr(harness, "_reg_star", reg_star)
+    monkeypatch.setattr(harness._GraphFacts, "reg", reg_star)
     caps.clear()
     (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0,))
     assert rep.passed and not rep.skips
@@ -449,10 +451,10 @@ def test_squeeze_reports_a_wrong_reading(monkeypatch):
     K4's search runs at cap 2 and finds its one-part cover, so both
     characteristics break the bound."""
     k4, c5 = complete(4), cycle(5)
-    reg_star = harness._reg_star
+    reg_star = harness._GraphFacts.reg
 
     def violations(graphs, skew):
-        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg_star(g, c) + skew.get(c, 0))
+        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + skew.get(c, 0))
         (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0, 2))
         assert rep.skips == ()
         return rep.violations
@@ -489,7 +491,7 @@ def test_squeeze_refusals(monkeypatch):
         monkeypatch.setattr(chordality, "cochord_number", search)
 
     def report(reg):
-        monkeypatch.setattr(harness, "_reg_star", lambda g, c: reg)
+        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg)
         (rep,) = harness.verify_lemma_suite([c5], ["Squeeze"], chars=(0,))
         return [v for _, v in rep.violations if "cochord" in v], rep.skips
 
@@ -544,15 +546,123 @@ def test_comp_walks_once_per_union(corpus5, monkeypatch):
     assert walks == [0] * rep.checked
     walks.clear()
     u = gc.disjoint_union(rp2_minus_vertex_and_edge(), gc.from_edges(1, []))
-    assert harness._check_comp(u, (0, 2, 3)) == []
+    assert harness._check_comp(u, (0, 2, 3), {}) == []
     assert walks == [0, 2]
+
+
+def test_lemma_suite_walks_each_graph_once(corpus6, monkeypatch):
+    """The graph-major suite makes one char-0 walk per graph, shared by
+    FL1, FL2, FL3 and C1a, and by UB, C1, C2 and Squeeze as well, at every
+    characteristic that divides none of its torsion (the corpus has
+    none)."""
+    walks = []
+    walk_table = subgraph_oracle._walk_table
+
+    def counted(g, char):
+        walks.append((g, char))
+        return walk_table(g, char)
+
+    monkeypatch.setattr(subgraph_oracle, "_walk_table", counted)
+    tags = ["FL1", "FL2", "FL3", "C1a"]
+    for tags, chars in ((tags, (0,)), (tags, (0, 2, 3)), (tags + ["UB", "C1", "C2", "Squeeze"], (0, 2, 3))):
+        walks.clear()
+        reports = harness.verify_lemma_suite(corpus6, tags, chars=chars)
+        assert all(rep.passed and not rep.skips for rep in reports)
+        assert walks == [(g, 0) for g in corpus6], (tags, chars)
+
+
+def test_lemma_suite_repeats_its_reports(corpus6):
+    """Two identical lemma sweeps in one process give equal reports: no
+    fact carries over from one sweep, or one graph, to the next."""
+
+    def summary():
+        reports = harness.verify_lemma_suite(corpus6, harness.LEMMA_TAGS, chars=(0, 2), union_total_cap=8)
+        return [(rep.property_name, rep.checked, rep.violations, rep.skips) for rep in reports]
+
+    first = summary()
+    assert [name for name, *_ in first] == list(harness.LEMMA_TAGS)
+    assert summary() == first
+
+
+def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
+    """With the cycle collector off, each graph's record, and every
+    subgraph reading made for it, is freed by reference counting before
+    the next graph's record is made; a refusal the record keeps (the
+    17-vertex path, past the oracle's cap) holds no traceback or context."""
+    records, readings = [], []
+    record, reading = harness._GraphFacts, subgraph_oracle.SubgraphRegularity
+
+    class Record(record):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, g):
+            assert all(ref() is None for ref in records + readings), "a record outlived its graph"
+            super().__init__(g)
+            records.append(weakref.ref(self))
+
+    class Reading(reading):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            readings.append(weakref.ref(self))
+
+    monkeypatch.setattr(subgraph_oracle, "SubgraphRegularity", Reading)
+    p17 = path(ORACLE_VERTEX_CAP + 1)
+    graphs = list(corpus5) + [p17]
+    tags = [tag for tag in harness.LEMMA_TAGS if tag != "Comp"]
+    gc_module.disable()
+    try:
+        monkeypatch.setattr(harness, "_GraphFacts", Record)
+        reports = harness.verify_lemma_suite(graphs, tags, chars=(0, 2, 3))
+        assert all(ref() is None for ref in records + readings)
+        assert len(records) == len(graphs) and len(readings) > len(corpus5)
+        kept = Record(p17)
+        for _ in range(2):
+            with pytest.raises(CapExceeded, match="capped at 16 vertices"):
+                kept.reg(2)
+        refusal = kept._known[("readings", 0)]
+        assert (refusal.__traceback__, refusal.__context__) == (None, None)
+        del kept, refusal
+        assert records[-1]() is None
+    finally:
+        gc_module.enable()
+    # P17 has no pentagon, so C2 passes it; CaWa has no cap.
+    skipped = {rep.property_name for rep in reports if rep.skips == (fio.encode_graph6(p17),)}
+    assert skipped == {"UB", "FL1", "FL2", "FL3", "C1", "C1a", "Squeeze"}
+
+
+def test_comp_reads_components_off_the_union_table(corpus5):
+    """Comp reads each component's ``reg_star`` off the union's table, at
+    the subsets of the component's vertices.  That equals the component's
+    own walk, on the unions of the n <= 5 corpus and on seeded
+    relabellings where the components interleave, and Comp passes them
+    all at chars 0, 2 and 3."""
+    rng = random.Random(2828)
+    unions = harness.union_pairs(corpus5, 8)
+    shuffled = []
+    for u in rng.sample(unions, 40):
+        perm = list(range(u.n))
+        rng.shuffle(perm)
+        shuffled.append(gc.from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges]))
+    interleaved = 0
+    for u in unions + shuffled:
+        table, _ = ro._walk_table(u, 0)
+        for verts, comp in gc.components(u):
+            mask = sum(1 << v for v in verts)
+            submasks = [w for w in range(1 << u.n) if w & mask == w]
+            assert harness._submask_entries(table, verts) == [table[w] for w in submasks]
+            assert ro._digits(max(harness._submask_entries(table, verts))) == ro._subset_walk(comp, 0)[0] + 1
+            interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
+        assert harness._check_comp(u, (0, 2, 3), {}) == []
+    assert interleaved > 20
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):
     """A check returns bare detail strings; the sweep pairs each with the
     graph6 string of its graph, and sorts the pairs."""
     monkeypatch.setitem(
-        harness._LEMMA_CHECKS, "UB", lambda g, chars: ["b", "a"] if g.n == 3 else []
+        harness._LEMMA_CHECKS, "UB", lambda g, chars, facts: ["b", "a"] if g.n == 3 else []
     )
     (rep,) = harness.verify_lemma_suite(corpus5, ["UB"])
     names = sorted(fio.encode_graph6(g) for g in corpus5 if g.n == 3)
@@ -591,7 +701,7 @@ def test_lemma_tags_in_report_order():
 
 
 def test_unknown_lemma_tag(corpus5, monkeypatch):
-    def refuse(g, chars):
+    def refuse(g, chars, facts):
         raise AssertionError("a sweep ran before the tags were checked")
 
     monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", refuse)

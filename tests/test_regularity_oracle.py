@@ -111,9 +111,9 @@ def test_regularity_conventions():
     assert ro.regularity(gc.from_edges(0, []), FieldSpec(0)).reg_star == 0
     assert ro.regularity(edgeless(3), FieldSpec(0)).reg_ideal is None
     assert ro.regularity(edgeless(3), FieldSpec(0)).witness_degree is None
-    assert ro.regularity(gc.from_edges(0, [])).reg_recursion == 1
-    assert ro.regularity(edgeless(2)).reg_recursion == 1
-    assert ro.regularity(cycle(5)).reg_recursion == 3
+    assert max(ro.regularity(gc.from_edges(0, [])).reg_star, 1) == 1
+    assert max(ro.regularity(edgeless(2)).reg_star, 1) == 1
+    assert max(ro.regularity(cycle(5)).reg_star, 1) == 3
 
 
 def test_regularity_witness_revalidates(corpus5):
@@ -311,6 +311,27 @@ def _ind_dims(g: gc.Graph, w: int, char: int) -> dict[int, int]:
     return reduced_homology_dims(independence_complex(sub), FieldSpec(char))
 
 
+def test_packed_table_digits_match_per_subset_reference():
+    """Every digit of the packed table, decoded, against the per-subset
+    reference path on the flag RP^2 graph and ``JWaqbO\\euT?``, at chars
+    0, 2 and 3: each subset's table entry holds the dims of
+    ``Ind(G[W])`` from degree -1, and nothing else."""
+    for g in (flag_rp2_complement(), rp2_minus_vertex_and_edge()):
+        complexes = [
+            independence_complex(gc.induced_subgraph(g, [v for v in range(g.n) if w >> v & 1]))
+            for w in range(1 << g.n)
+        ]
+        for char in (0, 2, 3):
+            table, _ = ro._walk_table(g, char)
+            for w, (value, complex_) in enumerate(zip(table, complexes)):
+                decoded = {}
+                for t in range(-1, ro._digits(value) - 1):
+                    if value >> ro._WIDTH * (t + 1) & ro._DIGIT:
+                        decoded[t] = value >> ro._WIDTH * (t + 1) & ro._DIGIT
+                ref = {t: d for t, d in reduced_homology_dims(complex_, FieldSpec(char)).items() if d}
+                assert decoded == ref, (g.n, w, char)
+
+
 def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
     """On the pieces that the two characteristic-dependent graphs build:
     only connected pieces with no vertex
@@ -498,7 +519,7 @@ def test_recursion_value_cap():
     from the graph's subset table; both refuse past the cap, so FL2 and
     FL3 record the graph as a skip instead of checking it."""
     with pytest.raises(CapExceeded):
-        ro.regularity(path(17)).reg_recursion
+        max(ro.regularity(path(17)).reg_star, 1)
     g = path(17)
     for report in harness.verify_lemma_suite([g], ["FL2", "FL3"]):
         assert (report.checked, report.violations) == (1, ())
