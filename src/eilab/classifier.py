@@ -8,19 +8,21 @@ separately and reports both; a disagreement is surfaced as-is, never
 reconciled.  The structural side is the pentagon test and the polynomial
 shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
-matching number, summed over the components.  The field-free part
-(shape and matching number of each component) is evaluated once per
-distinct component of a graph, or of a whole sweep when the sweep hands
-``_classify`` one dict for all its graphs, and ``regularity`` once per
-characteristic; the oracle walks a graph again only at a characteristic
-that divides its torsion.
+matching number, both summed over the components: ``reg - 1`` and ``nu``
+add over them.  Each component's shape, matching number and ``reg_star``
+at each characteristic are evaluated once per distinct component of a
+graph, or of a whole sweep when the sweep hands ``_classify`` one dict for
+all its graphs.  The regularities come from one subset walk of the
+component, read at each characteristic by ``SubgraphRegularity.at``,
+which walks again only at a characteristic that divides the walk's
+torsion; the oracle's memo is not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cameron_walker, graph_core, matchings, regularity_oracle
+from . import cameron_walker, graph_core, matchings, regularity_oracle, subgraph_oracle
 from .errors import NotApplicable, NotConnected
 from .graph_core import Graph, _bits
 from .regularity_oracle import FieldSpec
@@ -81,21 +83,26 @@ def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
 
 
 def _classify(g: Graph, chars, facts: dict) -> list[ClassificationVerdict]:
-    """``classify``, taking each component's ``(shape, nu)`` from
-    ``facts`` and recording there those it computes.  A sweep passes one
-    dict for all its graphs, so a component met again, as each corpus graph
-    is inside its unions, is measured once."""
+    """``classify``, taking each component's ``(shape, nu, regs)`` from
+    ``facts`` and recording there those it computes, where ``regs`` maps
+    each characteristic of ``chars`` to the component's ``reg_star``.  A
+    sweep passes one dict, and the same ``chars``, for all its graphs, so
+    a component met again, as each corpus graph is inside its unions, is
+    measured once."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
-    regs = [(c, regularity_oracle.regularity(g, FieldSpec(c)).reg_star) for c in chars]
+    regularity_oracle.refuse_past_cap(g)
     parts = []
     for _, comp in graph_core.components(g):
-        if comp not in facts:
-            facts[comp] = (component_shape(comp), matchings.nu(comp))
+        if facts.get(comp) is None:
+            sub = subgraph_oracle.subgraph_regularity(comp)
+            regs = {c: sub.at(FieldSpec(c)).whole() for c in dict.fromkeys(chars)}
+            facts[comp] = (component_shape(comp), matchings.nu(comp), regs)
         parts.append(facts[comp])
-    shapes = tuple(shape for shape, _ in parts)
+    shapes = tuple(shape for shape, _, _ in parts)
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    target = sum(nu for _, nu in parts) + 1  # nu adds over components
+    target = sum(nu for _, nu, _ in parts) + 1  # nu adds over components
+    regs = [(c, sum(r[c] - 1 for _, _, r in parts) + 1) for c in chars]  # so does reg - 1
     return [
         ClassificationVerdict(
             structural=structural,

@@ -34,15 +34,17 @@ missing ``u`` or ``v``, so ``reg(G - e)`` is at least the larger of
 ``reg(G - u)`` and ``reg(G - v)``, and only an edge that bound leaves
 undecided is refilled.  C1a builds ``G - e`` only for its matching number.
 
-Comp reads the union's regularity as the digit count of the largest entry
-of its whole subset table (``regularity_oracle._walk_table``), with no
-Betti or witness pass.  The table is walked once at char 0 and serves
-every characteristic that divides none of its torsion, as
-``SubgraphRegularity.at`` does; only a characteristic that divides it is
-walked again.  Comp and the theorem sweep each keep one dict from each
-component graph to the facts they compare, for as long as the sweep runs:
-the unions' components are relabelled corpus graphs, so each distinct one
-is measured once.
+No sweep uses the oracle's memo.  Comp reads the regularity of the union
+and of each of its components off the union's one subset table
+(``subgraph_oracle.subgraph_regularity``): the whole table, and the
+submasks of each component's vertices.  The table is walked once at
+char 0 and serves every characteristic that divides none of its torsion,
+through ``SubgraphRegularity.at``.  The theorem sweep hands ``classify``
+one dict for the whole sweep, from each component to its shape, ``nu``
+and ``reg_star`` at each characteristic, and Comp keeps one from each
+component to its ``nu`` and ``nu0``.  Both are keyed from the start by
+the corpus graphs, which the unions' components equal, so each is
+measured once and no component ``Graph`` is kept as a key of its own.
 
 Squeeze checks Woodroofe's ``reg <= cochord + 1`` without the cover number
 itself: it reads ``reg`` first and asks the cover search only whether a
@@ -59,7 +61,6 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from functools import partial
 
 from . import (
     cameron_walker,
@@ -68,7 +69,6 @@ from . import (
     formats_io,
     graph_core,
     matchings,
-    regularity_oracle,
     subgraph_oracle,
 )
 from .errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
@@ -205,12 +205,6 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
 # -- sweeps ------------------------------------------------------------------------
 
 
-def _sweep(name: str, graphs, check, chars) -> SweepReport:
-    """Run ``check(g, chars)`` on every graph of the sequence ``graphs``."""
-    (report,) = _sweeps({name: lambda g, chars, facts: check(g, chars)}, graphs, chars, lambda g: None)
-    return report
-
-
 def _sweeps(checks: dict, graphs, chars, facts_for) -> list[SweepReport]:
     """One report per entry of ``checks``, graph by graph: each graph of
     the sequence ``graphs`` gets ``facts = facts_for(g)``, then every
@@ -248,10 +242,13 @@ def verify_theorem(
     if workers != 1:
         raise ValueError(f"sweeps run in one process; workers must be 1, got {workers}")
     graphs = list(graphs)
+    # component -> (shape, nu, regs), for this sweep only; keyed from the
+    # start by the corpus graphs, as Comp's dict is.
+    facts = dict.fromkeys(graphs)
     if include_unions:
         graphs += union_pairs(graphs, union_total_cap)
-    facts: dict = {}  # component -> (shape, nu), for this sweep only
-    return _sweep("main-theorem", graphs, partial(_check_theorem, facts=facts), tuple(chars))
+    (report,) = _sweeps({"main-theorem": _check_theorem}, graphs, tuple(chars), lambda g: facts)
+    return report
 
 
 def verify_lemma_suite(
@@ -338,8 +335,9 @@ class _GraphFacts:
 
 
 def _check_theorem(g, chars, facts):
-    """``classify``'s verdicts that disagree, with each component's shape
-    and ``nu`` taken from, or recorded in, the sweep's ``facts``."""
+    """``classify``'s verdicts that disagree, with each component's shape,
+    ``nu`` and ``reg_star`` taken from, or recorded in, the sweep's
+    ``facts``."""
     return [
         f"char {v.characteristic}: structural={v.structural} "
         f"numeric={v.numeric} shapes={v.component_shapes}"
@@ -429,28 +427,26 @@ def _check_fl3(g, chars, facts):
 def _check_comp(u: Graph, chars, facts):
     """``reg``, ``nu`` and ``nu0`` add over the components of ``u``.
 
-    ``reg_star`` of the union is the digit count of the largest entry of
-    its table over all its subsets, which uses no product formula (an
-    edgeless union has 1, from the empty complex): ``regularity`` would
-    combine the components and compare their sum with itself.  Each
-    component's ``reg_star`` is read off the same table, over the subsets
-    of its own vertices, which the walk fills as it would the component's
-    own table.  The char-0 table serves every characteristic that divides
-    none of its torsion.  Each component's ``nu`` and ``nu0`` come from,
-    or are recorded in, the sweep's ``facts``."""
+    ``reg_star`` of the union is read off its whole subset table, which
+    uses no product formula (an edgeless union has 1, from the empty
+    complex): ``regularity`` would combine the components and compare
+    their sum with itself.  Each component's ``reg_star`` is read off the
+    same table as an induced subgraph, over the subsets of its own
+    vertices, which the walk fills as it would the component's own table.
+    The char-0 table serves every characteristic that divides none of its
+    torsion.  Each component's ``nu`` and ``nu0`` come from, or are
+    recorded in, the sweep's ``facts``."""
     out = []
-    base, torsion = regularity_oracle._walk_table(u, 0)
+    base = subgraph_oracle.subgraph_regularity(u)
     parts = []
     for verts, comp in graph_core.components(u):
         if facts.get(comp) is None:
             facts[comp] = (matchings.nu(comp), matchings.nu0(comp))
-        parts.append((verts, *facts[comp]))
+        parts.append((sum(1 << v for v in verts), *facts[comp]))
     for c in chars:
-        table = base
-        if c and any(p % c == 0 for p in torsion):
-            table = regularity_oracle._walk_table(u, c)[0]
-        reg = regularity_oracle._digits(max(table))
-        reg_sum = sum(regularity_oracle._digits(max(_submask_entries(table, verts))) - 1 for verts, _, _ in parts) + 1
+        sub = base.at(FieldSpec(c))
+        reg = sub.whole()
+        reg_sum = sum(sub.induced(mask) - 1 for mask, _, _ in parts) + 1
         if reg != reg_sum:
             out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
     if matchings.nu(u) != sum(nu for _, nu, _ in parts):
@@ -458,18 +454,6 @@ def _check_comp(u: Graph, chars, facts):
     if matchings.nu0(u) != sum(nu0 for _, _, nu0 in parts):
         out.append("induced matching number not additive over components")
     return out
-
-
-def _submask_entries(table: list, verts: tuple[int, ...]) -> list:
-    """The entries of ``table`` at the subsets of ``verts``, in ascending
-    order."""
-    mask = sum(1 << v for v in verts)
-    sub = 0
-    entries = [table[0]]
-    while sub != mask:
-        sub = (sub - mask) & mask  # the next submask, ascending
-        entries.append(table[sub])
-    return entries
 
 
 def _check_c1(g, chars, facts):

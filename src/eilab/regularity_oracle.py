@@ -36,7 +36,7 @@ last the whole table of a disconnected graph:
 * the resolution of a disjoint union is the tensor product of its
   components' resolutions, so a disconnected graph gets no table: the
   regularities of its components add, their witnesses unite and their
-  Betti polynomials multiply, from each component's memoized sweep.
+  Betti polynomials multiply, from each component's own walk.
 
 Only a ``W`` that no split reduces gets its complex built.  The
 core left without a unit pivot is brought to a diagonal by unimodular
@@ -44,11 +44,10 @@ integer row and column steps (Euclid on an entry of least absolute value),
 and the rank over characteristic ``c`` is the pivot count plus the number
 of diagonal entries that ``c`` does not divide.  One exact integer path
 thus serves every field; floating point is never used, and every evaluated
-complex is checked against its Euler characteristic.
-Nothing else in the walk depends on ``c``, so one walk serves every
-characteristic that divides none of the diagonal entries other than +1 and
--1 (the walk's torsion); only a characteristic that divides one is walked
-again.
+complex is checked against its Euler characteristic.  Nothing else
+in the walk depends on ``c``, so one walk serves every characteristic that
+divides none of the diagonal entries other than +1 and -1 (the walk's
+torsion); only a characteristic that divides one is walked again.
 """
 
 from __future__ import annotations
@@ -176,18 +175,20 @@ def _hochster_sweep(g: Graph, char: int):
 
     ``torsion`` is the sorted tuple of the distinct absolute values above 1
     left on the diagonal of any piece of the walk; it does not depend on the
-    characteristic.  ``_SWEEP_MEMO[(n, edges)]`` holds the char-0 result.
-    A characteristic that divides no torsion entry gives every piece the
-    same ranks, so the same dims, and the cones and splits read only
-    the graph and the table: the char-0 table, witness and Betti entries
-    are its own.  Any other characteristic is walked again and
-    memoized under ``(n, edges, char)``.  A graph with more than
+    characteristic.  ``_SWEEP_MEMO`` holds only the graph last asked, its
+    char-0 result under ``(n, edges)``; another graph clears it, so a
+    caller asking one graph at several characteristics walks it once.  A
+    characteristic that divides no torsion entry gives every piece the
+    same ranks, so the same dims, and the cones and splits read only the
+    graph and the table: the char-0 result is its own.  Any other is walked
+    again and kept under ``(n, edges, char)``.  A graph with more than
     ``ORACLE_VERTEX_CAP`` vertices is refused.
     """
-    _refuse_past_cap(g)
+    refuse_past_cap(g)
     key = (g.n, g.edges)
     hit = _SWEEP_MEMO.get(key)
     if hit is None:
+        _SWEEP_MEMO.clear()
         hit = _SWEEP_MEMO[key] = _sweep(g, 0)
     if char and any(p % char == 0 for p in hit[3]):
         key += (char,)
@@ -198,16 +199,13 @@ def _hochster_sweep(g: Graph, char: int):
 
 
 def _sweep(g: Graph, char: int):
-    """One unmemoized sweep at ``char``: a connected graph is walked by
-    ``_subset_walk``.  A disconnected graph combines its components'
-    memoized sweeps instead: its resolution is the tensor product of
-    theirs.  The regularities add over the components with an edge.  The
-    top degree needs each of those at its own top degree, so the smallest
-    witness is the union of theirs; it is also the lexicographically first,
-    since two such unions of equal size first differ at a vertex of one
-    component.  The Betti polynomials ``1 + B`` multiply, and the torsion
-    is the union of the components'.
-    """
+    """One unmemoized sweep at ``char`` by ``_subset_walk``, of a connected
+    graph or of each distinct component of a disconnected one, whose
+    resolution is the tensor product of theirs.  The regularities add over
+    the components with an edge; the top degree needs each at its own, so
+    the union of their witnesses is the smallest and the lexicographically
+    first (two such unions of one size first differ in one component).
+    The Betti polynomials ``1 + B`` multiply; the torsions unite."""
     parts = components(g)
     if len(parts) < 2:
         return _subset_walk(g, char)
@@ -215,8 +213,9 @@ def _sweep(g: Graph, char: int):
     witness: list[int] = []
     betti = {(0, 0): 1}
     torsion: set[int] = set()
+    walked = {comp: _subset_walk(comp, char) for comp in dict.fromkeys(comp for _, comp in parts)}
     for verts, comp in parts:
-        reg_k, w_k, betti_k, torsion_k = _hochster_sweep(comp, char)
+        reg_k, w_k, betti_k, torsion_k = walked[comp]
         torsion.update(torsion_k)
         if w_k is None:
             continue  # an isolated vertex
@@ -234,7 +233,8 @@ def _sweep(g: Graph, char: int):
     return (reg_q, tuple(sorted(witness)), betti, tuple(sorted(torsion)))
 
 
-def _refuse_past_cap(g: Graph) -> None:
+def refuse_past_cap(g: Graph) -> None:
+    """Raise ``CapExceeded`` for a graph past ``ORACLE_VERTEX_CAP``."""
     if g.n > ORACLE_VERTEX_CAP:
         raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
 
@@ -287,7 +287,7 @@ def _digits(value: int) -> int:
 def _walk_table(g: Graph, char: int) -> tuple[list[int], set[int]]:
     """The whole packed subset table of ``g`` at ``char``, and its torsion;
     refused past the cap."""
-    _refuse_past_cap(g)
+    refuse_past_cap(g)
     table = [0] * (1 << g.n)
     table[0] = 1  # the empty complex: dim 1 in degree -1
     torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)

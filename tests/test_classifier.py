@@ -4,11 +4,19 @@ import pytest
 
 from eilab import classifier as cl
 from eilab import graph_core as gc
-from eilab import harness
-from eilab.errors import NotApplicable, NotConnected
-from eilab.regularity_oracle import FieldSpec
+from eilab import harness, subgraph_oracle
+from eilab.errors import CapExceeded, NotApplicable, NotConnected
+from eilab.regularity_oracle import FieldSpec, regularity
 
-from helpers import brute_contains_c5, cycle, edgeless, flag_rp2_complement, path, star
+from helpers import (
+    brute_contains_c5,
+    cycle,
+    edgeless,
+    flag_rp2_complement,
+    path,
+    rp2_minus_vertex_and_edge,
+    star,
+)
 
 
 def test_pentagon_test():
@@ -99,6 +107,36 @@ def test_classify_field_free_side_once(monkeypatch):
     assert len(verdicts) == 3
     assert calls == {"shape": 3, "nu": [comp for _, comp in gc.components(u)]}
     assert all(v.numeric == (v.reg_star == nu(u) + 1) for v in verdicts)
+
+
+def test_classify_reads_regularity_per_component(corpus7, monkeypatch):
+    """The numeric side sums each component's ``reg_star - 1``, read off
+    one walk of the component.  It equals the whole graph's ``regularity``
+    at chars 0, 2 and 3 on the n <= 7 corpus, its unions up to 9 vertices,
+    RP^2, RP^2 plus C4 and ``JWaqbO\\euT?``.  Each distinct component is
+    walked once at char 0, and again at char 2 only where the walk has
+    torsion 2.  A graph past the oracle's cap is refused whole, though
+    each of its components is under it."""
+    rp2 = flag_rp2_complement()
+    graphs = list(corpus7) + harness.union_pairs(corpus7, 9)
+    graphs += [rp2, gc.disjoint_union(rp2, cycle(4)), rp2_minus_vertex_and_edge()]
+    walks = []
+    walk_table = subgraph_oracle._walk_table
+
+    def counted(g, char):
+        walks.append(char)
+        return walk_table(g, char)
+
+    monkeypatch.setattr(subgraph_oracle, "_walk_table", counted)
+    for g in graphs:
+        walks.clear()
+        verdicts = cl.classify(g, (0, 2, 3))
+        assert [v.reg_star for v in verdicts] == [regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)], g
+        torsion = g.n >= 11  # a component from RP^2; the corpus and its unions stay under 10 vertices
+        distinct = {comp for _, comp in gc.components(g)}
+        assert walks == [0, 2] * torsion + [0] * (len(distinct) - torsion), g
+    with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 18"):
+        cl.classify(gc.disjoint_union(cycle(9), cycle(9)), (0,))
 
 
 def test_classify_agreement_on_corpus(corpus6):

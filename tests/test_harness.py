@@ -102,7 +102,7 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
     components are corpus graphs, and a second sweep starts afresh.  Its
     report is the one that plain ``classify`` gives graph by graph."""
 
-    def plain(g, chars):
+    def plain(g, chars, facts):
         return [
             f"char {v.characteristic}: structural={v.structural} "
             f"numeric={v.numeric} shapes={v.component_shapes}"
@@ -111,7 +111,7 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
         ]
 
     graphs = list(corpus5) + harness.union_pairs(corpus5)
-    reference = harness._sweep("main-theorem", graphs, plain, (0, 2))
+    (reference,) = harness._sweeps({"main-theorem": plain}, graphs, (0, 2), lambda g: None)
     measured = []
     stores = []
     shape, nu, classify = classifier.component_shape, matchings.nu, classifier._classify
@@ -188,7 +188,7 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
     for u in harness.union_pairs(corpus5):
         for c in (0, 2, 3):
             assert ro._digits(max(ro._walk_table(u, c)[0])) == ro._subset_walk(u, c)[0] + 1
-    walk_table = ro._walk_table
+    walk_table = subgraph_oracle._walk_table
 
     def off_by_one(g, char):
         table, torsion = walk_table(g, char)
@@ -196,7 +196,7 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
             table[g.full_mask] = 1 << ro._WIDTH * ro._digits(max(table))
         return table, torsion
 
-    monkeypatch.setattr(ro, "_walk_table", off_by_one)
+    monkeypatch.setattr(subgraph_oracle, "_walk_table", off_by_one)
     graphs = harness.corpus_up_to(4).graphs
     (rep,) = harness.verify_lemma_suite(graphs, ["Comp"], chars=(0, 2), union_total_cap=6)
     assert rep.checked == len(harness.union_pairs(graphs, 6))
@@ -204,7 +204,7 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
     assert all("!= component sum" in detail for _, detail in rep.violations)
 
 
-def _fl3_reference(g, chars):
+def _fl3_reference(g, chars, facts):
     """FL3 with ``G - e`` refilled at every edge."""
     out = []
     full = g.full_mask
@@ -245,7 +245,7 @@ def test_fl3_refills_only_undecided_edges(corpus7, monkeypatch):
     rp2, rp2_less = flag_rp2_complement(), rp2_minus_vertex_and_edge()
     runs = [(corpus7, (0,))] + [([g], (c,)) for g in (rp2, rp2_less) for c in (0, 2, 3)]
     for graphs, chars in runs:
-        reference = harness._sweep("FL3", graphs, _fl3_reference, chars)
+        (reference,) = harness._sweeps({"FL3": _fl3_reference}, graphs, chars, lambda g: None)
         (rep,) = harness.verify_lemma_suite(graphs, ["FL3"], chars=chars)
         assert (rep.checked, rep.violations, rep.skips) == (reference.checked, reference.violations, reference.skips)
     edge_deleted = subgraph_oracle.SubgraphRegularity.edge_deleted
@@ -331,6 +331,23 @@ def test_subgraph_checks_build_no_surgery(corpus6, monkeypatch):
     monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
     reports = harness.verify_lemma_suite(corpus6, ["FL1", "FL2", "FL3", "C1a"], chars=(0, 2, 3))
     assert [(rep.checked, rep.violations, rep.skips) for rep in reports] == [(len(corpus6), (), ())] * 4
+    assert ro._SWEEP_MEMO == {}
+
+
+def test_theorem_sweep_leaves_the_oracle_memo_empty(corpus5, monkeypatch):
+    """The theorem sweep reads each component's regularity off its own
+    subset walk: with ``regularity`` and the memoized sweep refusing, it
+    passes on the n <= 5 corpus and its unions at chars 0, 2 and 3, and
+    the oracle's memo stays empty."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem sweep asked the memoized oracle")
+
+    monkeypatch.setattr(ro, "regularity", refuse)
+    monkeypatch.setattr(ro, "_hochster_sweep", refuse)
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    rep = harness.verify_theorem(corpus5, chars=(0, 2, 3))
+    assert rep.passed and not rep.skips and rep.checked == len(corpus5) + len(harness.union_pairs(corpus5))
     assert ro._SWEEP_MEMO == {}
 
 
@@ -534,13 +551,13 @@ def test_comp_walks_once_per_union(corpus5, monkeypatch):
     torsion 2, so its union with a vertex is walked again at char 2 only,
     and reads reg 3, 4, 3 at chars 0, 2, 3, as its components sum to."""
     walks = []
-    walk_table = ro._walk_table
+    walk_table = subgraph_oracle._walk_table
 
     def counted(g, char):
         walks.append(char)
         return walk_table(g, char)
 
-    monkeypatch.setattr(ro, "_walk_table", counted)
+    monkeypatch.setattr(subgraph_oracle, "_walk_table", counted)
     (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], chars=(0, 2, 3))
     assert rep.passed and not rep.skips
     assert walks == [0] * rep.checked
@@ -648,11 +665,12 @@ def test_comp_reads_components_off_the_union_table(corpus5):
     interleaved = 0
     for u in unions + shuffled:
         table, _ = ro._walk_table(u, 0)
+        sub = subgraph_oracle.subgraph_regularity(u)
         for verts, comp in gc.components(u):
             mask = sum(1 << v for v in verts)
             submasks = [w for w in range(1 << u.n) if w & mask == w]
-            assert harness._submask_entries(table, verts) == [table[w] for w in submasks]
-            assert ro._digits(max(harness._submask_entries(table, verts))) == ro._subset_walk(comp, 0)[0] + 1
+            assert sub.induced(mask) == ro._digits(max(table[w] for w in submasks))
+            assert sub.induced(mask) == ro._subset_walk(comp, 0)[0] + 1
             interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
         assert harness._check_comp(u, (0, 2, 3), {}) == []
     assert interleaved > 20
@@ -678,7 +696,7 @@ def test_union_cap_past_graph6_limit_refused(monkeypatch):
 
     g40 = path(40)
     monkeypatch.setattr(gc, "disjoint_union", refuse)
-    monkeypatch.setattr(harness, "_sweep", refuse)
+    monkeypatch.setattr(harness, "_sweeps", refuse)
     for tags in (["Comp"], ["UB", "Comp"]):
         with pytest.raises(TooLarge, match="unions cap at 62 vertices"):
             harness.verify_lemma_suite([g40], tags, union_total_cap=80)

@@ -118,7 +118,8 @@ def test_record_leaking_into_the_next_graph(corpus6, monkeypatch):
 
     def fresh(tag):
         check = harness._LEMMA_CHECKS[tag]
-        return harness._sweep(tag, corpus6, lambda g, chars: check(g, chars, _ReferenceFacts(g)), chars)
+        (report,) = harness._sweeps({tag: check}, corpus6, chars, _ReferenceFacts)
+        return report
 
     def summary(reports):
         return [(r.property_name, r.checked, r.violations, r.skips) for r in reports]

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from eilab import cli
 from eilab import graph_core as gc
 from eilab import harness
 from eilab import matchings as M
@@ -265,8 +266,8 @@ def test_one_walk_serves_every_characteristic(corpus7, monkeypatch):
             ro.regularity(g, FieldSpec(char))
             if g.num_edges:
                 ro.betti_table(g, FieldSpec(char))
+        assert ro._hochster_sweep(g, 0)[3] == (), g.edges  # the memo holds g
     assert sorted(walks) == sorted((g.n, g.edges, 0) for g in connected)
-    assert all(entry[3] == () for entry in ro._SWEEP_MEMO.values())
     n14 = _oracle_n14_graphs()
     assert len(gc.components(n14[3])) == 2
     for g in n14:
@@ -302,6 +303,58 @@ def test_torsion_fallback_flag_rp2(corpus6, monkeypatch):
     for g in graphs:
         for char in (0, 2, 3, 5):
             assert ro._hochster_sweep(g, char) == reference(g, char), (g.n, g.edges, char)
+
+
+def test_union_walks_each_distinct_component(monkeypatch):
+    """A disconnected graph walks each distinct component once per walked
+    characteristic: C5 + C5 + C5 at chars 0, 2 and 3 walks C5 once, and
+    C4 + RP^2 walks both again at char 2, the characteristic that divides
+    RP^2's torsion."""
+    walks = _count_walks(monkeypatch)
+    c5 = cycle(5)
+    triple = gc.disjoint_union(gc.disjoint_union(c5, c5), c5)
+    for char in (0, 2, 3):
+        assert ro.regularity(triple, FieldSpec(char)).reg_star == 7
+    assert walks == [(5, c5.edges, 0)]
+    rp2, c4 = flag_rp2_complement(), cycle(4)
+    union = gc.disjoint_union(c4, rp2)
+    walks.clear()
+    for char in (0, 2, 3):
+        ro.regularity(union, FieldSpec(char))
+    assert sorted(walks) == sorted([(4, c4.edges, 0), (4, c4.edges, 2), (12, rp2.edges, 0), (12, rp2.edges, 2)])
+
+
+class _OneGraphWatch(dict):
+    """The oracle's memo, recording the most graphs it held at once."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len({k[:2] for k in self}))
+
+
+def test_sweep_memo_holds_one_graph(corpus6, monkeypatch, capsys, tmp_path):
+    """The memo keeps only the graph last asked: ``regularity`` and
+    ``betti_table`` at chars 0, 2 and 3 over the n <= 6 corpus, and
+    ``eilab reg`` over it as a graph6 file, never leave more than one
+    graph's results in it."""
+    memo = _OneGraphWatch()
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", memo)
+    for g in corpus6:
+        for char in (0, 2, 3):
+            ro.regularity(g, FieldSpec(char))
+            if g.num_edges:
+                ro.betti_table(g, FieldSpec(char))
+    last = corpus6[-1]
+    assert memo.most == 1 and set(memo) == {(last.n, last.edges)}
+    memo = _OneGraphWatch()
+    monkeypatch.setattr(ro, "_SWEEP_MEMO", memo)
+    g6 = tmp_path / "corpus6.g6"
+    g6.write_text("".join(encode_graph6(g) + "\n" for g in corpus6))
+    assert cli.main(["reg", "--g6", str(g6), "--char", "0", "--char", "2", "--char", "3"]) == 0
+    assert capsys.readouterr().out.count("\r\n") == len(corpus6) + 1
+    assert memo.most == 1 and set(memo) == {(last.n, last.edges)}
 
 
 def _ind_dims(g: gc.Graph, w: int, char: int) -> dict[int, int]:
