@@ -291,6 +291,13 @@ def canonical_form(g: Graph) -> Graph:
     only one vertex of each twin class is tried: twins outside the placed
     prefix give the same column, and swapping them is an automorphism
     fixing the prefix, so their subtrees give the same strings.
+
+    Each unplaced vertex carries its column against the placed prefix,
+    extended by one bit per placement.  A node knows whether its prefix
+    equals the best string's or is already below it; below, every leaf
+    improves the best, after which the prefix equals the new best's.  When
+    equal, the candidates are tried in increasing column order up to the
+    first column above the best's at that position.
     """
     n = g.n
     if n > CANONICAL_LIMIT_DEFAULT:
@@ -300,56 +307,46 @@ def canonical_form(g: Graph) -> Graph:
 
     adj = g._adj
     twins = _twin_masks(adj)
-    # Identity ordering seeds the bound; a dummy leading column keeps the
-    # column list aligned with placement positions (position 0 adds no bits).
-    best = [0] + _columns_for(adj, list(range(n)))
-    best_order = list(range(n))
+    # The identity order seeds the bound: best[j] is the column of the
+    # vertex at position j against positions 0..j-1 (best[0] is empty).
+    best = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            best[j] = best[j] << 1 | adj[j] >> i & 1
+    cols = [0] * n
 
-    placed = [0] * n
-
-    def descend(pos: int, used: int, cols: list[int]) -> None:
-        nonlocal best, best_order
+    def descend(pos: int, column: dict[int, int], below: bool) -> bool:
+        """Search below the prefix ``cols[:pos]``, ``column`` holding each
+        unplaced vertex's column against it; True if the best improved."""
+        nonlocal best
         if pos == n:
-            if cols < best:
+            if below:
                 best = list(cols)
-                best_order = list(placed)
-            return
+            return below
         candidates = []
         tried = 0
-        for v in range(n):
-            if used >> v & 1 or twins[v] & tried:
-                continue
-            tried |= 1 << v
-            col = 0
-            av = adj[v]
-            for i in range(pos):
-                col = col << 1 | (av >> placed[i] & 1)
-            candidates.append((col, v))
+        for v, col in column.items():
+            if not twins[v] & tried:
+                tried |= 1 << v
+                candidates.append((col, v))
         candidates.sort()
+        improved = False
         for col, v in candidates:
-            # Compare prefix against the current best before descending.
-            keep = True
-            for i in range(pos):
-                if cols[i] != best[i]:
-                    keep = cols[i] < best[i]
-                    break
-            else:
-                keep = col <= best[pos]
-            if not keep:
-                continue
-            placed[pos] = v
-            cols.append(col)
-            descend(pos + 1, used | 1 << v, cols)
-            cols.pop()
+            if not below and col > best[pos]:
+                break
+            cols[pos] = col
+            child = {u: c << 1 | adj[u] >> v & 1 for u, c in column.items() if u != v}
+            if descend(pos + 1, child, below or col < best[pos]):
+                improved = True
+                below = False  # the new best extends this prefix
+        return improved
 
     try:
-        descend(0, 0, [])
+        descend(0, dict.fromkeys(range(n), 0), False)
     finally:
         descend = None  # break its self-reference, so nothing waits for the collector
-    pos = [0] * n
-    for p, v in enumerate(best_order):
-        pos[v] = p
-    return Graph(n, [sum(1 << pos[u] for u in _bits(adj[v])) for v in best_order])
+    # The best string is the labelled graph: bit j - 1 - i of best[j] is x(i, j).
+    return from_edges(n, [(i, j) for j in range(n) for i in range(j) if best[j] >> j - 1 - i & 1])
 
 
 # -- internals ...............................................................
@@ -442,14 +439,3 @@ def _equitable(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[i
             out.append(cell)
         cells = out
     return cells
-
-
-def _columns_for(adj: Sequence[int], order: list[int]) -> list[int]:
-    cols = []
-    for j in range(1, len(order)):
-        col = 0
-        aj = adj[order[j]]
-        for i in range(j):
-            col = col << 1 | (aj >> order[i] & 1)
-        cols.append(col)
-    return cols

@@ -61,6 +61,19 @@ class SubgraphRegularity:
             self._best = _submask_max(counts, self._graph.n)
         return self._best[keep_mask]
 
+    def induced_direct(self, keep_mask: int) -> int:
+        """``induced(keep_mask)``, read directly off the ``2^|keep|``
+        submasks of ``keep`` with no pass over the whole table: for a few
+        masks of a large table, such as the components of a union."""
+        if not keep_mask:
+            return 0
+        table = self._table
+        top, sub = table[keep_mask], keep_mask
+        while sub:
+            sub = (sub - 1) & keep_mask
+            top = max(top, table[sub])
+        return _digits(top)
+
     def edge_deleted(self, u: int, v: int) -> int:
         """``reg_star`` of ``G - uv``.  A subset without both ends induces
         the same graph in ``G - uv`` as in ``G``, and those subsets are the

@@ -1,9 +1,9 @@
 """Shared graph builders and independent brute-force oracles.
 
-Everything here but the last section is deliberately written against the
-most naive definitions (subset enumeration, dense Fraction elimination)
-with no code shared with the package internals, so the tests exercise
-genuinely separate routes.
+Everything here but the last two sections is deliberately written
+against the most naive definitions (subset enumeration, every vertex
+order, dense Fraction elimination) with no code shared with the package
+internals, so the tests exercise genuinely separate routes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from eilab import graph_core
+from eilab.formats_io import encode_graph6
 from eilab.graph_core import Graph, _bits
 from eilab.regularity_oracle import FieldSpec, _homology_from_masks, _independent_masks
 
@@ -103,6 +104,26 @@ def subdivide_one_edge(rng: random.Random, g: Graph) -> Graph:
     u, v = rng.choice(g.edges)
     rest = [e for e in g.edges if e != (u, v)]
     return graph_core.from_edges(g.n + 1, rest + [(u, g.n), (v, g.n)])
+
+
+# -- brute-force canonical labelling --------------------------------------------
+
+
+def column_string(g: Graph, order=None) -> tuple[int, ...]:
+    """The upper-triangle bits of ``g`` with its vertices taken in ``order``
+    (the identity by default), column by column: x(0,1), x(0,2), x(1,2),
+    x(0,3), ..., as graph6 orders them."""
+    order = range(g.n) if order is None else order
+    return tuple(int(g.has_edge(order[i], order[j])) for j in range(g.n) for i in range(j))
+
+
+def brute_canonical_form(g: Graph) -> tuple[int, ...]:
+    """The lexicographically least column string of ``g`` over all ``n!``
+    vertex orders.  A column string determines its labelled graph, so two
+    graphs are isomorphic exactly when these are equal."""
+    adj = [[int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)]
+    pairs = [(i, j) for j in range(g.n) for i in range(j)]
+    return min(tuple(adj[p[i]][p[j]] for i, j in pairs) for p in permutations(range(g.n)))
 
 
 # -- brute-force matching oracles ----------------------------------------------
@@ -598,3 +619,28 @@ def _close_down(mask: int, seen: set[int]) -> None:
         low = m & -m
         _close_down(mask ^ low, seen)
         m ^= low
+
+
+# -- the enumeration with every candidate keyed -----------------------------------
+#
+# The slow reference for ``harness._connected_levels``: the same vertex
+# augmentation with no filter before the key.
+
+
+def keyed_levels(max_n: int) -> list[tuple[Graph, ...]]:
+    """The connected graphs on 1, 2, ..., ``max_n`` vertices, one level per
+    vertex count.  Every graph of a level, attached by a new vertex to every
+    nonempty subset of its vertices, is keyed by ``canonical_key``; each
+    class is labelled by ``canonical_form``, and the level sorted by graph6
+    string."""
+    levels = [(graph_core.from_edges(1, []),)]
+    for n in range(2, max_n + 1):
+        seen: dict[int, Graph] = {}
+        for g in levels[-1]:
+            for attach in range(1, 1 << (n - 1)):
+                new_edges = [(v, n - 1) for v in range(n - 1) if attach >> v & 1]
+                cand = graph_core.from_edges(n, list(g.edges) + new_edges)
+                seen.setdefault(graph_core.canonical_key(cand), cand)
+        forms = (graph_core.canonical_form(g) for g in seen.values())
+        levels.append(tuple(sorted(forms, key=encode_graph6)))
+    return levels

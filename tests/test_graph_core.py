@@ -6,11 +6,12 @@ import random
 import pytest
 
 from eilab import graph_core as gc
+from eilab import harness
 from eilab.errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
 from eilab.formats_io import encode_graph6, parse_graph6
 from eilab.graph_core import CloseEdge, CloseVertex, DeleteEdge, DeleteVertex
 
-from helpers import cycle, path, complete, edgeless, relabel
+from helpers import brute_canonical_form, column_string, complete, cycle, edgeless, path, relabel
 
 
 def _petersen():
@@ -218,6 +219,30 @@ def test_canonical_form_twins_pruned():
     assert encode_graph6(gc.canonical_form(complete(10))) == "I" + "~" * 7 + "w"  # 45 ones
     assert encode_graph6(gc.canonical_form(edgeless(10))) == "I" + "?" * 8
     assert gc.canonical_form(complete(9)) == gc.canonical_form(relabel(complete(9), list(range(8, -1, -1))))
+
+
+def test_canonical_form_matches_brute_lex_min(corpus6):
+    """``canonical_form`` gives the least column string over every vertex
+    order (``helpers.brute_canonical_form``): on a seeded relabelling of
+    each graph of ``corpus_up_to(6)``, and on 20 seeded 7-vertex graphs,
+    connected or not."""
+    rng = random.Random(29)
+    graphs = [_shuffled(g, rng) for g in corpus6]
+    for _ in range(20):
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        graphs.append(gc.from_edges(7, [(u, v) for v in range(7) for u in range(v) if rng.random() < p]))
+    for g in graphs:
+        assert column_string(gc.canonical_form(g)) == brute_canonical_form(g), g
+
+
+def test_canonical_form_fixes_the_corpus(corpus7):
+    """The enumeration labels each graph by its canonical form, so a
+    relabelled corpus graph comes back as itself: a seeded relabelling of
+    each graph of ``corpus_up_to(7)`` and of every 50th connected
+    8-vertex graph."""
+    rng = random.Random(2929)
+    for g in corpus7 + harness.connected_graphs(8)[::50]:
+        assert gc.canonical_form(_shuffled(g, rng)) == g, g
 
 
 def test_canonical_key_on_corpus(corpus7):

@@ -14,7 +14,7 @@ from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import brute_middle_edges, complete, cycle, flag_rp2_complement, path, rp2_minus_vertex_and_edge
+from helpers import brute_middle_edges, complete, cycle, flag_rp2_complement, keyed_levels, path, rp2_minus_vertex_and_edge
 
 
 def test_enumeration_counts():
@@ -671,9 +671,23 @@ def test_comp_reads_components_off_the_union_table(corpus5):
             submasks = [w for w in range(1 << u.n) if w & mask == w]
             assert sub.induced(mask) == ro._digits(max(table[w] for w in submasks))
             assert sub.induced(mask) == ro._subset_walk(comp, 0)[0] + 1
+            assert sub.induced_direct(mask) == sub.induced(mask)
             interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
         assert harness._check_comp(u, (0, 2, 3), {}) == []
     assert interleaved > 20
+
+
+def test_comp_reads_only_each_components_submasks(corpus6, monkeypatch):
+    """Comp reads each component over its own submasks, never through the
+    submask maximum of the union's whole table, and its report over the
+    unions of the n <= 6 corpus is unchanged by that."""
+
+    def refuse(*args):
+        raise AssertionError("Comp built the union's submask maximum")
+
+    monkeypatch.setattr(subgraph_oracle, "_submask_max", refuse)
+    (rep,) = harness.verify_lemma_suite(corpus6, ["Comp"], chars=(0, 2))
+    assert (rep.checked, rep.violations, rep.skips) == (713, (), ())
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):
@@ -759,13 +773,32 @@ def test_enumerate_all_order():
 
 
 def test_connected_graphs_lex_min_once_per_class(monkeypatch):
+    """Each class is labelled once, and the augmentation filters leave
+    1,353 of the 7,815 candidates up to n = 7 to be keyed."""
     calls = []
+    keys = []
     lex_min = gc.canonical_form
+    key = gc.canonical_key
 
     def counted(g):
         calls.append(g.n)
         return lex_min(g)
 
+    def counted_key(g):
+        keys.append(g.n)
+        return key(g)
+
     monkeypatch.setattr(gc, "canonical_form", counted)
+    monkeypatch.setattr(gc, "canonical_key", counted_key)
     assert len(harness.connected_graphs(7)) == 853
     assert len(calls) == sum(harness.CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
+    assert len(keys) == 1353
+
+
+def test_enumeration_equals_keying_every_candidate(corpus7):
+    """The filtered enumeration equals the loop that keys every candidate
+    (``helpers.keyed_levels``), level by level and graph by graph, labels
+    and order included."""
+    reference = keyed_levels(7)
+    assert list(harness._connected_levels(7)) == reference
+    assert corpus7 == tuple(g for level in reference for g in level)

@@ -9,16 +9,26 @@ shows up here.
 
 from __future__ import annotations
 
+import inspect
+import random
+import textwrap
 from math import comb
 
 import pytest
 
-from eilab import harness, matchings, subgraph_oracle
+from eilab import graph_core, harness, matchings, subgraph_oracle
 from eilab import regularity_oracle as ro
 from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
 
-from helpers import brute_betti, rp2_minus_vertex_and_edge
+from helpers import (
+    brute_betti,
+    brute_canonical_form,
+    column_string,
+    keyed_levels,
+    relabel,
+    rp2_minus_vertex_and_edge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +146,67 @@ def test_record_leaking_into_the_next_graph(corpus6, monkeypatch):
 
     monkeypatch.setattr(harness, "_GraphFacts", leaky)
     assert summary(harness.verify_lemma_suite(corpus6, tags, chars=chars)) != reference
+
+
+def _rewrite(monkeypatch, module, name: str, old: str, new: str) -> None:
+    """Patch ``module.name`` with the function compiled from its own source,
+    ``old`` (which must occur exactly once) replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, old
+    namespace: dict = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), module.__dict__, namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+_NON_CUT = "if _reach(adj, 1 << v, full ^ 1 << x) == full ^ 1 << x:"
+_INVARIANT_TIE = "sorted(cand_deg[y] for y in _bits(adj[x])) <= mine:"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(_NON_CUT, "if True:"), (_INVARIANT_TIE, _INVARIANT_TIE.replace("<=", "<"))],
+    ids=["without-non-cut", "index-tie-break"],
+)
+def test_augmentation_filter_losing_classes(old, new, monkeypatch):
+    """Filter (b) of ``harness._connected_levels`` skips a candidate when a
+    non-cut vertex beats the new vertex on ``(degree, sorted neighbour
+    degrees)``.  Two mutants lose classes: one skips for any vertex that
+    beats it, cut vertex or not, and so loses the path on three vertices,
+    whose middle vertex beats both ends and cuts it; one breaks a tie on
+    the invariant by vertex index, against the new vertex, and so loses
+    every graph from ``K_2`` on, whose two vertices tie.  Caught by the
+    counts of ``CONNECTED_COUNTS`` and, with them emptied, by the loop
+    that keys every candidate (``helpers.keyed_levels``) at n <= 6.  First
+    recorded with the filters (the enumeration-pruning entry in
+    CHANGES.md)."""
+    reference = keyed_levels(6)
+    assert list(harness._connected_levels(6)) == reference
+    _rewrite(monkeypatch, harness, "_connected_levels", old, new)
+    with pytest.raises(AssertionError, match="enumeration found"):
+        harness.connected_graphs(6)
+    monkeypatch.setattr(harness, "CONNECTED_COUNTS", {})
+    assert list(harness._connected_levels(6)) != reference
+
+
+def test_lex_min_search_staying_below_after_an_improvement(corpus6, monkeypatch):
+    """``canonical_form`` holds whether its prefix is below the best string
+    or equal to it; once a child improves the best, the prefix equals the
+    new best.  A mutant that stays below takes every later leaf under that
+    prefix as an improvement, whatever its string.  Caught by
+    ``helpers.brute_canonical_form`` (every vertex order) on a seeded
+    relabelling of each graph of ``corpus_up_to(6)``.  First recorded with
+    the incremental search (the enumeration-pruning entry in CHANGES.md)."""
+    rng = random.Random(2930)
+    graphs = []
+    for g in corpus6:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    reference = [brute_canonical_form(g) for g in graphs]
+
+    def forms():
+        return [column_string(graph_core.canonical_form(g)) for g in graphs]
+
+    assert forms() == reference
+    _rewrite(monkeypatch, graph_core, "canonical_form", "below = False  # the new best extends this prefix", "pass")
+    assert forms() != reference
