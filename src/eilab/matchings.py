@@ -8,6 +8,11 @@ refuses past its own cap with ``CapExceeded`` rather than approximate: the
 matching number past ``NP_HARD_VERTEX_CAP`` vertices, the two NP-hard ones
 past that or past ``NP_HARD_EDGE_CAP`` edges.
 
+The minimum maximal matching number comes from a formula, the least
+``|C| - nu(G[C])`` over the minimal vertex covers ``C`` (see ``mm``).  Its
+certificate, and the reference the number is tested against, come from a
+branching search over matchings, one component at a time.
+
 Ties between optimal certificates break to the lexicographically smallest
 sorted edge list, which keeps golden tests stable.
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import CapExceeded
-from .graph_core import Graph, components
+from .graph_core import Graph, _bits, components
 
 NP_HARD_VERTEX_CAP = 24
 NP_HARD_EDGE_CAP = 60
@@ -166,26 +171,90 @@ def nu0(g: Graph) -> int:
 # -- minimum maximal matching -------------------------------------------------
 
 
+def mm(g: Graph) -> int:
+    """Minimum maximal matching number: the least ``|C| - nu(G[C])`` over
+    the minimal vertex covers ``C`` of ``G``.
+
+    The minimum maximal matching number is the minimum edge dominating set
+    number (Yannakakis and Gavril, *Edge dominating sets in graphs*, 1980),
+    and that is the formula, in four steps:
+
+    1. The ends of an edge dominating set ``D`` form a vertex cover: an
+       edge with neither end among them would meet no edge of ``D``.
+    2. Covering a vertex set ``C`` (every vertex of ``C`` on a chosen edge)
+       needs exactly ``|C| - nu(G[C])`` edges when no vertex of ``C`` is
+       isolated.  That many suffice: a maximum matching of ``G[C]`` and one
+       edge at each vertex it misses.  No fewer do: in a minimal covering
+       set ``F`` each edge has an end in ``C`` that no other edge of ``F``
+       touches, and the edges with two such ends, together with one edge of
+       ``F`` at each other vertex of ``C``, form a matching of ``G[C]`` with
+       ``|C| - |F|`` edges.  No vertex of a minimal cover is isolated: it has
+       a neighbour outside the cover, or the cover without it is one.  Edges
+       that cover a vertex cover dominate every edge.
+    3. ``|C| - nu(G[C])`` never drops as ``C`` grows, since a vertex adds 1
+       to ``|C|`` and at most 1 to ``nu``; so the minimal covers suffice.
+    4. A minimum edge dominating set turns into a maximal matching of the
+       same size, and a maximal matching dominates every edge.
+
+    The covers are the complements of the maximal independent sets, which
+    Bron-Kerbosch with a pivot lists (at most ``3^(n/3)`` of them, Moon and
+    Moser).  ``nu(G[C])`` is read from one memo for the call, and skipped
+    when ``ceil(|C|/2)``, the least the cover can give, is no better than
+    the best so far.
+    """
+    _check_np_caps(g, "minimum maximal matching")
+    full = g.full_mask
+    closed = [g.adj_mask(v) | 1 << v for v in range(g.n)]
+    size_fn = _nu_of_mask_fn(g)
+    best = g.n
+    # Each frame is (I, P, X): an independent set, the vertices that may
+    # still join it, and those that may not because their branch is done.
+    stack = [(0, full, 0)]
+    while stack:
+        indep, cand, done = stack.pop()
+        if not cand:
+            if not done:  # I is maximal
+                cover = full ^ indep
+                k = cover.bit_count()
+                if k + 1 >> 1 < best:
+                    best = min(best, k - size_fn(cover))
+            continue
+        # Every maximal I here holds the pivot or one of its neighbours in P:
+        # branch only on those, with the pivot that leaves the fewest.
+        branch = min((cand & closed[u] for u in _bits(cand | done)), key=int.bit_count)
+        for v in _bits(branch):
+            stack.append((indep | 1 << v, cand & ~closed[v], done & ~closed[v]))
+            cand ^= 1 << v
+            done |= 1 << v
+    return best
+
+
 def min_maximal_matching(g: Graph) -> MatchingCertificate:
-    """Smallest maximal matching, by branching on the first uncovered edge.
+    """Smallest maximal matching, lex-first, by branching on the first
+    uncovered edge.
 
     Components are searched apart: a maximal matching of a union is one of
     each component, and the lex-first optimum of a union is the union of
-    the components' lex-first optima.
+    the components' lex-first optima.  Each search starts bounded by its
+    component's ``mm``.
     """
     _check_np_caps(g, "minimum maximal matching")
     chosen = tuple(
         sorted(
             (verts[a], verts[b])
             for verts, comp in components(g)
-            for a, b in _min_maximal_edges(comp)
+            for a, b in _min_maximal_edges(comp, mm(comp))
         )
     )
     return MatchingCertificate(MatchingKind.MINIMUM_MAXIMAL, chosen, len(chosen))
 
 
-def _min_maximal_edges(g: Graph) -> tuple[tuple[int, int], ...]:
+def _min_maximal_edges(g: Graph, size: int | None = None) -> tuple[tuple[int, int], ...]:
+    """The lex-first smallest maximal matching of ``g``, by a search that
+    visits every leaf of optimal size.  ``size``, when known, bounds the
+    search from the start; without it this is the reference for ``mm``."""
     edges = g.edges
+    limit = g.n if size is None else size  # no maximal matching has n edges
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
 
     def first_uncovered(matched: int) -> tuple[int, int] | None:
@@ -195,14 +264,15 @@ def _min_maximal_edges(g: Graph) -> tuple[tuple[int, int], ...]:
         return None
 
     def search(matched: int, chosen: list[tuple[int, int]]) -> None:
-        nonlocal best
+        nonlocal best, limit
         gap = first_uncovered(matched)
         if gap is None:
             cand = (len(chosen), tuple(sorted(chosen)))
             if best is None or cand < best:
                 best = cand
+                limit = cand[0]
             return
-        if best is not None and len(chosen) + 1 > best[0]:
+        if len(chosen) + 1 > limit:
             return
         u, v = gap
         # Some chosen edge must touch u or v, else (u, v) extends the matching.
@@ -221,11 +291,6 @@ def _min_maximal_edges(g: Graph) -> tuple[tuple[int, int], ...]:
         search = None  # break its self-reference, so nothing waits for the collector
     assert best is not None
     return best[1]
-
-
-def mm(g: Graph) -> int:
-    """Minimum maximal matching number."""
-    return min_maximal_matching(g).size
 
 
 def _check_vertex_cap(g: Graph) -> None:

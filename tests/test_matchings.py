@@ -74,6 +74,41 @@ def test_against_brute_force(corpus5):
         assert M.mm(g) == brute_mm(g)
 
 
+def test_mm_cover_formula_matches_search(corpus7):
+    """``mm`` from the minimal vertex covers equals the size of the
+    branching search's matching: on ``corpus_up_to(7)``, on its
+    two-component unions up to 9 vertices, and on 40 seeded graphs with 9
+    to 12 vertices and from ``n`` edges to half the vertex pairs."""
+    from eilab import harness
+
+    graphs = list(corpus7) + harness.union_pairs(corpus7, total_cap=9)
+    rng = random.Random(30)
+    for _ in range(40):
+        n = rng.randint(9, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(gc.from_edges(n, rng.sample(pairs, rng.randint(n, len(pairs) // 2))))
+    for g in graphs:
+        assert M.mm(g) == len(M._min_maximal_edges(g)), g.edges
+
+
+def test_mm_closed_forms():
+    """``mm`` on families with known values, up to the caps: ``ceil(n/3)``
+    on ``C_n``, ``ceil((n-1)/3)`` on ``P_n``, ``floor(n/2)`` on ``K_n`` and
+    ``min(a, b)`` on ``K_{a,b}``.  The dense ones near the edge cap are past
+    the branching search in tier-1 time: it takes 0.9 s on ``K_11`` and
+    8.4 s on ``K_{6,10}``."""
+    for n in range(1, M.NP_HARD_VERTEX_CAP + 1):
+        assert M.mm(path(n)) == -(-(n - 1) // 3), n
+        if n >= 3:
+            assert M.mm(cycle(n)) == -(-n // 3), n
+        if n * (n - 1) // 2 <= M.NP_HARD_EDGE_CAP:
+            assert M.mm(complete(n)) == n // 2, n
+        for a in range(1, n // 2 + 1):
+            if a * (n - a) <= M.NP_HARD_EDGE_CAP:
+                k_ab = gc.from_edges(n, [(u, v) for u in range(a) for v in range(a, n)])
+                assert M.mm(k_ab) == a, (a, n - a)
+
+
 def test_invariant_chain(corpus6):
     for g in corpus6:
         assert M.nu0(g) <= M.mm(g) <= M.nu(g)

@@ -26,6 +26,7 @@ from helpers import (
     brute_canonical_form,
     column_string,
     keyed_levels,
+    path,
     relabel,
     rp2_minus_vertex_and_edge,
 )
@@ -210,3 +211,35 @@ def test_lex_min_search_staying_below_after_an_improvement(corpus6, monkeypatch)
     assert forms() == reference
     _rewrite(monkeypatch, graph_core, "canonical_form", "below = False  # the new best extends this prefix", "pass")
     assert forms() != reference
+
+
+@pytest.mark.parametrize(
+    "old, new, caught_on",
+    [
+        ("k - size_fn(cover)", "k - size_fn(full)", path(2)),
+        ("cand & closed[u] for u", "cand & closed[u] & ~(1 << u) for u", path(1)),
+    ],
+    ids=["nu-of-whole-graph", "pivot-left-out"],
+)
+def test_mm_cover_formula_mutants(old, new, caught_on, corpus6, monkeypatch):
+    """``matchings.mm`` takes the least ``|C| - nu(G[C])`` over the
+    complements ``C`` of the maximal independent sets that Bron-Kerbosch
+    lists.  One mutant reads ``nu(G)`` in place of ``nu(G[C])``, and so
+    gives 0 on ``K_2``.  One leaves the pivot out of its branch set, and so
+    never lists an independent set holding the pivot: on ``K_1`` it lists
+    none and returns its starting bound 1.  Each is caught by the reference
+    comparison with the branching search
+    (``test_mm_cover_formula_matches_search``), first on the named graph in
+    corpus order, where the unmutated code passes.  First recorded with the
+    cover formula (the minimum-maximal-matching entry in CHANGES.md)."""
+
+    def first_mismatch():
+        return next((g for g in corpus6 if matchings.mm(g) != len(matchings._min_maximal_edges(g))), None)
+
+    assert matchings.mm(caught_on) == len(matchings._min_maximal_edges(caught_on))
+    assert first_mismatch() is None
+    _rewrite(monkeypatch, matchings, "mm", old, new)
+    caught = first_mismatch()
+    assert caught is not None
+    assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
+    assert matchings.mm(caught_on) != len(matchings._min_maximal_edges(caught_on))
