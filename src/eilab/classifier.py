@@ -9,20 +9,21 @@ reconciled.  The structural side is the pentagon test and the polynomial
 shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
 matching number, both summed over the components: ``reg - 1`` and ``nu``
-add over them.  Each component's shape, matching number and ``reg_star``
-at each characteristic are evaluated once per distinct component of a
-graph, or of a whole sweep when the sweep hands ``_classify`` one dict for
-all its graphs.  The regularities come from one subset walk of the
-component, read at each characteristic by ``SubgraphRegularity.at``,
-which walks again only at a characteristic that divides the walk's
-torsion; the oracle's memo is not used.
+add over them, and the oracle's ``union_reg_star`` is the one statement of
+the first.  Each component's shape, matching number and ``reg_star`` at
+each characteristic are evaluated once per distinct component of a graph,
+or of a whole sweep when the sweep hands ``_classify`` one dict for all
+its graphs.  The regularities come from one subset walk of the component
+(``regularity_oracle.subgraph_regularity``), read at each characteristic
+by ``SubgraphRegularity.at``, which walks again only at a characteristic
+that divides the walk's torsion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cameron_walker, graph_core, matchings, regularity_oracle, subgraph_oracle
+from . import cameron_walker, graph_core, matchings, regularity_oracle
 from .errors import NotApplicable, NotConnected
 from .graph_core import Graph, _bits
 from .regularity_oracle import FieldSpec
@@ -95,14 +96,14 @@ def _classify(g: Graph, chars, facts: dict) -> list[ClassificationVerdict]:
     parts = []
     for _, comp in graph_core.components(g):
         if facts.get(comp) is None:
-            sub = subgraph_oracle.subgraph_regularity(comp)
+            sub = regularity_oracle.subgraph_regularity(comp)
             regs = {c: sub.at(FieldSpec(c)).whole() for c in dict.fromkeys(chars)}
             facts[comp] = (component_shape(comp), matchings.nu(comp), regs)
         parts.append(facts[comp])
     shapes = tuple(shape for shape, _, _ in parts)
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
     target = sum(nu for _, nu, _ in parts) + 1  # nu adds over components
-    regs = [(c, sum(r[c] - 1 for _, _, r in parts) + 1) for c in chars]  # so does reg - 1
+    regs = [(c, regularity_oracle.union_reg_star(r[c] for _, _, r in parts)) for c in chars]
     return [
         ClassificationVerdict(
             structural=structural,

@@ -23,27 +23,27 @@ and a skip (a refused search) alike, so any failure is reproducible.
 The lemma suite runs graph-major: each graph gets one ``_GraphFacts``
 record, which every tag's check reads and which is dropped before the
 next graph.  The record computes each fact on first use and keeps it: the
-char-0 subgraph readings (``subgraph_oracle.subgraph_regularity``) and
-their ``at(c)``, ``reg_star`` at each characteristic (the digit count of
-the largest entry of that table), ``nu``, ``nu0`` and ``mm``.  So UB, FL1,
-FL2, FL3, C1, C1a, C2 and Squeeze share one walk of the graph, and a
+char-0 subgraph readings (``regularity_oracle.subgraph_regularity``)
+and their ``at(c)``, ``reg_star`` at each characteristic (the digit count
+of the largest entry of that table), ``nu``, ``nu0`` and ``mm``.  So UB,
+FL1, FL2, FL3, C1, C1a, C2 and Squeeze share one walk of the graph, and a
 refusal is kept as well, so that every tag needing the refused fact skips
 the graph.  A report's ``seconds`` is the sum of its tag's check time.
 
-FL1, FL2, FL3 and C1a walk no surgery and add nothing to the oracle's
-memo: they read the regularity of ``G - x``, ``G - N[x]``, ``G - N[e]``
-and any other induced subgraph off the graph's one subset table, and that
-of ``G - e`` off a copy that refills only the subsets holding both ends.
+FL1, FL2, FL3 and C1a walk no surgery: they read the regularity of
+``G - x``, ``G - N[x]``, ``G - N[e]`` and any other induced subgraph off
+the graph's one subset table, and that of ``G - e`` off a copy that
+refills only the subsets holding both ends.
 FL3 decides an edge from the table first: ``G - e`` shares the subsets
 missing ``u`` or ``v``, so ``reg(G - e)`` is at least the larger of
 ``reg(G - u)`` and ``reg(G - v)``, and only an edge that bound leaves
 undecided is refilled.  C1a builds ``G - e`` only for its matching number.
 
-No sweep uses the oracle's memo.  Comp reads the regularity of the union
-and of each of its components off the union's one subset table
-(``subgraph_oracle.subgraph_regularity``): the whole table, and the
-submasks of each component's vertices.  The table is walked once at
-char 0 and serves every characteristic that divides none of its torsion,
+Comp reads the regularity of the union and of each of its components off
+the union's one subset table (``regularity_oracle.subgraph_regularity``):
+the whole table, and the submasks of each component's vertices, summed by
+``regularity_oracle.union_reg_star``.  The table is walked once at char
+0 and serves every characteristic that divides none of its torsion,
 through ``SubgraphRegularity.at``.  The theorem sweep hands ``classify``
 one dict for the whole sweep, from each component to its shape, ``nu``
 and ``reg_star`` at each characteristic, and Comp keeps one from each
@@ -74,7 +74,7 @@ from . import (
     formats_io,
     graph_core,
     matchings,
-    subgraph_oracle,
+    regularity_oracle,
 )
 from .errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from .graph_core import Graph, _bits, _reach, _twin_masks
@@ -361,9 +361,9 @@ class _GraphFacts:
             raise copy.copy(value)
         return value
 
-    def readings(self, c: int) -> subgraph_oracle.SubgraphRegularity:
+    def readings(self, c: int) -> regularity_oracle.SubgraphRegularity:
         if c == 0:
-            return self._fact(("readings", 0), lambda: subgraph_oracle.subgraph_regularity(self.graph, FieldSpec(0)))
+            return self._fact(("readings", 0), lambda: regularity_oracle.subgraph_regularity(self.graph, FieldSpec(0)))
         return self._fact(("readings", c), lambda: self.readings(0).at(FieldSpec(c)))
 
     def reg(self, c: int) -> int:
@@ -483,7 +483,7 @@ def _check_comp(u: Graph, chars, facts):
     torsion.  Each component's ``nu`` and ``nu0`` come from, or are
     recorded in, the sweep's ``facts``."""
     out = []
-    base = subgraph_oracle.subgraph_regularity(u)
+    base = regularity_oracle.subgraph_regularity(u)
     parts = []
     for verts, comp in graph_core.components(u):
         if facts.get(comp) is None:
@@ -492,7 +492,7 @@ def _check_comp(u: Graph, chars, facts):
     for c in chars:
         sub = base.at(FieldSpec(c))
         reg = sub.whole()
-        reg_sum = sum(sub.induced_direct(mask) - 1 for mask, _, _ in parts) + 1
+        reg_sum = regularity_oracle.union_reg_star(sub.induced_direct(mask) for mask, _, _ in parts)
         if reg != reg_sum:
             out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
     if matchings.nu(u) != sum(nu for _, nu, _ in parts):

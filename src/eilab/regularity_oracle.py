@@ -13,7 +13,7 @@ when ``W`` is reached.  ``table[W]`` is one integer: the dimension of the
 reduced homology of ``Ind(G[W])`` in degree ``k - 1`` is its digit ``k``,
 ``_WIDTH`` bits wide.  No dim exceeds the number of faces of its degree,
 at most ``comb(ORACLE_VERTEX_CAP, ORACLE_VERTEX_CAP // 2)``, so the top
-bit of every digit stays clear.  Four observations spare most of the
+bit of every digit stays clear.  Three observations spare most of the
 work: the first two fill table entries without building a complex, the
 last the whole table of a disconnected graph:
 
@@ -30,35 +30,37 @@ last the whole table of a disconnected graph:
   Engstrom's fold lemma, ``N(u)`` contained in ``N(v)`` for another vertex
   ``u``, is the case where ``u`` is isolated in ``G[W - N[v]]``, so that
   ``W`` takes the dims of ``W - v``;
-* boundary ranks start with sparse elimination on pivots equal to +1 or
-  -1, in every characteristic.  Those steps are unimodular, so they keep
-  the rank over the integers and over every field;
 * the resolution of a disjoint union is the tensor product of its
-  components' resolutions, so a disconnected graph gets no table: the
-  regularities of its components add, their witnesses unite and their
-  Betti polynomials multiply, from each component's own walk.
+  components' resolutions, so ``regularity`` and ``betti_table`` walk no
+  table of a disconnected graph: ``reg - 1`` adds (``union_reg_star``),
+  witnesses unite and Betti polynomials multiply, from each component's
+  own walk.
 
-Only a ``W`` that no split reduces gets its complex built.  The
-core left without a unit pivot is brought to a diagonal by unimodular
-integer row and column steps (Euclid on an entry of least absolute value),
-and the rank over characteristic ``c`` is the pivot count plus the number
-of diagonal entries that ``c`` does not divide.  One exact integer path
-thus serves every field; floating point is never used, and every evaluated
-complex is checked against its Euler characteristic.  Nothing else
-in the walk depends on ``c``, so one walk serves every characteristic that
-divides none of the diagonal entries other than +1 and -1 (the walk's
-torsion); only a characteristic that divides one is walked again.
+Only a ``W`` that no split reduces gets its complex built, and
+``homology`` takes its ranks by one exact integer path for every field.
+Nothing else in the walk depends on ``c``, so one walk serves every
+characteristic that divides none of the diagonal entries other than +1
+and -1 that the pieces leave (the walk's torsion); only a characteristic
+that divides one is walked again.
+
+One object per walk, ``SubgraphRegularity``, holds the table and its
+torsion, and states the torsion rule in ``at``.  The one memory across
+calls is an ``lru_cache`` of size 1: the record of the graph last asked
+by ``regularity`` or ``betti_table``, which keeps no table.  So asking
+one graph at several characteristics in a row walks it once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, islice
 from math import comb
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph, _bits, components
+from .graph_core import Graph, _bits, _check_edge, components
+from .homology import homology_from_masks
 
 ORACLE_VERTEX_CAP = 16
 
@@ -72,6 +74,12 @@ _DIGIT = (1 << _WIDTH) - 1
 _ONES = sum(1 << _WIDTH * k for k in range(ORACLE_VERTEX_CAP + 1))
 _HIGH = _ONES << _WIDTH - 1
 _MID = _HIGH - _ONES
+
+# _DIGIT_COUNT[b] is the digit count of a packed entry of bit length b.
+_DIGIT_COUNT = bytes(-(-b // _WIDTH) for b in range(_WIDTH * (ORACLE_VERTEX_CAP + 1) + 1))
+
+# _AT_LEAST[v] maps a byte x to 1 when x >= v and to 0 otherwise.
+_AT_LEAST = tuple(b"\0" * v + b"\1" * (256 - v) for v in range(ORACLE_VERTEX_CAP + 2))
 
 
 @dataclass(frozen=True)
@@ -144,93 +152,26 @@ class RegularityResult:
 
 def regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> RegularityResult:
     """Exact regularity of the edge ideal over the given field."""
-    reg_q, witness, _, _ = _hochster_sweep(g, field.characteristic)
-    if g.num_edges == 0:
-        reg_star = 0 if g.n == 0 else 1
-        return RegularityResult(reg_star, field.characteristic, None)
-    return RegularityResult(reg_q + 1, field.characteristic, witness)
+    reg_star, witness, _ = _whole_graph(g).reading(field.characteristic)
+    return RegularityResult(reg_star, field.characteristic, witness)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(0)) -> BettiTable:
     """Full graded Betti table of ``R/I(G)`` over the given field."""
     if g.num_edges == 0:
         raise NotApplicable("Betti table requires at least one edge")
-    reg_q, _, betti, _ = _hochster_sweep(g, field.characteristic)
-    entries = dict(betti)
-    entries[(0, 0)] = 1
-    table = BettiTable(tuple(sorted(entries.items())), field.characteristic)
-    if table.regularity_quotient() != reg_q:
+    reg_star, _, betti = _whole_graph(g).reading(field.characteristic)
+    table = BettiTable(tuple(sorted({(0, 0): 1, **betti}.items())), field.characteristic)
+    if table.regularity_ideal() != reg_star:
         raise AssertionError("Betti table disagrees with the regularity sweep")
     return table
 
 
-# -- sweep internals ----------------------------------------------------------
-
-_SWEEP_MEMO: dict = {}
-
-
-def _hochster_sweep(g: Graph, char: int):
-    """Per-graph sweep: returns (reg_quotient, witness subset, betti entries,
-    torsion).
-
-    ``torsion`` is the sorted tuple of the distinct absolute values above 1
-    left on the diagonal of any piece of the walk; it does not depend on the
-    characteristic.  ``_SWEEP_MEMO`` holds only the graph last asked, its
-    char-0 result under ``(n, edges)``; another graph clears it, so a
-    caller asking one graph at several characteristics walks it once.  A
-    characteristic that divides no torsion entry gives every piece the
-    same ranks, so the same dims, and the cones and splits read only the
-    graph and the table: the char-0 result is its own.  Any other is walked
-    again and kept under ``(n, edges, char)``.  A graph with more than
-    ``ORACLE_VERTEX_CAP`` vertices is refused.
-    """
-    refuse_past_cap(g)
-    key = (g.n, g.edges)
-    hit = _SWEEP_MEMO.get(key)
-    if hit is None:
-        _SWEEP_MEMO.clear()
-        hit = _SWEEP_MEMO[key] = _sweep(g, 0)
-    if char and any(p % char == 0 for p in hit[3]):
-        key += (char,)
-        hit = _SWEEP_MEMO.get(key)
-        if hit is None:
-            hit = _SWEEP_MEMO[key] = _sweep(g, char)
-    return hit
-
-
-def _sweep(g: Graph, char: int):
-    """One unmemoized sweep at ``char`` by ``_subset_walk``, of a connected
-    graph or of each distinct component of a disconnected one, whose
-    resolution is the tensor product of theirs.  The regularities add over
-    the components with an edge; the top degree needs each at its own, so
-    the union of their witnesses is the smallest and the lexicographically
-    first (two such unions of one size first differ in one component).
-    The Betti polynomials ``1 + B`` multiply; the torsions unite."""
-    parts = components(g)
-    if len(parts) < 2:
-        return _subset_walk(g, char)
-    reg_q = 0
-    witness: list[int] = []
-    betti = {(0, 0): 1}
-    torsion: set[int] = set()
-    walked = {comp: _subset_walk(comp, char) for comp in dict.fromkeys(comp for _, comp in parts)}
-    for verts, comp in parts:
-        reg_k, w_k, betti_k, torsion_k = walked[comp]
-        torsion.update(torsion_k)
-        if w_k is None:
-            continue  # an isolated vertex
-        reg_q += reg_k
-        witness += [verts[v] for v in w_k]
-        product = dict(betti)  # the factor's own (0, 0) entry of 1
-        for (i, j), b in betti.items():
-            for (i2, j2), b2 in betti_k.items():
-                ij = (i + i2, j + j2)
-                product[ij] = product.get(ij, 0) + b * b2
-        betti = product
-    del betti[(0, 0)]
-    if not witness:
-        return (0, None, {}, tuple(sorted(torsion)))
-    return (reg_q, tuple(sorted(witness)), betti, tuple(sorted(torsion)))
+def union_reg_star(regs) -> int:
+    """``reg_star`` of a disjoint union from its components': the union's
+    resolution is the tensor product of theirs, so ``reg - 1`` adds over
+    them.  One component keeps its own, the empty graph's 0 included."""
+    return 1 + sum(reg - 1 for reg in regs)
 
 
 def refuse_past_cap(g: Graph) -> None:
@@ -239,43 +180,204 @@ def refuse_past_cap(g: Graph) -> None:
         raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
 
 
-def _subset_walk(g: Graph, char: int):
-    """The subset walk over the whole graph, connected or not: returns
-    (reg_quotient, witness subset, betti entries, torsion), unmemoized.
+# -- the one object per graph -------------------------------------------------
 
-    ``_fill`` builds the table over every subset in ascending order.  Each
-    distinct ``(|W|, table[W])`` is decoded once into Betti entries,
-    weighted by how often it occurs.  The witness is a subset of the top
-    degree, the smallest and then the lexicographically first: of two
-    subsets of one size, the first holds the lowest vertex where they
-    differ.  It is the reference for the component split of
-    ``_hochster_sweep`` and, at each characteristic, for its reuse of the
-    char-0 walk.  It refuses past the cap too.  The pieces it builds, and
-    so its torsion, do not depend on ``char``.
+
+def subgraph_regularity(g: Graph, field: FieldSpec = FieldSpec(0)) -> SubgraphRegularity:
+    """One subset walk of ``g`` over the given field, kept for reading:
+    ``reg_star``, witness and Betti entries of ``g``, and ``reg_star`` of
+    every induced subgraph and of ``g`` less any one edge.  Refuses past
+    ``ORACLE_VERTEX_CAP`` vertices, as the walk does."""
+    table, torsion = _walk_table(g, field.characteristic)
+    return SubgraphRegularity(g, field.characteristic, table, tuple(sorted(torsion)))
+
+
+class SubgraphRegularity:
+    """One graph's subset table at one characteristic, kept for reading.
+
+    An induced subgraph ``G[W]`` has the table restricted to the submasks
+    of ``W``, and ``G`` less an edge differs only on the subsets holding
+    both ends.  ``best[W]``, the largest digit count of ``table[S]`` over
+    the submasks ``S`` of ``W``, is ``reg_star`` of ``G[W]`` (1 on an
+    edgeless ``W``: the empty complex ``table[0] = 1`` counts), filled at
+    the first induced reading in ``O(n 2^n)``.  The witness and the Betti
+    entries are decoded at the first ask of either.  ``torsion``, the
+    sorted distinct absolute values above 1 left on the diagonal of any
+    piece built, does not depend on the characteristic.
     """
-    table, torsion = _walk_table(g, char)
-    torsion = tuple(sorted(torsion))
-    top_value = max(islice(table, 1, None), default=0)
-    if not top_value:
-        return (0, None, {}, torsion)
-    betti: dict[tuple[int, int], int] = {}
-    sizes = map(int.bit_count, compress(range(1, len(table)), islice(table, 1, None)))
-    for (size, value), count in Counter(zip(sizes, filter(None, islice(table, 1, None)))).items():
-        k = 0
-        while value:
-            if value & _DIGIT:
-                key = (size - k, size)
-                betti[key] = betti.get(key, 0) + count * (value & _DIGIT)
-            value >>= _WIDTH
-            k += 1
-    top = _digits(top_value) - 1
-    best = best_size = 0
-    for w_mask in compress(range(len(table)), map((1 << _WIDTH * top).__le__, table)):
-        size = w_mask.bit_count()
-        diff = w_mask ^ best
-        if not best or size < best_size or size == best_size and diff & -diff & w_mask:
-            best, best_size = w_mask, size
-    return (top, tuple(_bits(best)), betti, torsion)
+
+    __slots__ = ("characteristic", "torsion", "_graph", "_table", "_best", "_decoded")
+
+    def __init__(self, g: Graph, char: int, table: list[int] | None, torsion: tuple[int, ...]):
+        self.characteristic = char
+        self.torsion = torsion
+        self._graph = g
+        self._table = table
+        self._best = None
+        self._decoded = None
+
+    def whole(self) -> int:
+        """``reg_star`` of ``G`` itself: the digit count of the largest
+        entry, since entries with more digits are larger; 0 for the empty
+        graph."""
+        if self._table is None:
+            return self._decoded[0]
+        return _digits(max(self._table)) if self._graph.n else 0
+
+    def witness(self) -> tuple[int, ...] | None:
+        """A smallest subset with homology in the top degree ``whole() - 2``,
+        of those the one holding the lowest vertex where two differ; None
+        when there is no edge."""
+        return self._decode()[1]
+
+    def betti(self) -> dict[tuple[int, int], int]:
+        """The graded Betti numbers ``(i, j) -> value`` of ``R/I(G)`` but
+        ``(0, 0)``: degree ``j - i - 1`` homology over the subsets of size ``j``."""
+        return self._decode()[2]
+
+    def _decode(self) -> tuple[int, tuple[int, ...] | None, dict[tuple[int, int], int]]:
+        """``(whole, witness, betti)``, decoded at the first ask and kept;
+        each distinct ``(|W|, table[W])`` is decoded once, weighted."""
+        if self._decoded is None:
+            table = self._table
+            betti: dict[tuple[int, int], int] = {}
+            sizes = map(int.bit_count, compress(range(1, len(table)), islice(table, 1, None)))
+            for (size, value), count in Counter(zip(sizes, filter(None, islice(table, 1, None)))).items():
+                k = 0
+                while value:
+                    if value & _DIGIT:
+                        key = (size - k, size)
+                        betti[key] = betti.get(key, 0) + count * (value & _DIGIT)
+                    value >>= _WIDTH
+                    k += 1
+            witness = None
+            top_value = max(islice(table, 1, None), default=0)
+            if top_value:
+                top = _digits(top_value) - 1
+                best = best_size = 0
+                for w_mask in compress(range(len(table)), map((1 << _WIDTH * top).__le__, table)):
+                    size = w_mask.bit_count()
+                    diff = w_mask ^ best
+                    if not best or size < best_size or size == best_size and diff & -diff & w_mask:
+                        best, best_size = w_mask, size
+                witness = tuple(_bits(best))
+            self._decoded = (self.whole(), witness, betti)
+        return self._decoded
+
+    def induced(self, keep_mask: int) -> int:
+        """``reg_star`` of ``G[keep]``: 0 when ``keep`` is empty, 1 when
+        it spans no edge."""
+        if not keep_mask:
+            return 0
+        if self._best is None:
+            counts = bytes(map(_DIGIT_COUNT.__getitem__, map(int.bit_length, self._table)))
+            self._best = _submask_max(counts, self._graph.n)
+        return self._best[keep_mask]
+
+    def induced_direct(self, keep_mask: int) -> int:
+        """``induced(keep_mask)``, read directly off the ``2^|keep|``
+        submasks of ``keep`` with no pass over the whole table: for a few
+        masks of a large table, such as the components of a union."""
+        if not keep_mask:
+            return 0
+        table = self._table
+        top, sub = table[keep_mask], keep_mask
+        while sub:
+            sub = (sub - 1) & keep_mask
+            top = max(top, table[sub])
+        return _digits(top)
+
+    def edge_deleted(self, u: int, v: int) -> int:
+        """``reg_star`` of ``G - uv``.  A subset without both ends induces
+        the same graph in ``G - uv`` as in ``G``, and those subsets are the
+        submasks of ``V - u`` and of ``V - v``; the ``2^(n-2)`` others are
+        walked again, in ascending order, with the edge dropped.  A proper
+        submask of one of them that holds both ends is smaller, so it is
+        refilled first."""
+        g = self._graph
+        u, v = _check_edge(g, (u, v))
+        adj = [g.adj_mask(x) for x in range(g.n)]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        both = 1 << u | 1 << v
+        rest = g.full_mask ^ both
+        masks = [both]
+        sub = 0
+        while sub != rest:
+            sub = (sub - rest) & rest  # the next submask of rest, ascending
+            masks.append(sub | both)
+        table = list(self._table)
+        _fill(adj, masks, table, self.characteristic)
+        refilled = _digits(max(map(table.__getitem__, masks)))
+        return max(self.induced(g.full_mask ^ 1 << u), self.induced(g.full_mask ^ 1 << v), refilled)
+
+    def at(self, field: FieldSpec) -> SubgraphRegularity:
+        """The same readings over another field.  A char-0 table serves
+        every characteristic that divides none of its torsion entries: the
+        pieces have the same ranks there, so the same dims, and the cones
+        and splits read only the graph and the table.  Any other is walked
+        again.  ``edge_deleted`` builds its pieces at the new
+        characteristic."""
+        c = field.characteristic
+        if c == self.characteristic:
+            return self
+        if self.characteristic == 0 and not any(p % c == 0 for p in self.torsion):
+            shared = SubgraphRegularity(self._graph, c, self._table, self.torsion)
+            shared._best, shared._decoded = self._best, self._decoded
+            return shared
+        return subgraph_regularity(self._graph, field)
+
+    def _drop_table(self) -> SubgraphRegularity:
+        """Decode the whole graph's readings and drop the table, for a
+        record that outlives the walk: then only ``whole``, ``witness``,
+        ``betti`` and ``at`` answer."""
+        self._decode()
+        self._table = None
+        return self
+
+
+class _WholeGraph:
+    """The record that ``regularity`` and ``betti_table`` keep of the graph
+    last asked (``_whole_graph``): the char-0 readings of its distinct
+    components, decoded and without their tables, and its results at each
+    characteristic asked.  The cap is checked on the whole graph first."""
+
+    __slots__ = ("_parts", "_char0", "_results")
+
+    def __init__(self, g: Graph):
+        refuse_past_cap(g)
+        self._parts = components(g) or [((), g)]  # the empty graph is its own one part
+        distinct = dict.fromkeys(comp for _, comp in self._parts)  # each walked once
+        self._char0 = {comp: subgraph_regularity(comp)._drop_table() for comp in distinct}
+        self._results: dict[int, tuple] = {}
+
+    def reading(self, char: int) -> tuple[int, tuple[int, ...] | None, dict[tuple[int, int], int]]:
+        """``(reg_star, witness, betti)`` at ``char`` from each component's
+        ``at(char)``: ``reg_star`` by ``union_reg_star``; the witnesses
+        unite, the smallest and first union since the top degree needs each
+        component at its own; the Betti polynomials ``1 + B`` multiply."""
+        if char not in self._results:
+            field = FieldSpec(char)
+            readings = {comp: r.at(field)._drop_table() for comp, r in self._char0.items()}
+            witness: list[int] = []
+            betti = {(0, 0): 1}
+            for verts, comp in self._parts:
+                witness += [verts[v] for v in readings[comp].witness() or ()]
+                product = dict(betti)  # the factor's own (0, 0) entry of 1
+                for (i, j), b in betti.items():
+                    for (i2, j2), b2 in readings[comp].betti().items():
+                        product[i + i2, j + j2] = product.get((i + i2, j + j2), 0) + b * b2
+                betti = product
+            del betti[(0, 0)]
+            reg_star = union_reg_star(readings[comp].whole() for _, comp in self._parts)
+            self._results[char] = (reg_star, tuple(sorted(witness)) or None, betti)
+        return self._results[char]
+
+
+_whole_graph = lru_cache(maxsize=1)(_WholeGraph)
+
+
+# -- the walk -----------------------------------------------------------------
 
 
 def _digits(value: int) -> int:
@@ -354,137 +456,7 @@ def _piece_dims(adj: list[int], piece_mask: int, char: int) -> tuple[tuple[int, 
         by_dim[mask.bit_count() - 1].append(mask)
     while by_dim and not by_dim[-1]:
         by_dim.pop()
-    return _homology_from_masks(by_dim, char)
-
-
-def _homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, ...], set[int]]:
-    """Reduced homology dims (degrees 0..maxdim) from faces given as masks,
-    and the diagonal entries other than +1 and -1 (as absolute values) of
-    the boundary maps' diagonal forms.
-
-    ``by_dim[d]`` lists the d-dimensional faces.  Raises if the alternating
-    sum of the computed dims disagrees with the reduced Euler characteristic
-    -- a built-in self-check on every evaluated complex.
-    """
-    if not by_dim or not by_dim[0]:
-        return (), set()
-    maxdim = len(by_dim) - 1
-    ranks = [0] * (maxdim + 2)
-    ranks[0] = 1  # the augmentation map onto the empty face
-    torsion: set[int] = set()
-    for d in range(1, maxdim + 1):
-        pivots, diagonal = _boundary_form(by_dim[d - 1], by_dim[d])
-        ranks[d] = pivots + sum(1 for p in diagonal if char == 0 or p % char)
-        torsion.update(p for p in diagonal if p > 1)
-    dims = tuple(
-        len(by_dim[t]) - ranks[t] - ranks[t + 1] for t in range(maxdim + 1)
-    )
-    euler = sum((-1) ** t * len(by_dim[t]) for t in range(maxdim + 1)) - 1
-    if sum((-1) ** t * v for t, v in enumerate(dims)) != euler:
-        raise AssertionError("homology dims violate the Euler characteristic")
-    if any(v < 0 for v in dims):
-        raise AssertionError("negative homology dimension: rank bookkeeping broken")
-    return dims, torsion
-
-
-def _boundary_form(rows_faces: list[int], cols_faces: list[int]) -> tuple[int, list[int]]:
-    """The boundary map from ``cols_faces`` to ``rows_faces`` brought to a
-    diagonal by unimodular steps: returns the unit pivot count and the
-    absolute values of the diagonal left from the core."""
-    row_index = {m: i for i, m in enumerate(rows_faces)}
-    cols = []
-    for face in cols_faces:
-        col = {}
-        sign = 1
-        m = face
-        while m:  # ascending vertices carry the alternating sign
-            low = m & -m
-            col[row_index[face ^ low]] = sign
-            sign = -sign
-            m ^= low
-        cols.append(col)
-    pivots, core = _eliminate_units(cols)
-    return pivots, _diagonal(core)
-
-
-def _eliminate_units(cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Sparse integer column reduction that pivots only on entries +1 or -1.
-
-    Columns are ``{row: value}`` maps and are updated in place.  Each column
-    in turn has its largest row cleared by the pivot column led there, until
-    that row has no pivot; if the entry left there is +1 or -1 the column
-    becomes that row's pivot, otherwise it joins the core.  Once every pivot
-    is known, the core columns are cleared of every pivot row.  Pivot
-    columns are triangular with unit leads, and adding integer multiples of
-    columns is unimodular, so the rank over the integers and over every
-    field is the pivot count plus the rank of the returned nonzero columns,
-    which no longer meet a pivot row.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    core = []
-    for col in cols:
-        while col:
-            r = max(col)
-            if r not in pivots:
-                if col[r] == 1 or col[r] == -1:
-                    pivots[r] = col
-                else:
-                    core.append(col)
-                break
-            _subtract(col, pivots[r], col[r] * pivots[r][r])  # a unit is its own inverse
-    for col in core:
-        while rows := [r for r in col if r in pivots]:
-            r = max(rows)
-            _subtract(col, pivots[r], col[r] * pivots[r][r])
-    return len(pivots), [col for col in core if col]
-
-
-def _subtract(col: dict[int, int], other: dict[int, int], f: int) -> None:
-    """``col -= f * other``, on sparse columns, dropping zeros."""
-    for rr, x in other.items():
-        y = col.get(rr, 0) - f * x
-        if y:
-            col[rr] = y
-        else:
-            del col[rr]
-
-
-def _diagonal(cols: list[dict[int, int]]) -> list[int]:
-    """The absolute values of a diagonal form of the integer matrix with
-    sparse columns ``cols``, which are updated in place.
-
-    The matrix is brought to a diagonal by unimodular row and column steps:
-    an entry of least absolute value divides its row and its column by
-    Euclid, and when every remainder is zero its row and column are clear,
-    so it leaves as one diagonal entry.  Otherwise a remainder is smaller
-    and becomes the next pivot.  The steps are invertible over the integers
-    and so over every field: the rank over characteristic ``c`` is the
-    number of entries that ``c`` does not divide, and every entry counts at
-    ``c = 0``.
-    """
-    diagonal = []
-    while cols := [col for col in cols if col]:
-        col, r = min(((col, r) for col in cols for r in col), key=lambda e: abs(e[0][e[1]]))
-        p = col[r]
-        clear = True
-        for col2 in cols:  # column steps leave remainders in row r
-            if col2 is not col and r in col2:
-                _subtract(col2, col, col2[r] // p)
-                clear = clear and r not in col2
-        for r2 in [x for x in col if x != r]:  # row steps leave them in col
-            f = col[r2] // p
-            for col2 in cols:
-                if r in col2:
-                    y = col2.get(r2, 0) - f * col2[r]
-                    if y:
-                        col2[r2] = y
-                    else:
-                        del col2[r2]
-            clear = clear and r2 not in col
-        if clear:
-            diagonal.append(abs(p))
-            col.clear()
-    return diagonal
+    return homology_from_masks(by_dim, char)
 
 
 # -- small shared helpers -----------------------------------------------------
@@ -498,3 +470,25 @@ def _independent_masks(adj: list[int], alive: int) -> list[int]:
         bit = 1 << v
         masks += [m | bit for m in masks if not m & adj[v]]
     return masks
+
+
+def _submask_max(values: bytes, n: int) -> bytes:
+    """The maximum of ``values`` over the submasks of each mask of ``n``
+    vertices, for values below ``n + 2``.
+
+    Level ``v`` is one integer with a byte per mask, 1 where the value is
+    at least ``v``.  Closing a level under adding vertex ``i`` is one shift
+    of its bytes at the masks without ``i``, so ``n`` shifts close it under
+    supersets; the closed levels are nested, and their sum is the
+    maximum."""
+    size = 1 << n
+    without = [
+        int.from_bytes((b"\1" * (1 << i) + b"\0" * (1 << i)) * (size >> i + 1), "little") for i in range(n)
+    ]
+    total = 0
+    for v in range(1, max(values) + 1):
+        level = int.from_bytes(values.translate(_AT_LEAST[v]), "little")
+        for i, keep in enumerate(without):
+            level |= (level & keep) << (8 << i)
+        total += level
+    return total.to_bytes(size, "little")

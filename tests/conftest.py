@@ -4,9 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from eilab import harness
+from eilab import harness, regularity_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def _empty_oracle_record():
+    """Every test leaves the oracle's one-graph record empty, so that a
+    record built under a patched kernel never answers the next test."""
+    yield
+    regularity_oracle._whole_graph.cache_clear()
 
 
 @pytest.fixture(scope="session")

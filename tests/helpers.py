@@ -17,7 +17,8 @@ from itertools import combinations, permutations
 from eilab import graph_core
 from eilab.formats_io import encode_graph6
 from eilab.graph_core import Graph, _bits
-from eilab.regularity_oracle import FieldSpec, _homology_from_masks, _independent_masks
+from eilab.homology import homology_from_masks
+from eilab.regularity_oracle import FieldSpec, _independent_masks
 
 
 # -- builders -----------------------------------------------------------------
@@ -533,7 +534,7 @@ def flag_rp2_complement() -> Graph:
 #
 # The slow reference for the oracle's subset table: the independence complex
 # of one graph, built from its facets, with its homology taken by the
-# package's ``_homology_from_masks`` (so this checks the table, not the rank
+# package's ``homology_from_masks`` (so this checks the table, not the rank
 # code; ``brute_rank`` covers that).
 
 
@@ -596,7 +597,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: FieldSpec) -> dict
     if not faces:
         return {-1: 1}
     by_dim = [[_mask_of(f) for f in faces.get(d, [])] for d in range(max(faces) + 1)]
-    dims, _ = _homology_from_masks(by_dim, field.characteristic)
+    dims, _ = homology_from_masks(by_dim, field.characteristic)
     out = {-1: 0}
     for t, d in enumerate(dims):
         out[t] = d

@@ -9,7 +9,7 @@ import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import cameron_walker, chordality, classifier, harness, matchings, subgraph_oracle
+from eilab import cameron_walker, chordality, classifier, harness, matchings
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
@@ -187,8 +187,9 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
     characteristic."""
     for u in harness.union_pairs(corpus5):
         for c in (0, 2, 3):
-            assert ro._digits(max(ro._walk_table(u, c)[0])) == ro._subset_walk(u, c)[0] + 1
-    walk_table = subgraph_oracle._walk_table
+            betti = ro.subgraph_regularity(u, ro.FieldSpec(c)).betti()
+            assert ro._digits(max(ro._walk_table(u, c)[0])) == max((j - i for i, j in betti), default=0) + 1
+    walk_table = ro._walk_table
 
     def off_by_one(g, char):
         table, torsion = walk_table(g, char)
@@ -196,7 +197,7 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
             table[g.full_mask] = 1 << ro._WIDTH * ro._digits(max(table))
         return table, torsion
 
-    monkeypatch.setattr(subgraph_oracle, "_walk_table", off_by_one)
+    monkeypatch.setattr(ro, "_walk_table", off_by_one)
     graphs = harness.corpus_up_to(4).graphs
     (rep,) = harness.verify_lemma_suite(graphs, ["Comp"], chars=(0, 2), union_total_cap=6)
     assert rep.checked == len(harness.union_pairs(graphs, 6))
@@ -209,7 +210,7 @@ def _fl3_reference(g, chars, facts):
     out = []
     full = g.full_mask
     for c in chars:
-        sub = subgraph_oracle.subgraph_regularity(g, ro.FieldSpec(c))
+        sub = ro.subgraph_regularity(g, ro.FieldSpec(c))
         reg = max(sub.induced(full), 1)
         for e in g.edges:
             u, v = e
@@ -224,7 +225,7 @@ def _fl3_undecided(g, c):
     """The edges whose ``reg(G - e)`` FL3 needs: ``reg(G)`` exceeds both
     ``reg(G - N[e]) + 1`` and the larger of ``reg(G - u)`` and
     ``reg(G - v)``, which ``G - e`` shares."""
-    sub = subgraph_oracle.subgraph_regularity(g, ro.FieldSpec(c))
+    sub = ro.subgraph_regularity(g, ro.FieldSpec(c))
     full = g.full_mask
     reg = max(sub.induced(full), 1)
     out = []
@@ -248,14 +249,14 @@ def test_fl3_refills_only_undecided_edges(corpus7, monkeypatch):
         (reference,) = harness._sweeps({"FL3": _fl3_reference}, graphs, chars, lambda g: None)
         (rep,) = harness.verify_lemma_suite(graphs, ["FL3"], chars=chars)
         assert (rep.checked, rep.violations, rep.skips) == (reference.checked, reference.violations, reference.skips)
-    edge_deleted = subgraph_oracle.SubgraphRegularity.edge_deleted
+    edge_deleted = ro.SubgraphRegularity.edge_deleted
     refilled = []
 
     def counted(self, u, v):
         refilled.append((self._graph, self.characteristic, (u, v)))
         return edge_deleted(self, u, v)
 
-    monkeypatch.setattr(subgraph_oracle.SubgraphRegularity, "edge_deleted", counted)
+    monkeypatch.setattr(ro.SubgraphRegularity, "edge_deleted", counted)
     for graphs, (c,) in runs:
         refilled.clear()
         harness.verify_lemma_suite(graphs, ["FL3"], chars=(c,))
@@ -321,34 +322,51 @@ def test_subgraph_checks_build_no_surgery(corpus6, monkeypatch):
     """FL1, FL2, FL3 and C1a read every regularity off the graph's own
     table: with ``regularity`` and ``apply_surgery`` refusing, they pass on
     the n <= 6 corpus at chars 0, 2 and 3 with no skip, as they did when
-    they walked each surgery, and they leave the oracle's memo empty."""
+    they walked each surgery, and they leave the oracle's one-graph
+    record empty."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a subgraph check called regularity or apply_surgery")
 
     monkeypatch.setattr(ro, "regularity", refuse)
     monkeypatch.setattr(gc, "apply_surgery", refuse)
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    ro._whole_graph.cache_clear()
     reports = harness.verify_lemma_suite(corpus6, ["FL1", "FL2", "FL3", "C1a"], chars=(0, 2, 3))
     assert [(rep.checked, rep.violations, rep.skips) for rep in reports] == [(len(corpus6), (), ())] * 4
-    assert ro._SWEEP_MEMO == {}
+    assert ro._whole_graph.cache_info().currsize == 0
 
 
 def test_theorem_sweep_leaves_the_oracle_memo_empty(corpus5, monkeypatch):
     """The theorem sweep reads each component's regularity off its own
-    subset walk: with ``regularity`` and the memoized sweep refusing, it
-    passes on the n <= 5 corpus and its unions at chars 0, 2 and 3, and
-    the oracle's memo stays empty."""
+    subset walk: with ``regularity`` and the oracle's one-graph record
+    refusing, it passes on the n <= 5 corpus and its unions at chars 0, 2
+    and 3, and the record stays empty."""
+    record = ro._whole_graph
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the theorem sweep asked the memoized oracle")
+        raise AssertionError("the theorem sweep asked the oracle's record")
 
+    record.cache_clear()
     monkeypatch.setattr(ro, "regularity", refuse)
-    monkeypatch.setattr(ro, "_hochster_sweep", refuse)
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    monkeypatch.setattr(ro, "_whole_graph", refuse)
     rep = harness.verify_theorem(corpus5, chars=(0, 2, 3))
     assert rep.passed and not rep.skips and rep.checked == len(corpus5) + len(harness.union_pairs(corpus5))
-    assert ro._SWEEP_MEMO == {}
+    assert record.cache_info().currsize == 0
+
+
+def test_sweeps_decode_no_witness_or_betti_entries(corpus5, monkeypatch):
+    """The theorem sweep and the lemma suite read only digit counts off
+    the subset tables: with the decoding of witnesses and Betti entries
+    refusing, they pass on the n <= 5 corpus at chars 0, 2 and 3."""
+
+    def refuse(self):
+        raise AssertionError("a sweep decoded a witness or Betti entries")
+
+    monkeypatch.setattr(ro.SubgraphRegularity, "_decode", refuse)
+    rep = harness.verify_theorem(corpus5, chars=(0, 2, 3))
+    assert rep.passed and not rep.skips
+    reports = harness.verify_lemma_suite(corpus5, harness.LEMMA_TAGS, chars=(0, 2, 3))
+    assert all(rep.passed and not rep.skips for rep in reports)
 
 
 class _SkewedReadings:
@@ -383,14 +401,14 @@ def test_subgraph_checks_report_a_wrong_reading(monkeypatch):
     of ``C5 - 0`` and ``C5 - 1``, which ``C5 - (0, 1)`` shares."""
     c5 = gc.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     name = fio.encode_graph6(c5)
-    subgraph_regularity = subgraph_oracle.subgraph_regularity
+    subgraph_regularity = ro.subgraph_regularity
     queries = []
 
     def skew(method, arg, value):
         def skewed(g, field=ro.FieldSpec(0)):
             return _SkewedReadings(subgraph_regularity(g, field), method, arg, value, queries)
 
-        monkeypatch.setattr(subgraph_oracle, "subgraph_regularity", skewed)
+        monkeypatch.setattr(ro, "subgraph_regularity", skewed)
 
     def violations(tag):
         (rep,) = harness.verify_lemma_suite([c5], [tag], chars=(0, 2))
@@ -551,13 +569,13 @@ def test_comp_walks_once_per_union(corpus5, monkeypatch):
     torsion 2, so its union with a vertex is walked again at char 2 only,
     and reads reg 3, 4, 3 at chars 0, 2, 3, as its components sum to."""
     walks = []
-    walk_table = subgraph_oracle._walk_table
+    walk_table = ro._walk_table
 
     def counted(g, char):
         walks.append(char)
         return walk_table(g, char)
 
-    monkeypatch.setattr(subgraph_oracle, "_walk_table", counted)
+    monkeypatch.setattr(ro, "_walk_table", counted)
     (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], chars=(0, 2, 3))
     assert rep.passed and not rep.skips
     assert walks == [0] * rep.checked
@@ -573,13 +591,13 @@ def test_lemma_suite_walks_each_graph_once(corpus6, monkeypatch):
     characteristic that divides none of its torsion (the corpus has
     none)."""
     walks = []
-    walk_table = subgraph_oracle._walk_table
+    walk_table = ro._walk_table
 
     def counted(g, char):
         walks.append((g, char))
         return walk_table(g, char)
 
-    monkeypatch.setattr(subgraph_oracle, "_walk_table", counted)
+    monkeypatch.setattr(ro, "_walk_table", counted)
     tags = ["FL1", "FL2", "FL3", "C1a"]
     for tags, chars in ((tags, (0,)), (tags, (0, 2, 3)), (tags + ["UB", "C1", "C2", "Squeeze"], (0, 2, 3))):
         walks.clear()
@@ -607,7 +625,7 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
     the next graph's record is made; a refusal the record keeps (the
     17-vertex path, past the oracle's cap) holds no traceback or context."""
     records, readings = [], []
-    record, reading = harness._GraphFacts, subgraph_oracle.SubgraphRegularity
+    record, reading = harness._GraphFacts, ro.SubgraphRegularity
 
     class Record(record):
         __slots__ = ("__weakref__",)
@@ -624,7 +642,7 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
             super().__init__(*args)
             readings.append(weakref.ref(self))
 
-    monkeypatch.setattr(subgraph_oracle, "SubgraphRegularity", Reading)
+    monkeypatch.setattr(ro, "SubgraphRegularity", Reading)
     p17 = path(ORACLE_VERTEX_CAP + 1)
     graphs = list(corpus5) + [p17]
     tags = [tag for tag in harness.LEMMA_TAGS if tag != "Comp"]
@@ -665,12 +683,12 @@ def test_comp_reads_components_off_the_union_table(corpus5):
     interleaved = 0
     for u in unions + shuffled:
         table, _ = ro._walk_table(u, 0)
-        sub = subgraph_oracle.subgraph_regularity(u)
+        sub = ro.subgraph_regularity(u)
         for verts, comp in gc.components(u):
             mask = sum(1 << v for v in verts)
             submasks = [w for w in range(1 << u.n) if w & mask == w]
             assert sub.induced(mask) == ro._digits(max(table[w] for w in submasks))
-            assert sub.induced(mask) == ro._subset_walk(comp, 0)[0] + 1
+            assert sub.induced(mask) == ro.subgraph_regularity(comp).whole()
             assert sub.induced_direct(mask) == sub.induced(mask)
             interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
         assert harness._check_comp(u, (0, 2, 3), {}) == []
@@ -685,7 +703,7 @@ def test_comp_reads_only_each_components_submasks(corpus6, monkeypatch):
     def refuse(*args):
         raise AssertionError("Comp built the union's submask maximum")
 
-    monkeypatch.setattr(subgraph_oracle, "_submask_max", refuse)
+    monkeypatch.setattr(ro, "_submask_max", refuse)
     (rep,) = harness.verify_lemma_suite(corpus6, ["Comp"], chars=(0, 2))
     assert (rep.checked, rep.violations, rep.skips) == (713, (), ())
 

@@ -16,7 +16,7 @@ from math import comb
 
 import pytest
 
-from eilab import graph_core, harness, matchings, subgraph_oracle
+from eilab import graph_core, harness, matchings
 from eilab import regularity_oracle as ro
 from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
@@ -25,6 +25,8 @@ from helpers import (
     brute_betti,
     brute_canonical_form,
     column_string,
+    cycle,
+    flag_rp2_complement,
     keyed_levels,
     path,
     relabel,
@@ -41,8 +43,10 @@ def flag_relative():
     return g, brute_betti(g, 0)
 
 
-def _betti_fresh(g, monkeypatch) -> dict:
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+def _betti_fresh(g) -> dict:
+    """The char-0 Betti table, with the oracle's one-graph record emptied
+    first so that no earlier walk answers."""
+    ro._whole_graph.cache_clear()
     return ro.betti_table(g, FieldSpec(0)).as_dict()
 
 
@@ -63,9 +67,9 @@ def test_split_without_its_condition(flag_relative, monkeypatch):
     ``helpers.brute_betti``.  First recorded with the split itself
     (``fc200a9`` in CHANGES.md)."""
     g, reference = flag_relative
-    assert _betti_fresh(g, monkeypatch) == reference
+    assert _betti_fresh(g) == reference
     monkeypatch.setattr(ro, "_HIGH", 0)
-    assert _betti_fresh(g, monkeypatch) != reference
+    assert _betti_fresh(g) != reference
 
 
 def test_digit_narrower_than_its_entries(flag_relative, monkeypatch):
@@ -88,9 +92,9 @@ def test_digit_narrower_than_its_entries(flag_relative, monkeypatch):
             largest = max(largest, value & ro._DIGIT)
             value >>= ro._WIDTH
     assert largest == 3
-    assert _betti_fresh(g, monkeypatch) == reference
+    assert _betti_fresh(g) == reference
     _set_width(monkeypatch, largest.bit_length())
-    assert _betti_fresh(g, monkeypatch) != reference
+    assert _betti_fresh(g) != reference
 
 
 class _ReferenceFacts:
@@ -102,7 +106,7 @@ class _ReferenceFacts:
         self.graph = g
 
     def readings(self, c):
-        return subgraph_oracle.subgraph_regularity(self.graph, FieldSpec(c))
+        return ro.subgraph_regularity(self.graph, FieldSpec(c))
 
     def reg(self, c):
         return ro.regularity(self.graph, FieldSpec(c)).reg_star
@@ -149,14 +153,16 @@ def test_record_leaking_into_the_next_graph(corpus6, monkeypatch):
     assert summary(harness.verify_lemma_suite(corpus6, tags, chars=chars)) != reference
 
 
-def _rewrite(monkeypatch, module, name: str, old: str, new: str) -> None:
-    """Patch ``module.name`` with the function compiled from its own source,
-    ``old`` (which must occur exactly once) replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def _rewrite(monkeypatch, owner, name: str, old: str, new: str) -> None:
+    """Patch ``owner.name``, a function of a module or a method of a class,
+    with the function compiled from its own source, ``old`` (which must
+    occur exactly once) replaced by ``new``, in its module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1, old
+    module = inspect.getmodule(owner)
     namespace: dict = {}
     exec(compile(source.replace(old, new), module.__file__, "exec"), module.__dict__, namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 _NON_CUT = "if _reach(adj, 1 << v, full ^ 1 << x) == full ^ 1 << x:"
@@ -243,3 +249,33 @@ def test_mm_cover_formula_mutants(old, new, caught_on, corpus6, monkeypatch):
     assert caught is not None
     assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
     assert matchings.mm(caught_on) != len(matchings._min_maximal_edges(caught_on))
+
+
+def _split_and_whole(g, char: int):
+    """``reg_star`` from ``regularity``, which combines the components'
+    readings, and from the walk over every subset of the whole graph."""
+    ro._whole_graph.cache_clear()
+    return ro.regularity(g, FieldSpec(char)).reg_star, ro.subgraph_regularity(g, FieldSpec(char)).whole()
+
+
+def test_component_rule_taking_the_largest_component(monkeypatch):
+    """``union_reg_star`` adds ``reg - 1`` over the components.  A mutant
+    that takes the largest in place of the sum gives C5 + C5 the ``reg_star``
+    3 of one C5.  Caught by the whole-graph walk, the reference of
+    ``test_component_split_matches_whole_graph_walk``, which reads 5."""
+    c5c5 = graph_core.disjoint_union(cycle(5), cycle(5))
+    assert _split_and_whole(c5c5, 0) == (5, 5)
+    _rewrite(monkeypatch, ro, "union_reg_star", "1 + sum(reg - 1 for reg in regs)", "1 + max(reg - 1 for reg in regs)")
+    assert _split_and_whole(c5c5, 0) == (3, 5)
+
+
+def test_torsion_rule_reusing_the_char0_table_everywhere(monkeypatch):
+    """``SubgraphRegularity.at`` reuses a char-0 table only at a
+    characteristic that divides none of its torsion.  A mutant that reuses
+    it at every characteristic reads the flag RP^2 graph at char 2 off its
+    char-0 table, ``reg_star`` 3.  Caught by the walk at char 2 itself, the
+    reference of ``test_torsion_fallback_flag_rp2``, which reads 4."""
+    rp2 = flag_rp2_complement()
+    assert _split_and_whole(rp2, 2) == (4, 4)
+    _rewrite(monkeypatch, ro.SubgraphRegularity, "at", "not any(p % c == 0 for p in self.torsion)", "True")
+    assert _split_and_whole(rp2, 2) == (3, 4)

@@ -7,7 +7,7 @@ import pytest
 
 from eilab import cli
 from eilab import graph_core as gc
-from eilab import harness
+from eilab import harness, homology
 from eilab import matchings as M
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
@@ -198,11 +198,26 @@ def _seeded_disconnected_graphs(corpus5) -> list[gc.Graph]:
     return out + [edgeless(k) for k in range(2, 6)]
 
 
+def _answers(g: gc.Graph, char: int):
+    """``reg_star``, witness and Betti table from ``regularity`` and
+    ``betti_table``, which combine the components' readings."""
+    res = ro.regularity(g, FieldSpec(char))
+    betti = ro.betti_table(g, FieldSpec(char)).as_dict() if g.num_edges else {(0, 0): 1}
+    return res.reg_star, res.witness_subset, betti
+
+
+def _whole_walk(g: gc.Graph, char: int):
+    """The same, read off one walk over every subset of the whole graph."""
+    sub = ro.subgraph_regularity(g, FieldSpec(char))
+    return sub.whole(), sub.witness(), {(0, 0): 1, **sub.betti()}
+
+
 def test_component_split_matches_whole_graph_walk(corpus5):
-    """A disconnected graph combines its components' sweeps; the walk over
-    all its subsets is the reference: the same regularity, witness and
-    Betti entries at chars 0, 2 and 3, and on up to 8 vertices the same
-    Betti table and witness as Hochster's formula by brute force."""
+    """A disconnected graph combines its components' readings; the walk
+    over all its subsets is the reference: the same regularity, witness
+    and Betti entries at chars 0, 2 and 3, its torsion is the union of
+    theirs, and on up to 8 vertices the same Betti table and witness as
+    Hochster's formula by brute force."""
     unions = harness.union_pairs(corpus5, 8)
     seeded = _seeded_disconnected_graphs(corpus5)
     assert all(len(gc.components(g)) >= 2 for g in unions + seeded)
@@ -214,8 +229,9 @@ def test_component_split_matches_whole_graph_walk(corpus5):
     )
     for g in unions + seeded:
         for char in (0, 2, 3):
-            split = ro._hochster_sweep(g, char)
-            assert split == ro._subset_walk(g, char), (g.n, g.edges, char)
+            assert _answers(g, char) == _whole_walk(g, char), (g.n, g.edges, char)
+        torsion = {p for _, comp in gc.components(g) for p in ro.subgraph_regularity(comp).torsion}
+        assert ro.subgraph_regularity(g).torsion == tuple(sorted(torsion)), (g.n, g.edges)
     small = [g for g in seeded if g.n <= 8] + random.Random(1717).sample(unions, 12)
     for g in small:
         for char in (0, 2, 3):
@@ -227,19 +243,21 @@ def test_component_split_matches_whole_graph_walk(corpus5):
                 assert res.witness_subset is None and brute_witness(g, char) is None
 
 
-def _count_walks(monkeypatch) -> list[tuple[int, tuple, int]]:
-    """Empties the sweep memo and records ``(n, edges, char)`` of every
-    subset walk from then on."""
-    walks = []
-    walk = ro._subset_walk
+def _count_walks(monkeypatch) -> tuple[list[tuple[int, tuple, int]], dict]:
+    """Empties the oracle's one-graph record and records ``(n, edges,
+    char)`` of every subset walk from then on, and the torsion of each
+    walked graph under ``(n, edges)``."""
+    walks, torsion = [], {}
+    walk_table = ro._walk_table
 
     def counting(g, char):
         walks.append((g.n, g.edges, char))
-        return walk(g, char)
+        table, torsion[g.n, g.edges] = walk_table(g, char)
+        return table, torsion[g.n, g.edges]
 
-    monkeypatch.setattr(ro, "_subset_walk", counting)
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
-    return walks
+    monkeypatch.setattr(ro, "_walk_table", counting)
+    ro._whole_graph.cache_clear()
+    return walks, torsion
 
 
 def _oracle_n14_graphs() -> list[gc.Graph]:
@@ -258,7 +276,7 @@ def test_one_walk_serves_every_characteristic(corpus7, monkeypatch):
     """``regularity`` and ``betti_table`` at chars 0, 2 and 3 walk each
     connected graph once, at char 0: no walk of the corpus or of the five
     14-vertex graphs leaves a diagonal entry other than +1 or -1."""
-    walks = _count_walks(monkeypatch)
+    walks, torsion = _count_walks(monkeypatch)
     connected = [g for g in corpus7 if g.is_connected()]
     assert len(connected) == 996
     for g in connected:
@@ -266,51 +284,55 @@ def test_one_walk_serves_every_characteristic(corpus7, monkeypatch):
             ro.regularity(g, FieldSpec(char))
             if g.num_edges:
                 ro.betti_table(g, FieldSpec(char))
-        assert ro._hochster_sweep(g, 0)[3] == (), g.edges  # the memo holds g
+        assert torsion[g.n, g.edges] == set(), g.edges
     assert sorted(walks) == sorted((g.n, g.edges, 0) for g in connected)
     n14 = _oracle_n14_graphs()
     assert len(gc.components(n14[3])) == 2
     for g in n14:
         walks.clear()
-        ro._SWEEP_MEMO.clear()
+        ro._whole_graph.cache_clear()
         for char in (0, 2, 3):
             ro.regularity(g, FieldSpec(char))
             ro.betti_table(g, FieldSpec(char))
         comps = {(comp.n, comp.edges, 0) for _, comp in gc.components(g)}
         assert sorted(walks) == sorted(comps), g.edges
+        assert all(torsion[n, edges] == set() for n, edges, _ in walks), g.edges
 
 
 def test_torsion_fallback_flag_rp2(corpus6, monkeypatch):
     """The flag RP^2 leaves the diagonal entry 2, so char 2 is walked again
-    (and gains homology) while chars 0, 3 and 5 reuse the char-0 walk.
-    Every memoized result equals the walk at its own characteristic, on
-    the n <= 6 corpus, its unions up to 8 vertices, RP^2 and RP^2 plus a
-    component."""
+    (and gains homology) while chars 0, 3 and 5 reuse the char-0 walk; the
+    record keeps the char-2 walk, so its Betti tables at chars 2 and 3
+    walk nothing more.  Every result of the record equals the walk of the
+    whole graph at its own characteristic, on the n <= 6 corpus, its
+    unions up to 8 vertices, RP^2 and RP^2 plus a component."""
     rp2 = flag_rp2_complement()
     assert encode_graph6(rp2) == "KWaqbO\\euTz["
-    reference = ro._subset_walk
-    walks = _count_walks(monkeypatch)
+    walks, torsion = _count_walks(monkeypatch)
     for char in (0, 3, 5):
         assert ro.regularity(rp2, FieldSpec(char)).reg_star == 3
-    assert ro._SWEEP_MEMO[(rp2.n, rp2.edges)][3] == (2,)
+    assert torsion[rp2.n, rp2.edges] == {2}
     assert walks == [(rp2.n, rp2.edges, 0)]
     assert ro.regularity(rp2, FieldSpec(2)).reg_star == 4
     assert walks == [(rp2.n, rp2.edges, 0), (rp2.n, rp2.edges, 2)]
+    for char in (2, 3):
+        ro.betti_table(rp2, FieldSpec(char))
+    assert walks == [(rp2.n, rp2.edges, 0), (rp2.n, rp2.edges, 2)]
     union = gc.disjoint_union(cycle(4), rp2)
     assert ro.regularity(union, FieldSpec(2)).reg_star == 5
-    assert ro._SWEEP_MEMO[(union.n, union.edges)][3] == (2,)
+    assert ro.subgraph_regularity(union).torsion == (2,)
     graphs = list(corpus6) + harness.union_pairs(corpus6, 8) + [rp2, union]
     for g in graphs:
         for char in (0, 2, 3, 5):
-            assert ro._hochster_sweep(g, char) == reference(g, char), (g.n, g.edges, char)
+            assert _answers(g, char) == _whole_walk(g, char), (g.n, g.edges, char)
 
 
 def test_union_walks_each_distinct_component(monkeypatch):
-    """A disconnected graph walks each distinct component once per walked
-    characteristic: C5 + C5 + C5 at chars 0, 2 and 3 walks C5 once, and
-    C4 + RP^2 walks both again at char 2, the characteristic that divides
-    RP^2's torsion."""
-    walks = _count_walks(monkeypatch)
+    """A disconnected graph walks each distinct component once at char 0,
+    and again only at a characteristic that divides that component's own
+    torsion: C5 + C5 + C5 at chars 0, 2 and 3 walks C5 once, and C4 + RP^2
+    walks RP^2 again at char 2, and C4 not."""
+    walks, _ = _count_walks(monkeypatch)
     c5 = cycle(5)
     triple = gc.disjoint_union(gc.disjoint_union(c5, c5), c5)
     for char in (0, 2, 3):
@@ -321,40 +343,38 @@ def test_union_walks_each_distinct_component(monkeypatch):
     walks.clear()
     for char in (0, 2, 3):
         ro.regularity(union, FieldSpec(char))
-    assert sorted(walks) == sorted([(4, c4.edges, 0), (4, c4.edges, 2), (12, rp2.edges, 0), (12, rp2.edges, 2)])
+    assert sorted(walks) == sorted([(4, c4.edges, 0), (12, rp2.edges, 0), (12, rp2.edges, 2)])
 
 
-class _OneGraphWatch(dict):
-    """The oracle's memo, recording the most graphs it held at once."""
+def _assert_record_holds_only(g: gc.Graph) -> None:
+    """The oracle's one cross-call record is ``g``'s, and keeps no subset
+    table."""
+    info = ro._whole_graph.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    record = ro._whole_graph(g)
+    assert ro._whole_graph.cache_info().hits == info.hits + 1
+    assert all(reading._table is None for reading in record._char0.values())
 
-    most = 0
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.most = max(self.most, len({k[:2] for k in self}))
-
-
-def test_sweep_memo_holds_one_graph(corpus6, monkeypatch, capsys, tmp_path):
-    """The memo keeps only the graph last asked: ``regularity`` and
-    ``betti_table`` at chars 0, 2 and 3 over the n <= 6 corpus, and
-    ``eilab reg`` over it as a graph6 file, never leave more than one
-    graph's results in it."""
-    memo = _OneGraphWatch()
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", memo)
+def test_sweep_memo_holds_one_graph(corpus6, capsys, tmp_path):
+    """The oracle's record keeps only the graph last asked, with no subset
+    table: ``regularity`` and ``betti_table`` at chars 0, 2 and 3 over the
+    n <= 6 corpus, and ``eilab reg`` over it as a graph6 file, leave the
+    last graph's record alone."""
+    ro._whole_graph.cache_clear()
     for g in corpus6:
         for char in (0, 2, 3):
             ro.regularity(g, FieldSpec(char))
             if g.num_edges:
                 ro.betti_table(g, FieldSpec(char))
     last = corpus6[-1]
-    assert memo.most == 1 and set(memo) == {(last.n, last.edges)}
-    memo = _OneGraphWatch()
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", memo)
+    _assert_record_holds_only(last)
+    ro._whole_graph.cache_clear()
     g6 = tmp_path / "corpus6.g6"
     g6.write_text("".join(encode_graph6(g) + "\n" for g in corpus6))
     assert cli.main(["reg", "--g6", str(g6), "--char", "0", "--char", "2", "--char", "3"]) == 0
     assert capsys.readouterr().out.count("\r\n") == len(corpus6) + 1
-    assert memo.most == 1 and set(memo) == {(last.n, last.edges)}
+    _assert_record_holds_only(last)
 
 
 def _ind_dims(g: gc.Graph, w: int, char: int) -> dict[int, int]:
@@ -406,7 +426,7 @@ def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
     for g in (flag_rp2_complement(), rp2_minus_vertex_and_edge()):
         pieces.clear()
         for char in (0, 2, 3):
-            ro._subset_walk(g, char)
+            ro._walk_table(g, char)
         assert pieces, g.edges
         for adj, w, char in pieces:
             verts = [v for v in range(len(adj)) if w >> v & 1]
@@ -470,7 +490,7 @@ def test_cliques_and_bowtie_build_no_complex(monkeypatch):
         raise AssertionError(f"complex built for subset {piece_mask:b}")
 
     monkeypatch.setattr(ro, "_piece_dims", refuse)
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    ro._whole_graph.cache_clear()
     bowtie = gc.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     for g in [complete(k) for k in range(2, 9)] + [bowtie]:
         for char in (0, 2):
@@ -489,8 +509,8 @@ def test_unit_elimination_keeps_rank():
             for _ in range(n_cols)
         ]
         dense = [[col.get(r, 0) for r in range(n_rows)] for col in cols]
-        pivots, core = ro._eliminate_units([dict(col) for col in cols])
-        diagonal = ro._diagonal(core)
+        pivots, core = homology._eliminate_units([dict(col) for col in cols])
+        diagonal = homology._diagonal(core)
         for char in (0, 2, 3, 5):
             rank = pivots + sum(1 for p in diagonal if char == 0 or p % char)
             assert rank == brute_rank(dense, char), (cols, char)
@@ -530,12 +550,12 @@ def test_characteristic_dependence_11_vertices(monkeypatch):
     more homology over GF(2): ``reg_star`` is 3, 4 and 3 at chars 0, 2 and
     3, the char-0 walk leaves the diagonal entry 2, and the Betti tables at
     chars 0 and 2 match Hochster's formula by brute force."""
-    monkeypatch.setattr(ro, "_SWEEP_MEMO", {})
+    _, torsion = _count_walks(monkeypatch)
     g = rp2_minus_vertex_and_edge()
     assert encode_graph6(g) == "JWaqbO\\euT?" and g.num_edges == 25
     regs = {c: ro.regularity(g, FieldSpec(c)).reg_star for c in (0, 2, 3)}
     assert regs == {0: 3, 2: 4, 3: 3}
-    assert ro._SWEEP_MEMO[(g.n, g.edges)][3] == (2,)
+    assert torsion[g.n, g.edges] == {2}
     for char in (0, 2):
         assert ro.betti_table(g, FieldSpec(char)).as_dict() == brute_betti(g, char), char
 
@@ -564,7 +584,7 @@ def test_regularity_cap_disconnected():
         with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
             ro.regularity(g, FieldSpec(char))
         with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
-            ro._subset_walk(g, char)
+            ro.subgraph_regularity(g, FieldSpec(char))
 
 
 def test_recursion_value_cap():

@@ -1,3 +1,6 @@
+"""The subgraph readings of ``regularity_oracle.subgraph_regularity``:
+induced subgraphs and single-edge deletions read off one subset table."""
+
 from __future__ import annotations
 
 import random
@@ -7,14 +10,13 @@ import pytest
 
 from eilab import graph_core as gc
 from eilab import regularity_oracle as ro
-from eilab import subgraph_oracle as so
 from eilab.errors import CapExceeded, InvalidSurgery
 from eilab.regularity_oracle import FieldSpec
 
 from helpers import cycle, flag_rp2_complement, path, rp2_minus_vertex_and_edge
 
 
-def _surgery_readings(sub: so.SubgraphRegularity, g: gc.Graph):
+def _surgery_readings(sub: ro.SubgraphRegularity, g: gc.Graph):
     """``reg_star`` of ``G``, then of ``G - x`` and ``G - N[x]`` for every
     vertex, then of ``G - e`` and ``G - N[e]`` for every edge, read off
     ``g``'s table."""
@@ -57,13 +59,13 @@ def test_subgraph_regularity_matches_surgeries(corpus7):
     their torsion 2 makes char 2 differ, so they are also read from the
     char-0 table by ``at``."""
     for g in corpus7:
-        assert _surgery_readings(so.subgraph_regularity(g), g) == _surgery_reference(g, 0), g.edges
+        assert _surgery_readings(ro.subgraph_regularity(g), g) == _surgery_reference(g, 0), g.edges
     torsion = [flag_rp2_complement(), rp2_minus_vertex_and_edge()]
     for g in torsion + _seeded_graphs_9_to_14():
-        base = so.subgraph_regularity(g, FieldSpec(0))
+        base = ro.subgraph_regularity(g, FieldSpec(0))
         for char in (0, 2, 3):
             ref = _surgery_reference(g, char)
-            assert _surgery_readings(so.subgraph_regularity(g, FieldSpec(char)), g) == ref, (g.edges, char)
+            assert _surgery_readings(ro.subgraph_regularity(g, FieldSpec(char)), g) == ref, (g.edges, char)
             if g in torsion:
                 assert _surgery_readings(base.at(FieldSpec(char)), g) == ref, (g.edges, char)
 
@@ -74,22 +76,22 @@ def test_subgraph_regularity_shares_only_torsion_free_tables(monkeypatch):
     graph is walked at chars 0 and 2 only.  Past the cap it refuses as the
     walk does, and it refuses a vertex pair that is not an edge."""
     walks = []
-    walk_table = so._walk_table
+    walk_table = ro._walk_table
 
     def counting(g, char):
         walks.append(char)
         return walk_table(g, char)
 
-    monkeypatch.setattr(so, "_walk_table", counting)
+    monkeypatch.setattr(ro, "_walk_table", counting)
     rp2 = flag_rp2_complement()
-    base = so.subgraph_regularity(rp2)
+    base = ro.subgraph_regularity(rp2)
     assert base.torsion == (2,)
     regs = {c: base.at(FieldSpec(c)).induced(rp2.full_mask) for c in (0, 2, 3, 5)}
     assert regs == {0: 3, 2: 4, 3: 3, 5: 3} and walks == [0, 2]
     with pytest.raises(CapExceeded, match="regularity sweep capped at 16 vertices, got 17"):
-        so.subgraph_regularity(path(17))
+        ro.subgraph_regularity(path(17))
     with pytest.raises(InvalidSurgery):
-        so.subgraph_regularity(cycle(5)).edge_deleted(0, 2)
+        ro.subgraph_regularity(cycle(5)).edge_deleted(0, 2)
 
 
 def test_submask_max_matches_brute_force():
@@ -99,4 +101,4 @@ def test_submask_max_matches_brute_force():
     for n in range(10):
         values = [rng.randrange(n + 2) for _ in range(1 << n)]
         brute = [max(values[s] for s in range(1 << n) if s & w == s) for w in range(1 << n)]
-        assert list(so._submask_max(bytes(values), n)) == brute, n
+        assert list(ro._submask_max(bytes(values), n)) == brute, n
