@@ -7,7 +7,7 @@ per vertex, which is what every search in this package indexes against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
 
@@ -214,6 +214,35 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
     return out
 
 
+def maximal_independent_sets(g: Graph) -> Iterator[int]:
+    """Every maximal independent set of ``g`` once, as a mask.
+
+    Bron-Kerbosch with a pivot, on the complement's cliques: at most
+    ``3^(n/3)`` sets (Moon and Moser), each found in polynomial time.
+    """
+    full = g.full_mask
+    closed = [g._adj[v] | 1 << v for v in range(g.n)]
+    # Each frame is (I, P, X): an independent set, the vertices that may
+    # still join it, and those that may not because their branch is done.
+    stack = [(0, full, 0)]
+    while stack:
+        indep, cand, done = stack.pop()
+        if not cand & cand - 1:
+            # At most one vertex v may still join: I + P is maximal when
+            # every vertex of X is adjacent to v.
+            reach = closed[cand.bit_length() - 1] if cand else 0
+            if not done & ~reach:
+                yield indep | cand
+            continue
+        # Every maximal I here holds the pivot or one of its neighbours in P:
+        # branch only on those, with the pivot that leaves the fewest.
+        branch = min((cand & closed[u] for u in _bits(cand | done)), key=int.bit_count)
+        for v in _bits(branch):
+            stack.append((indep | 1 << v, cand & ~closed[v], done & ~closed[v]))
+            cand ^= 1 << v
+            done |= 1 << v
+
+
 def canonical_key(g: Graph) -> int:
     """Exact isomorphism key: equal keys exactly when graphs are isomorphic.
 
@@ -286,18 +315,37 @@ def canonical_form(g: Graph) -> Graph:
     lexicographically minimal, the bits taken in column order x(0,1),
     x(0,2), x(1,2), x(0,3), ... (graph6's order, so within one vertex count
     the graph6 strings of canonical forms sort as these bit strings do).
-    Found by placing vertices one position at a time and pruning any
-    placement whose bit prefix already exceeds the best.  At each position
-    only one vertex of each twin class is tried: twins outside the placed
-    prefix give the same column, and swapping them is an automorphism
-    fixing the prefix, so their subtrees give the same strings.
+    Column ``j`` holds position ``j`` against positions ``0..j-1``, so the
+    strings compare column by column.  The search places one vertex per
+    position but leaves the order inside cells of placed vertices open:
 
-    Each unplaced vertex carries its column against the placed prefix,
-    extended by one bit per placement.  A node knows whether its prefix
-    equals the best string's or is already below it; below, every leaf
-    improves the best, after which the prefix equals the new best's.  When
-    equal, the candidates are tried in increasing column order up to the
-    first column above the best's at that position.
+    1. The first ``alpha`` positions of the least order hold a maximum
+       independent set: columns ``1..k`` are zero exactly when positions
+       ``0..k`` are independent, and no order has more.  So the search
+       starts once from each maximum independent set, as one cell.
+    2. The cells are ordered; each is a clique or an independent set, and
+       each vertex is adjacent to all or none of every earlier cell, alike
+       within its cell.  So no order inside the cells changes a placed
+       column: the cells fix the placed string.
+    3. The next vertex ``w`` gets its least column exactly when every cell
+       puts its non-neighbours of ``w`` before its neighbours, and nothing
+       else placed depends on that order.  So ``w`` splits each cell into
+       those two parts, which keep step 2, and its column follows from its
+       neighbour count in each cell.
+    4. ``w`` joins the last cell instead of starting one when it has that
+       cell's column against the earlier cells and the cell stays a clique
+       or an independent set, which keeps step 2.
+    5. The cells fix the placed string and the unplaced set, so each cell
+       sequence is searched once, recorded as one packed int per call.
+    6. Only one unplaced vertex of each twin class is tried, and only the
+       seeds holding the lowest vertices of each twin class: swapping two
+       twins is an automorphism fixing the rest, so their subtrees give the
+       same strings.
+
+    A node knows whether its string is equal to the best's so far or
+    already below it; below, every leaf improves the best, after which the
+    string equals the new best's.  When equal, the candidates are tried in
+    increasing column order up to the first column above the best's.
     """
     n = g.n
     if n > CANONICAL_LIMIT_DEFAULT:
@@ -307,46 +355,88 @@ def canonical_form(g: Graph) -> Graph:
 
     adj = g._adj
     twins = _twin_masks(adj)
-    # The identity order seeds the bound: best[j] is the column of the
-    # vertex at position j against positions 0..j-1 (best[0] is empty).
-    best = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            best[j] = best[j] << 1 | adj[j] >> i & 1
+    seeds = list(maximal_independent_sets(g))
+    alpha = max(map(int.bit_count, seeds))
+    full = (1 << n) - 1
+    # best[j] is the column of the best order's position j (best[0] is empty).
+    best = None
     cols = [0] * n
+    visited = set()
 
-    def descend(pos: int, column: dict[int, int], below: bool) -> bool:
-        """Search below the prefix ``cols[:pos]``, ``column`` holding each
-        unplaced vertex's column against it; True if the best improved."""
+    def descend(pos: int, cells: list[int], unplaced: int, below: bool) -> bool:
+        """Search below the ordered cells ``cells``, which fix ``cols[:pos]``
+        and leave ``unplaced``; True if the best improved."""
         nonlocal best
-        if pos == n:
+        if not unplaced:
             if below:
                 best = list(cols)
             return below
         candidates = []
         tried = 0
-        for v, col in column.items():
-            if not twins[v] & tried:
-                tried |= 1 << v
-                candidates.append((col, v))
+        rest = unplaced
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if not twins[w] & tried:
+                tried |= low
+                nb = adj[w]
+                col = 0
+                for cell in cells:  # the cell's non-neighbours of w, then its neighbours
+                    col = col << cell.bit_count() | (1 << (nb & cell).bit_count()) - 1
+                candidates.append((col, w))
         candidates.sort()
+        last = cells[-1]
+        x = (last & -last).bit_length() - 1  # the last cell's vertices share x's column
+        before = full ^ unplaced ^ last  # the earlier cells
+        clique = (adj[x] | 1 << x) & last == last
+        independent = not adj[x] & last
         improved = False
-        for col, v in candidates:
+        for col, w in candidates:
             if not below and col > best[pos]:
                 break
             cols[pos] = col
-            child = {u: c << 1 | adj[u] >> v & 1 for u, c in column.items() if u != v}
-            if descend(pos + 1, child, below or col < best[pos]):
+            if unplaced == 1 << w:  # the last position
+                if below or col < best[pos]:
+                    best = list(cols)
+                    return True
+                return False
+            nb = adj[w]
+            inside = nb & last
+            if nb & before == adj[x] & before and (inside == last and clique or not inside and independent):
+                child = cells[:-1] + [last | 1 << w]
+            else:
+                child = []
+                for cell in cells:
+                    for part in (cell & ~nb, cell & nb):
+                        if part:
+                            child.append(part)
+                child.append(1 << w)
+            key = 1
+            for cell in child:
+                key = key << n | cell
+            if key in visited:
+                continue
+            visited.add(key)
+            if descend(pos + 1, child, unplaced ^ 1 << w, below or col < best[pos]):
                 improved = True
                 below = False  # the new best extends this prefix
         return improved
 
     try:
-        descend(0, dict.fromkeys(range(n), 0), False)
+        for seed in seeds:
+            if seed.bit_count() == alpha and not any(twins[u] & ~seed & (1 << u) - 1 for u in _bits(seed)):
+                descend(alpha, [seed], full ^ seed, best is None)
     finally:
         descend = None  # break its self-reference, so nothing waits for the collector
     # The best string is the labelled graph: bit j - 1 - i of best[j] is x(i, j).
-    return from_edges(n, [(i, j) for j in range(n) for i in range(j) if best[j] >> j - 1 - i & 1])
+    out = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            if best[j] >> j - 1 - i & 1:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    return Graph(n, out)
 
 
 # -- internals ...............................................................
@@ -399,14 +489,13 @@ def _check_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:
 
 def _twin_masks(adj: Sequence[int]) -> list[int]:
     """``twins[v]``: the vertices ``u != v`` with ``N(u) - v == N(v) - u``."""
-    n = len(adj)
-    twins = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twins[v] |= 1 << u
-                twins[u] |= 1 << v
-    return twins
+    # Non-adjacent twins share N(v), adjacent ones N(v) + v.
+    open_class: dict[int, int] = {}
+    closed_class: dict[int, int] = {}
+    for v, mask in enumerate(adj):
+        open_class[mask] = open_class.get(mask, 0) | 1 << v
+        closed_class[mask | 1 << v] = closed_class.get(mask | 1 << v, 0) | 1 << v
+    return [(open_class[mask] | closed_class[mask | 1 << v]) ^ 1 << v for v, mask in enumerate(adj)]
 
 
 def _equitable(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:

@@ -8,9 +8,10 @@ key is computed: the attach set must take the lowest vertices of each
 twin class of the parent, and no non-cut vertex may beat the new vertex on
 ``(degree, sorted neighbour degrees)``.  Up to n = 7 they leave 1,353 of
 the 7,815 candidates.  The rest are deduplicated by the refinement key
-``graph_core.canonical_key``; each class is then labelled by the lex-min
-``graph_core.canonical_form``, computed once per class, and each vertex
-count is sorted by graph6 string.
+``graph_core.canonical_key``; each class is then labelled once, by
+``graph_core.canonical_form``, the least column string over all vertex
+orders, searched from the graph's maximum independent sets; and each
+vertex count is sorted by graph6 string.
 Sweeps then check the classification theorem and each supporting lemma
 over a corpus, optionally including two-component disjoint unions, in one
 process.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import CapExceeded
-from .graph_core import Graph, _bits, components
+from .graph_core import Graph, components, maximal_independent_sets
 
 NP_HARD_VERTEX_CAP = 24
 NP_HARD_EDGE_CAP = 60
@@ -197,35 +197,19 @@ def mm(g: Graph) -> int:
        same size, and a maximal matching dominates every edge.
 
     The covers are the complements of the maximal independent sets, which
-    Bron-Kerbosch with a pivot lists (at most ``3^(n/3)`` of them, Moon and
-    Moser).  ``nu(G[C])`` is read from one memo for the call, and skipped
-    when ``ceil(|C|/2)``, the least the cover can give, is no better than
-    the best so far.
+    ``graph_core.maximal_independent_sets`` lists.  ``nu(G[C])`` is read
+    from one memo for the call, and skipped when ``ceil(|C|/2)``, the least
+    the cover can give, is no better than the best so far.
     """
     _check_np_caps(g, "minimum maximal matching")
     full = g.full_mask
-    closed = [g.adj_mask(v) | 1 << v for v in range(g.n)]
     size_fn = _nu_of_mask_fn(g)
     best = g.n
-    # Each frame is (I, P, X): an independent set, the vertices that may
-    # still join it, and those that may not because their branch is done.
-    stack = [(0, full, 0)]
-    while stack:
-        indep, cand, done = stack.pop()
-        if not cand:
-            if not done:  # I is maximal
-                cover = full ^ indep
-                k = cover.bit_count()
-                if k + 1 >> 1 < best:
-                    best = min(best, k - size_fn(cover))
-            continue
-        # Every maximal I here holds the pivot or one of its neighbours in P:
-        # branch only on those, with the pivot that leaves the fewest.
-        branch = min((cand & closed[u] for u in _bits(cand | done)), key=int.bit_count)
-        for v in _bits(branch):
-            stack.append((indep | 1 << v, cand & ~closed[v], done & ~closed[v]))
-            cand ^= 1 << v
-            done |= 1 << v
+    for indep in maximal_independent_sets(g):
+        cover = full ^ indep
+        k = cover.bit_count()
+        if k + 1 >> 1 < best:
+            best = min(best, k - size_fn(cover))
     return best
 
 

@@ -224,15 +224,28 @@ def test_canonical_form_twins_pruned():
 def test_canonical_form_matches_brute_lex_min(corpus6):
     """``canonical_form`` gives the least column string over every vertex
     order (``helpers.brute_canonical_form``): on a seeded relabelling of
-    each graph of ``corpus_up_to(6)``, and on 20 seeded 7-vertex graphs,
-    connected or not."""
+    each graph of ``corpus_up_to(6)`` and of every graph on 6 vertices,
+    whose disconnected ones can have many maximum independent sets, and on
+    20 seeded 7-vertex graphs, connected or not."""
     rng = random.Random(29)
-    graphs = [_shuffled(g, rng) for g in corpus6]
+    graphs = [_shuffled(g, rng) for g in corpus6 + harness.enumerate_all(6).graphs]
     for _ in range(20):
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         graphs.append(gc.from_edges(7, [(u, v) for v in range(7) for u in range(v) if rng.random() < p]))
     for g in graphs:
         assert column_string(gc.canonical_form(g)) == brute_canonical_form(g), g
+
+
+def test_canonical_form_symmetric_graphs():
+    """Graphs with many automorphisms and many equal columns, where the
+    search meets the most ties: each comes back the same from 5 seeded
+    relabellings."""
+    rng = random.Random(30)
+    k22222 = gc.from_edges(10, [(u, v) for v in range(10) for u in range(v) if u // 2 != v // 2])
+    for g in [SYMMETRIC_10[name] for name in ("K10", "edgeless10", "K5,5", "Petersen", "C10")] + [k22222]:
+        base = gc.canonical_form(g)
+        for _ in range(5):
+            assert gc.canonical_form(_shuffled(g, rng)) == base, g
 
 
 def test_canonical_form_fixes_the_corpus(corpus7):

@@ -195,45 +195,86 @@ def test_augmentation_filter_losing_classes(old, new, monkeypatch):
     assert list(harness._connected_levels(6)) != reference
 
 
-def test_lex_min_search_staying_below_after_an_improvement(corpus6, monkeypatch):
-    """``canonical_form`` holds whether its prefix is below the best string
-    or equal to it; once a child improves the best, the prefix equals the
-    new best.  A mutant that stays below takes every later leaf under that
-    prefix as an improvement, whatever its string.  Caught by
-    ``helpers.brute_canonical_form`` (every vertex order) on a seeded
-    relabelling of each graph of ``corpus_up_to(6)``.  First recorded with
-    the incremental search (the enumeration-pruning entry in CHANGES.md)."""
+@pytest.fixture(scope="module")
+def relabelled6(corpus6):
+    """A seeded relabelling of each graph of ``corpus_up_to(6)``, with its
+    least column string over every vertex order
+    (``helpers.brute_canonical_form``)."""
     rng = random.Random(2930)
     graphs = []
     for g in corpus6:
         perm = list(range(g.n))
         rng.shuffle(perm)
         graphs.append(relabel(g, perm))
-    reference = [brute_canonical_form(g) for g in graphs]
+    return graphs, [brute_canonical_form(g) for g in graphs]
 
-    def forms():
-        return [column_string(graph_core.canonical_form(g)) for g in graphs]
 
-    assert forms() == reference
+def _lex_min_forms(graphs):
+    return [column_string(graph_core.canonical_form(g)) for g in graphs]
+
+
+def test_lex_min_search_staying_below_after_an_improvement(relabelled6, monkeypatch):
+    """``canonical_form`` holds whether its string is below the best string
+    or equal to it; once a child improves the best, the string equals the
+    new best.  A mutant that stays below takes every later leaf under that
+    node as an improvement, whatever its string.  Caught by
+    ``helpers.brute_canonical_form`` (every vertex order) on a seeded
+    relabelling of each graph of ``corpus_up_to(6)``.  First recorded with
+    the incremental search (the enumeration-pruning entry in CHANGES.md),
+    and kept by the search over cells."""
+    graphs, reference = relabelled6
+    assert _lex_min_forms(graphs) == reference
     _rewrite(monkeypatch, graph_core, "canonical_form", "below = False  # the new best extends this prefix", "pass")
-    assert forms() != reference
+    assert _lex_min_forms(graphs) != reference
+
+
+_SEED = "descend(alpha, [seed], full ^ seed, best is None)"
+_SPLIT = "(cell & ~nb, cell & nb)"
 
 
 @pytest.mark.parametrize(
-    "old, new, caught_on",
+    "old, new",
+    [(_SEED, _SEED + "; break"), (_SPLIT, "(cell & nb, cell & ~nb)")],
+    ids=["first-seed-only", "neighbours-first"],
+)
+def test_lex_min_search_over_cells_mutants(old, new, relabelled6, monkeypatch):
+    """``canonical_form`` searches from every maximum independent set, up
+    to twins, and a placed vertex splits each cell into its non-neighbours
+    and then its neighbours, the order its column is read in.  One mutant
+    searches from the first maximum independent set only, and so misses the
+    least string when another set starts it.  One splits the neighbours
+    first, so the cells no longer match the columns recorded for them.
+    Each is caught by ``helpers.brute_canonical_form`` on a seeded
+    relabelling of each graph of ``corpus_up_to(6)``.  First recorded with
+    the search over cells (its entry in CHANGES.md)."""
+    graphs, reference = relabelled6
+    assert _lex_min_forms(graphs) == reference
+    _rewrite(monkeypatch, graph_core, "canonical_form", old, new)
+    assert _lex_min_forms(graphs) != reference
+
+
+@pytest.mark.parametrize(
+    "owner, name, old, new, caught_on",
     [
-        ("k - size_fn(cover)", "k - size_fn(full)", path(2)),
-        ("cand & closed[u] for u", "cand & closed[u] & ~(1 << u) for u", path(1)),
+        (matchings, "mm", "k - size_fn(cover)", "k - size_fn(full)", path(2)),
+        (
+            graph_core,
+            "maximal_independent_sets",
+            "cand & closed[u] for u",
+            "cand & closed[u] & ~(1 << u) for u",
+            path(3),
+        ),
     ],
     ids=["nu-of-whole-graph", "pivot-left-out"],
 )
-def test_mm_cover_formula_mutants(old, new, caught_on, corpus6, monkeypatch):
+def test_mm_cover_formula_mutants(owner, name, old, new, caught_on, corpus6, monkeypatch):
     """``matchings.mm`` takes the least ``|C| - nu(G[C])`` over the
     complements ``C`` of the maximal independent sets that Bron-Kerbosch
-    lists.  One mutant reads ``nu(G)`` in place of ``nu(G[C])``, and so
-    gives 0 on ``K_2``.  One leaves the pivot out of its branch set, and so
-    never lists an independent set holding the pivot: on ``K_1`` it lists
-    none and returns its starting bound 1.  Each is caught by the reference
+    lists (``graph_core.maximal_independent_sets``).  One mutant reads
+    ``nu(G)`` in place of ``nu(G[C])``, and so gives 0 on ``K_2``.  One
+    leaves the pivot out of the lister's branch set, and so misses the
+    independent sets holding it: on ``P_3`` it lists only the middle
+    vertex, and ``mm`` reads 2 against 1.  Each is caught by the reference
     comparison with the branching search
     (``test_mm_cover_formula_matches_search``), first on the named graph in
     corpus order, where the unmutated code passes.  First recorded with the
@@ -244,7 +285,9 @@ def test_mm_cover_formula_mutants(old, new, caught_on, corpus6, monkeypatch):
 
     assert matchings.mm(caught_on) == len(matchings._min_maximal_edges(caught_on))
     assert first_mismatch() is None
-    _rewrite(monkeypatch, matchings, "mm", old, new)
+    _rewrite(monkeypatch, owner, name, old, new)
+    # matchings holds its own reference to the lister.
+    monkeypatch.setattr(matchings, "maximal_independent_sets", graph_core.maximal_independent_sets)
     caught = first_mismatch()
     assert caught is not None
     assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
