@@ -10,13 +10,17 @@ shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
 matching number, both summed over the components: ``reg - 1`` and ``nu``
 add over them, and the oracle's ``union_reg_star`` is the one statement of
-the first.  Each component's shape, matching number and ``reg_star`` at
-each characteristic are evaluated once per distinct component of a graph,
-or of a whole sweep when the sweep hands ``_classify`` one dict for all
-its graphs.  The regularities come from one subset walk of the component
-(``regularity_oracle.subgraph_regularity``), read at each characteristic
-by ``SubgraphRegularity.at``, which walks again only at a characteristic
-that divides the walk's torsion.
+the first.  So a verdict is fixed by its components' records, and the code
+says so in two steps: ``_parts`` measures each component's shape, matching
+number and ``reg_star`` at each characteristic, and ``_verdicts`` reads the
+verdicts off a list of such records.  ``classify`` is the two in turn.  A
+sweep keeps each input graph's records and reads the verdicts of a union
+of two inputs off their records joined, with no union graph built; it
+hands ``_parts`` one dict for all its inputs, so a component met again is
+measured once.  The regularities come from one subset walk of the
+component (``regularity_oracle.subgraph_regularity``), read at each
+characteristic by ``SubgraphRegularity.at``, which walks again only at a
+characteristic that divides the walk's torsion.
 """
 
 from __future__ import annotations
@@ -80,29 +84,35 @@ def component_shape(comp: Graph) -> str:
 def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     """Evaluate both sides of the equivalence on one graph: one verdict per
     characteristic in ``chars``, in the order given, duplicates kept."""
-    return _classify(g, chars, {})
+    return _verdicts(_parts(g, chars, {}), chars)
 
 
-def _classify(g: Graph, chars, facts: dict) -> list[ClassificationVerdict]:
-    """``classify``, taking each component's ``(shape, nu, regs)`` from
-    ``facts`` and recording there those it computes, where ``regs`` maps
-    each characteristic of ``chars`` to the component's ``reg_star``.  A
-    sweep passes one dict, and the same ``chars``, for all its graphs, so
-    a component met again, as each corpus graph is inside its unions, is
-    measured once."""
+def _parts(g: Graph, chars, measured: dict) -> list[tuple[str, int, dict[int, int]]]:
+    """Each component's ``(shape, nu, regs)``, in component order, where
+    ``regs`` maps each characteristic of ``chars`` to its ``reg_star``.
+    Each is taken from ``measured``, keyed by the component, or measured
+    and recorded there; a connected graph is its own component, so a
+    sweep's dict is keyed by its input graphs."""
     if g.n == 0:
         raise NotApplicable("classification needs at least one vertex")
     regularity_oracle.refuse_past_cap(g)
     parts = []
     for _, comp in graph_core.components(g):
-        if facts.get(comp) is None:
+        if comp not in measured:
             sub = regularity_oracle.subgraph_regularity(comp)
             regs = {c: sub.at(FieldSpec(c)).whole() for c in dict.fromkeys(chars)}
-            facts[comp] = (component_shape(comp), matchings.nu(comp), regs)
-        parts.append(facts[comp])
+            measured[comp] = (component_shape(comp), matchings.nu(comp), regs)
+        parts.append(measured[comp])
+    return parts
+
+
+def _verdicts(parts, chars) -> list[ClassificationVerdict]:
+    """The verdicts of a graph whose components have the given ``(shape,
+    nu, regs)``: both sides of the equivalence add over the components,
+    ``nu`` in the target and ``reg - 1`` in ``union_reg_star``."""
     shapes = tuple(shape for shape, _, _ in parts)
     structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    target = sum(nu for _, nu, _ in parts) + 1  # nu adds over components
+    target = sum(nu for _, nu, _ in parts) + 1
     regs = [(c, regularity_oracle.union_reg_star(r[c] for _, _, r in parts)) for c in chars]
     return [
         ClassificationVerdict(

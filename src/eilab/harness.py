@@ -4,17 +4,18 @@ The corpus is every connected graph on up to eight vertices, one per
 isomorphism class, produced by vertex augmentation (attach a new vertex to
 a nonempty subset of a smaller connected graph).  Two exact filters, a
 weak form of McKay's canonical deletion, drop most candidates before any
-key is computed: the attach set must take the lowest vertices of each
+is labelled: the attach set must take the lowest vertices of each
 twin class of the parent, and no non-cut vertex may beat the new vertex on
 ``(degree, sorted neighbour degrees)``.  Up to n = 7 they leave 1,353 of
-the 7,815 candidates.  The rest are deduplicated by the refinement key
-``graph_core.canonical_key``; each class is then labelled once, by
+the 7,815 candidates.  Each one left is labelled by
 ``graph_core.canonical_form``, the least column string over all vertex
-orders, searched from the graph's maximum independent sets; and each
-vertex count is sorted by graph6 string.
+orders, searched from the graph's maximum independent sets; the labelled
+forms are deduplicated as they are made, and each vertex count is sorted
+by graph6 string.
 Sweeps then check the classification theorem and each supporting lemma
 over a corpus, optionally including two-component disjoint unions, in one
-process.
+process.  A union is a pair of indices into the corpus, and is built only
+where a check walks it or a report names it (``unions``).
 
 Each per-graph check states its lemma and returns the detail strings of
 its violations, calling its searches in any order: each refuses past its
@@ -40,17 +41,25 @@ missing ``u`` or ``v``, so ``reg(G - e)`` is at least the larger of
 ``reg(G - u)`` and ``reg(G - v)``, and only an edge that bound leaves
 undecided is refilled.  C1a builds ``G - e`` only for its matching number.
 
-Comp reads the regularity of the union and of each of its components off
-the union's one subset table (``regularity_oracle.subgraph_regularity``):
-the whole table, and the submasks of each component's vertices, summed by
+The theorem sweep builds no union.  Both sides of the equivalence add
+over the components, so a union's verdicts are read off its two graphs'
+records (``unions.theorem_verdicts``): each graph's parts
+(``classifier._parts``: each component's shape, ``nu`` and ``reg_star``
+at each characteristic) are measured at the graph's own row and kept for
+the sweep.  A union with a refused part, or past the oracle cap, is a
+skip.  The parts are measured with one dict for the sweep, keyed by
+component, which is the corpus graph itself for a connected one, so each
+distinct component is measured once.
+
+Comp checks that additivity itself, so it walks each union: it reads the
+regularity of the union and of each of its components off the union's
+one subset table (``regularity_oracle.subgraph_regularity``): the whole
+table, and the submasks of each component's vertices, summed by
 ``regularity_oracle.union_reg_star``.  The table is walked once at char
 0 and serves every characteristic that divides none of its torsion,
-through ``SubgraphRegularity.at``.  The theorem sweep hands ``classify``
-one dict for the whole sweep, from each component to its shape, ``nu``
-and ``reg_star`` at each characteristic, and Comp keeps one from each
-component to its ``nu`` and ``nu0``.  Both are keyed from the start by
-the corpus graphs, which the unions' components equal, so each is
-measured once and no component ``Graph`` is kept as a key of its own.
+through ``SubgraphRegularity.at``.  The components' vertex masks, ``nu``
+and ``nu0`` come from each corpus graph's split (``unions.split``), made
+once per sweep, so no union is split into its components.
 
 Squeeze checks Woodroofe's ``reg <= cochord + 1`` without the cover number
 itself: it reads ``reg`` first and asks the cover search only whether a
@@ -62,11 +71,11 @@ cover number as before.
 
 from __future__ import annotations
 
-import copy
 import random
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 from . import (
     cameron_walker,
@@ -76,6 +85,7 @@ from . import (
     graph_core,
     matchings,
     regularity_oracle,
+    unions,
 )
 from .errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from .graph_core import Graph, _bits, _reach, _twin_masks
@@ -115,8 +125,8 @@ def _connected_levels(max_n: int):
     """Yield, for ``n = 1 .. max_n`` in turn, all connected graphs on ``n``
     vertices, canonically labelled and sorted by graph6 string.  Each level
     is built from the labelled previous one: a parent ``g`` gains a vertex
-    ``v`` attached to a nonempty set ``A``, and a candidate is keyed only if
-    it passes two exact filters.
+    ``v`` attached to a nonempty set ``A``, and a candidate is labelled
+    only if it passes two exact filters.
 
     (a) Within each twin class of ``g``, ``A`` holds the lowest vertices.
     Swapping twins is an automorphism of ``g``, so every other ``A`` gives
@@ -128,9 +138,8 @@ def _connected_levels(max_n: int):
     connected parent, and the candidate that re-attaches ``w`` to that
     parent (moved by (a)'s twin swap) is kept.
 
-    The kept candidates are deduplicated by ``canonical_key``, and each
-    class is labelled by ``canonical_form`` when its key is first seen, so
-    only the labelled forms are kept."""
+    Each kept candidate is labelled by ``canonical_form``, and the labelled
+    forms are deduplicated as they are made."""
     if max_n > INTERNAL_ENUMERATION_CAP:
         raise TooLarge(
             f"internal enumeration caps at {INTERNAL_ENUMERATION_CAP} vertices; "
@@ -139,7 +148,7 @@ def _connected_levels(max_n: int):
     level = (graph_core.from_edges(1, []),)
     for n in range(1, max_n + 1):
         if n > 1:
-            seen: dict[int, Graph] = {}
+            seen: set[Graph] = set()
             v = n - 1
             full = (1 << n) - 1
             for g in level:
@@ -170,11 +179,8 @@ def _connected_levels(max_n: int):
                         if _reach(adj, 1 << v, full ^ 1 << x) == full ^ 1 << x:
                             break  # x is not a cut vertex and beats v
                     else:
-                        cand = Graph(n, adj)
-                        key = graph_core.canonical_key(cand)
-                        if key not in seen:
-                            seen[key] = graph_core.canonical_form(cand)
-            level = tuple(sorted(seen.values(), key=formats_io.encode_graph6))
+                        seen.add(graph_core.canonical_form(Graph(n, adj)))
+            level = tuple(sorted(seen, key=formats_io.encode_graph6))
         if n in CONNECTED_COUNTS and len(level) != CONNECTED_COUNTS[n]:
             raise AssertionError(
                 f"enumeration found {len(level)} connected graphs on {n} vertices, "
@@ -234,44 +240,39 @@ def corpus_from_graph6(text: str) -> Corpus:
 
 
 def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
-    """All two-component disjoint unions (unordered, repeats allowed) with
-    at most ``total_cap`` vertices.  A cap past the graph6 vertex limit is
-    refused up front: a sweep names each graph by its graph6 string."""
-    if total_cap > formats_io.MAX_VERTICES:
-        raise TooLarge(f"unions cap at {formats_io.MAX_VERTICES} vertices, got {total_cap}")
-    out = []
+    """The unions of ``unions.union_index_pairs``, built."""
     items = list(graphs)
-    for i, g1 in enumerate(items):
-        for g2 in items[i:]:
-            if g1.n + g2.n <= total_cap:
-                out.append(graph_core.disjoint_union(g1, g2))
-    return out
+    return [graph_core.disjoint_union(items[i], items[j]) for i, j in unions.union_index_pairs(items, total_cap)]
 
 
 # -- sweeps ------------------------------------------------------------------------
 
 
-def _sweeps(checks: dict, graphs, chars, facts_for) -> list[SweepReport]:
-    """One report per entry of ``checks``, graph by graph: each graph of
-    the sequence ``graphs`` gets ``facts = facts_for(g)``, then every
-    ``check(g, chars, facts)`` in turn.  Each detail string a check returns
-    is a violation, and a ``CapExceeded`` a skip, both named by the graph's
-    graph6 string.  A report's ``seconds`` sums its own check's time."""
+def _sweeps(checks: dict, items, chars, facts_for, graph_of=lambda g: g) -> list[SweepReport]:
+    """One report per entry of ``checks``, item by item: each item gets
+    ``facts = facts_for(item)``, then every ``check(item, chars, facts)``
+    in turn.  An item is a graph, or whatever ``graph_of`` builds one from.
+    Each detail string a check returns is a violation, and a
+    ``CapExceeded`` a skip, both named by the graph6 string of the item's
+    graph, which is built only then.  A report's ``seconds`` sums its own
+    check's time."""
     violations: dict[str, list[tuple[str, str]]] = {name: [] for name in checks}
     skips: dict[str, list[str]] = {name: [] for name in checks}
     seconds = dict.fromkeys(checks, 0.0)
-    for g in graphs:
-        facts = facts_for(g)
+    checked = 0
+    for item in items:
+        checked += 1
+        facts = facts_for(item)
         for name, check in checks.items():
             start = time.monotonic()
             try:
-                violations[name].extend((_g6(g), detail) for detail in check(g, chars, facts))
+                violations[name].extend((_g6(graph_of(item)), detail) for detail in check(item, chars, facts))
             except CapExceeded:
-                skips[name].append(_g6(g))
+                skips[name].append(_g6(graph_of(item)))
             seconds[name] += time.monotonic() - start
         del facts  # before the next graph's record is made
     return [
-        SweepReport(name, len(graphs), tuple(sorted(violations[name])), tuple(sorted(skips[name])), seconds[name])
+        SweepReport(name, checked, tuple(sorted(violations[name])), tuple(sorted(skips[name])), seconds[name])
         for name in checks
     ]
 
@@ -283,17 +284,18 @@ def verify_theorem(
     union_total_cap: int = 9,
     workers: int = 1,
 ) -> SweepReport:
-    """Check structural == numeric on every graph (and optional unions).
+    """Check structural == numeric on every graph, then on every union of
+    two of them (``unions.union_index_pairs``), read off the two graphs'
+    records.
     Sweeps run in one process; ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"sweeps run in one process; workers must be 1, got {workers}")
     graphs = list(graphs)
-    # component -> (shape, nu, regs), for this sweep only; keyed from the
-    # start by the corpus graphs, as Comp's dict is.
-    facts = dict.fromkeys(graphs)
-    if include_unions:
-        graphs += union_pairs(graphs, union_total_cap)
-    (report,) = _sweeps({"main-theorem": _check_theorem}, graphs, tuple(chars), lambda g: facts)
+    chars = tuple(chars)
+    pairs = unions.union_index_pairs(graphs, union_total_cap) if include_unions else ()
+    inputs = unions.theorem_inputs(graphs, chars)
+    items = chain(((i,) for i in range(len(graphs))), pairs)
+    (report,) = _sweeps({"main-theorem": _check_theorem}, items, chars, lambda item: inputs, inputs.graph)
     return report
 
 
@@ -313,15 +315,12 @@ def verify_lemma_suite(
             raise UnknownProperty(
                 f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}"
             )
-    unions = union_pairs(graphs, union_total_cap) if "Comp" in tags else []
+    pairs = unions.union_index_pairs(graphs, union_total_cap) if "Comp" in tags else ()
     per_graph = {tag: _LEMMA_CHECKS[tag] for tag in tags if tag != "Comp"}
     reports = {rep.property_name: rep for rep in _sweeps(per_graph, graphs, chars, _GraphFacts)}
     if "Comp" in tags:
-        # component -> (nu, nu0), for this sweep only; keyed from the start
-        # by the corpus graphs, which every part of a union of two connected
-        # ones equals, so that no part is kept as a key of its own.
-        components = dict.fromkeys(graphs)
-        (reports["Comp"],) = _sweeps({"Comp": _LEMMA_CHECKS["Comp"]}, unions, chars, lambda u: components)
+        inputs = unions.Inputs(graphs, unions.split)
+        (reports["Comp"],) = _sweeps({"Comp": _LEMMA_CHECKS["Comp"]}, pairs, chars, lambda item: inputs, inputs.graph)
     return [reports[tag] for tag in tags]
 
 
@@ -340,9 +339,7 @@ class _GraphFacts:
 
     The char-0 readings are one walk of the graph; ``at(c)`` shares that
     table with every characteristic that divides none of its torsion.  A
-    refusal is kept in place of its fact, as a copy with no traceback or
-    context that could tie it back to the record, and raised again, as a
-    fresh copy, to every check that asks."""
+    refusal is kept in place of its fact (``unions.kept``)."""
 
     __slots__ = ("graph", "_known")
 
@@ -351,16 +348,7 @@ class _GraphFacts:
         self._known: dict = {}
 
     def _fact(self, key, compute):
-        known = self._known
-        if key not in known:
-            try:
-                known[key] = compute()
-            except CapExceeded as exc:
-                known[key] = copy.copy(exc)
-        value = known[key]
-        if isinstance(value, CapExceeded):
-            raise copy.copy(value)
-        return value
+        return unions.kept(self._known, key, compute)
 
     def readings(self, c: int) -> regularity_oracle.SubgraphRegularity:
         if c == 0:
@@ -380,14 +368,12 @@ class _GraphFacts:
         return self._fact("mm", lambda: matchings.mm(self.graph))
 
 
-def _check_theorem(g, chars, facts):
-    """``classify``'s verdicts that disagree, with each component's shape,
-    ``nu`` and ``reg_star`` taken from, or recorded in, the sweep's
-    ``facts``."""
+def _check_theorem(item, chars, inputs):
+    """The verdicts of ``unions.theorem_verdicts`` that disagree."""
     return [
         f"char {v.characteristic}: structural={v.structural} "
         f"numeric={v.numeric} shapes={v.component_shapes}"
-        for v in classifier._classify(g, chars, facts)
+        for v in unions.theorem_verdicts(item, chars, inputs)
         if not v.agreement
     ]
 
@@ -470,8 +456,9 @@ def _check_fl3(g, chars, facts):
     return out
 
 
-def _check_comp(u: Graph, chars, facts):
-    """``reg``, ``nu`` and ``nu0`` add over the components of ``u``.
+def _check_comp(item, chars, inputs):
+    """``reg``, ``nu`` and ``nu0`` add over the components of the union
+    ``u`` of the item's two graphs.
 
     ``reg_star`` of the union is read off its whole subset table, which
     uses no product formula (an edgeless union has 1, from the empty
@@ -481,15 +468,17 @@ def _check_comp(u: Graph, chars, facts):
     vertices alone (``induced_direct``, no pass over the union's whole
     table), which the walk fills as it would the component's own table.
     The char-0 table serves every characteristic that divides none of its
-    torsion.  Each component's ``nu`` and ``nu0`` come from, or are
-    recorded in, the sweep's ``facts``."""
+    torsion.  The components, their vertex masks, ``nu`` and ``nu0`` are
+    the two graphs' records (``unions.split``), the second's masks shifted
+    past the first's vertices, so the union is never split itself."""
     out = []
+    u = inputs.graph(item)
     base = regularity_oracle.subgraph_regularity(u)
     parts = []
-    for verts, comp in graph_core.components(u):
-        if facts.get(comp) is None:
-            facts[comp] = (matchings.nu(comp), matchings.nu0(comp))
-        parts.append((sum(1 << v for v in verts), *facts[comp]))
+    shift = 0
+    for k, split in zip(item, inputs.records(item)):
+        parts += [(mask << shift, nu, nu0) for mask, nu, nu0 in split]
+        shift += inputs.graphs[k].n
     for c in chars:
         sub = base.at(FieldSpec(c))
         reg = sub.whole()

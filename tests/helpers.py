@@ -1,6 +1,6 @@
 """Shared graph builders and independent brute-force oracles.
 
-Everything here but the last two sections is deliberately written
+Everything here but the last three sections is deliberately written
 against the most naive definitions (subset enumeration, every vertex
 order, dense Fraction elimination) with no code shared with the package
 internals, so the tests exercise genuinely separate routes.
@@ -14,7 +14,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from eilab import graph_core
+from eilab import classifier, graph_core, unions
 from eilab.formats_io import encode_graph6
 from eilab.graph_core import Graph, _bits
 from eilab.homology import homology_from_masks
@@ -645,3 +645,16 @@ def keyed_levels(max_n: int) -> list[tuple[Graph, ...]]:
         forms = (graph_core.canonical_form(g) for g in seen.values())
         levels.append(tuple(sorted(forms, key=encode_graph6)))
     return levels
+
+
+# -- a union's verdicts two ways ----------------------------------------------------
+
+
+def pair_verdicts(graphs, total_cap: int, chars=(0, 2, 3)):
+    """For each union of ``unions.union_index_pairs``, the theorem sweep's
+    verdicts, read off its two graphs' records, and ``classify``'s on the
+    union built."""
+    inputs = unions.theorem_inputs(graphs, chars)
+    for i, j in unions.union_index_pairs(graphs, total_cap):
+        union = graph_core.disjoint_union(graphs[i], graphs[j])
+        yield unions.theorem_verdicts((i, j), chars, inputs), classifier.classify(union, chars)

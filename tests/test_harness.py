@@ -9,12 +9,21 @@ import pytest
 
 from eilab import formats_io as fio
 from eilab import graph_core as gc
-from eilab import cameron_walker, chordality, classifier, harness, matchings
+from eilab import cameron_walker, chordality, classifier, harness, matchings, unions
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP
 
-from helpers import brute_middle_edges, complete, cycle, flag_rp2_complement, keyed_levels, path, rp2_minus_vertex_and_edge
+from helpers import (
+    brute_middle_edges,
+    complete,
+    cycle,
+    flag_rp2_complement,
+    keyed_levels,
+    pair_verdicts,
+    path,
+    rp2_minus_vertex_and_edge,
+)
 
 
 def test_enumeration_counts():
@@ -98,9 +107,10 @@ def test_verify_theorem_refuses_workers():
 
 def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
     """The theorem sweep takes each distinct component's shape and ``nu``
-    once, from one dict that lives as long as the sweep: a union's
-    components are corpus graphs, and a second sweep starts afresh.  Its
-    report is the one that plain ``classify`` gives graph by graph."""
+    once, from one dict that lives as long as the sweep: a union's parts
+    are read off its two corpus graphs' records, and a second sweep starts
+    afresh.  Its report is the one that plain ``classify`` gives graph by
+    graph, unions built."""
 
     def plain(g, chars, facts):
         return [
@@ -114,7 +124,7 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
     (reference,) = harness._sweeps({"main-theorem": plain}, graphs, (0, 2), lambda g: None)
     measured = []
     stores = []
-    shape, nu, classify = classifier.component_shape, matchings.nu, classifier._classify
+    shape, nu, parts = classifier.component_shape, matchings.nu, classifier._parts
 
     def counted_shape(comp):
         measured.append(("shape", comp))
@@ -124,14 +134,14 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
         measured.append(("nu", g))
         return nu(g)
 
-    def recorded(g, chars, facts):
-        if not any(s is facts for s in stores):
-            stores.append(facts)
-        return classify(g, chars, facts)
+    def recorded(g, chars, store):
+        if not any(s is store for s in stores):
+            stores.append(store)
+        return parts(g, chars, store)
 
     monkeypatch.setattr(classifier, "component_shape", counted_shape)
     monkeypatch.setattr(matchings, "nu", counted_nu)
-    monkeypatch.setattr(classifier, "_classify", recorded)
+    monkeypatch.setattr(classifier, "_parts", recorded)
     reports = []
     for _ in range(2):
         rep = harness.verify_theorem(corpus5, chars=(0, 2))
@@ -144,6 +154,74 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
     assert reports[0].violations == reports[1].violations and reports[0].checked == reports[1].checked
     assert len(stores) == 2 and all(set(store) == set(corpus5) for store in stores)
     assert [gc_module.get_referrers(store) for store in stores] == [[stores], [stores]]
+
+
+def test_pair_verdicts_equal_classify_on_the_union(corpus6):
+    """A union's verdicts, read off its parts' records, equal ``classify``
+    on the union built, at chars 0, 2 and 3: on the unions of the n <= 6
+    corpus up to 9 vertices, on those of every graph on 4 vertices, whose
+    inputs are disconnected, and on ``JWaqbO\\euT?`` with a vertex and an
+    edge, where char 2 reads one more than chars 0 and 3."""
+    pairs = list(pair_verdicts(corpus6, 9))
+    assert len(pairs) == len(harness.union_pairs(corpus6, 9)) == 713
+    assert all(mine == reference for mine, reference in pairs)
+    all4 = harness.enumerate_all(4).graphs
+    pairs = list(pair_verdicts(all4, 9))
+    assert len(pairs) == 66 and all(mine == reference for mine, reference in pairs)
+    graphs = [gc.from_edges(1, []), complete(2), rp2_minus_vertex_and_edge()]
+    pairs = list(pair_verdicts(graphs, 13))
+    assert len(pairs) == 5 and all(mine == reference for mine, reference in pairs)
+    with_rp2 = [mine for mine, _ in pairs if mine[0].component_shapes[-1:] == ("not-cw",)]
+    assert [[v.reg_star for v in verdicts] for verdicts in with_rp2] == [[3, 4, 3], [4, 5, 4]]
+
+
+def test_theorem_union_past_the_cap_is_a_skip():
+    """A union past the oracle cap is a skip, named by its graph6 string,
+    while its part under the cap is checked."""
+    p9 = path(9)
+    rep = harness.verify_theorem([p9], chars=(0, 2), union_total_cap=18)
+    assert rep.checked == 2 and rep.passed
+    assert rep.skips == (fio.encode_graph6(gc.disjoint_union(p9, p9)),)
+
+
+def test_theorem_refused_part_skips_each_union_holding_it(corpus5, monkeypatch):
+    """A graph whose parts are refused is a skip, and so is every union
+    holding it, each named by its graph6 string.  The refusal is kept in
+    place of the graph's record, so its parts are asked once."""
+    triangle = complete(3)
+    i = corpus5.index(triangle)
+    asked = []
+    parts = classifier._parts
+
+    def refusing(g, chars, measured):
+        if g == triangle:
+            asked.append(g)
+            raise CapExceeded("refused")
+        return parts(g, chars, measured)
+
+    monkeypatch.setattr(classifier, "_parts", refusing)
+    rep = harness.verify_theorem(corpus5, chars=(0, 2))
+    holding = [gc.disjoint_union(corpus5[a], corpus5[b]) for a, b in unions.union_index_pairs(corpus5) if i in (a, b)]
+    assert len(holding) == len(corpus5)
+    assert rep.passed and rep.skips == tuple(sorted(fio.encode_graph6(g) for g in [triangle] + holding))
+    assert asked == [triangle]
+
+
+def test_theorem_sweep_builds_no_union(corpus5, monkeypatch):
+    """A clean theorem sweep reads every union off its parts' records and
+    builds none: a union is built only to name it in a report."""
+    built = []
+    union = gc.disjoint_union
+
+    def counted(g1, g2):
+        built.append((g1, g2))
+        return union(g1, g2)
+
+    monkeypatch.setattr(gc, "disjoint_union", counted)
+    rep = harness.verify_theorem(corpus5, chars=(0, 2))
+    assert rep.passed and not rep.skips
+    assert rep.checked == len(corpus5) + sum(1 for _ in unions.union_index_pairs(corpus5))
+    assert built == []
 
 
 def test_verify_theorem_sweeps_graphs_not_graph6(monkeypatch):
@@ -580,8 +658,8 @@ def test_comp_walks_once_per_union(corpus5, monkeypatch):
     assert rep.passed and not rep.skips
     assert walks == [0] * rep.checked
     walks.clear()
-    u = gc.disjoint_union(rp2_minus_vertex_and_edge(), gc.from_edges(1, []))
-    assert harness._check_comp(u, (0, 2, 3), {}) == []
+    inputs = unions.Inputs([rp2_minus_vertex_and_edge(), gc.from_edges(1, [])], unions.split)
+    assert harness._check_comp((0, 1), (0, 2, 3), inputs) == []
     assert walks == [0, 2]
 
 
@@ -671,17 +749,18 @@ def test_comp_reads_components_off_the_union_table(corpus5):
     """Comp reads each component's ``reg_star`` off the union's table, at
     the subsets of the component's vertices.  That equals the component's
     own walk, on the unions of the n <= 5 corpus and on seeded
-    relabellings where the components interleave, and Comp passes them
-    all at chars 0, 2 and 3."""
+    relabellings where the components interleave.  Comp passes each of
+    them united with a vertex, its masks read off its own split, at chars
+    0, 2 and 3."""
     rng = random.Random(2828)
-    unions = harness.union_pairs(corpus5, 8)
+    built = harness.union_pairs(corpus5, 8)
     shuffled = []
-    for u in rng.sample(unions, 40):
+    for u in rng.sample(built, 40):
         perm = list(range(u.n))
         rng.shuffle(perm)
         shuffled.append(gc.from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges]))
     interleaved = 0
-    for u in unions + shuffled:
+    for u in built + shuffled:
         table, _ = ro._walk_table(u, 0)
         sub = ro.subgraph_regularity(u)
         for verts, comp in gc.components(u):
@@ -691,7 +770,8 @@ def test_comp_reads_components_off_the_union_table(corpus5):
             assert sub.induced(mask) == ro.subgraph_regularity(comp).whole()
             assert sub.induced_direct(mask) == sub.induced(mask)
             interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
-        assert harness._check_comp(u, (0, 2, 3), {}) == []
+        inputs = unions.Inputs([u, gc.from_edges(1, [])], unions.split)
+        assert harness._check_comp((0, 1), (0, 2, 3), inputs) == []
     assert interleaved > 20
 
 
@@ -706,6 +786,24 @@ def test_comp_reads_only_each_components_submasks(corpus6, monkeypatch):
     monkeypatch.setattr(ro, "_submask_max", refuse)
     (rep,) = harness.verify_lemma_suite(corpus6, ["Comp"], chars=(0, 2))
     assert (rep.checked, rep.violations, rep.skips) == (713, (), ())
+
+
+def test_comp_splits_each_graph_once(corpus5, monkeypatch):
+    """Comp takes each union's components off its two graphs' splits, each
+    made once per sweep, and splits no union itself."""
+    split = []
+    components = gc.components
+
+    def counted(g):
+        split.append(g)
+        return components(g)
+
+    monkeypatch.setattr(gc, "components", counted)
+    for _ in range(2):
+        (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], chars=(0, 2))
+        assert rep.passed and rep.checked == len(harness.union_pairs(corpus5))
+        assert sorted(split, key=corpus5.index) == list(corpus5)
+        split.clear()
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):
@@ -791,8 +889,9 @@ def test_enumerate_all_order():
 
 
 def test_connected_graphs_lex_min_once_per_class(monkeypatch):
-    """Each class is labelled once, and the augmentation filters leave
-    1,353 of the 7,815 candidates up to n = 7 to be keyed."""
+    """The augmentation filters leave 1,353 of the 7,815 candidates up to
+    n = 7, and each is labelled by ``canonical_form`` alone: the labelled
+    forms are deduplicated, and no candidate is keyed."""
     calls = []
     keys = []
     lex_min = gc.canonical_form
@@ -809,8 +908,8 @@ def test_connected_graphs_lex_min_once_per_class(monkeypatch):
     monkeypatch.setattr(gc, "canonical_form", counted)
     monkeypatch.setattr(gc, "canonical_key", counted_key)
     assert len(harness.connected_graphs(7)) == 853
-    assert len(calls) == sum(harness.CONNECTED_COUNTS[n] for n in range(2, 8)) == 995
-    assert len(keys) == 1353
+    assert len(calls) == 1353
+    assert keys == []
 
 
 def test_enumeration_equals_keying_every_candidate(corpus7):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import inspect
 import random
 import textwrap
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
-from eilab import graph_core, harness, matchings
+from eilab import classifier, graph_core, harness, matchings, unions
 from eilab import regularity_oracle as ro
 from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
@@ -28,6 +29,7 @@ from helpers import (
     cycle,
     flag_rp2_complement,
     keyed_levels,
+    pair_verdicts,
     path,
     relabel,
     rp2_minus_vertex_and_edge,
@@ -322,3 +324,105 @@ def test_torsion_rule_reusing_the_char0_table_everywhere(monkeypatch):
     assert _split_and_whole(rp2, 2) == (4, 4)
     _rewrite(monkeypatch, ro.SubgraphRegularity, "at", "not any(p % c == 0 for p in self.torsion)", "True")
     assert _split_and_whole(rp2, 2) == (3, 4)
+
+
+def test_union_verdict_read_off_the_first_part_only(corpus5, monkeypatch):
+    """The theorem sweep reads a union's verdicts off the records of both
+    its graphs.  A mutant that reads the first graph's alone gives C5 + C5
+    the ``reg_star`` 3 of one C5, and every union the shapes of its first
+    part.  Caught by ``classify`` on each union built
+    (``test_pair_verdicts_equal_classify_on_the_union``) on the unions of
+    the n <= 5 corpus."""
+
+    def mismatches():
+        return sum(mine != reference for mine, reference in pair_verdicts(corpus5, 9))
+
+    assert mismatches() == 0
+    _rewrite(
+        monkeypatch,
+        unions,
+        "theorem_verdicts",
+        "for record in inputs.records(item) for part",
+        "for record in inputs.records(item)[:1] for part",
+    )
+    assert mismatches() == sum(1 for _ in unions.union_index_pairs(corpus5, 9))
+
+
+def test_pair_loop_dropping_the_repeated_graph(corpus5, monkeypatch):
+    """``unions.union_index_pairs`` yields ``(i, j)`` with ``i <= j``, so each
+    graph is also united with itself.  A mutant that starts ``j`` past
+    ``i`` drops those unions.  Caught by the pairs of every two indices
+    with repeats (``itertools.combinations_with_replacement``) that fit
+    the cap, and by the theorem sweep's count, which the ``tier1`` CI job
+    pins at 3,415 for the n <= 7 corpus."""
+    sizes = [g.n for g in corpus5]
+    reference = [(i, j) for i, j in combinations_with_replacement(range(len(sizes)), 2) if sizes[i] + sizes[j] <= 9]
+
+    def pairs_and_count():
+        pairs = list(unions.union_index_pairs(corpus5, 9))
+        return pairs, harness.verify_theorem(corpus5, chars=(0,)).checked
+
+    assert pairs_and_count() == (reference, len(corpus5) + len(reference))
+    _rewrite(monkeypatch, unions, "union_index_pairs", "bisect_left(fits[total_cap - n], i)", "bisect_left(fits[total_cap - n], i + 1)")
+    pairs, checked = pairs_and_count()
+    assert pairs == [(i, j) for i, j in reference if i != j]
+    assert checked == len(corpus5) + len(pairs) < len(corpus5) + len(reference)
+
+
+def test_module_global_theorem_dict(corpus5, monkeypatch):
+    """The theorem sweep's dict from each component to its record lives as
+    long as the sweep.  A mutant that keeps one dict in the module answers
+    a second sweep from the first, measuring nothing.  Caught by counting
+    ``component_shape`` calls per sweep, as
+    ``test_theorem_sweep_measures_each_component_once`` does.  First
+    recorded with the per-sweep dict (the CHANGES.md entry on verify
+    sweeps that keep what they already hold)."""
+    shape = classifier.component_shape
+    measured = []
+
+    def counted(comp):
+        measured.append(comp)
+        return shape(comp)
+
+    def per_sweep():
+        counts = []
+        for _ in range(2):
+            harness.verify_theorem(corpus5, chars=(0,))
+            counts.append(len(measured))
+            measured.clear()
+        return counts
+
+    monkeypatch.setattr(classifier, "component_shape", counted)
+    assert per_sweep() == [len(corpus5)] * 2
+    monkeypatch.setattr(unions, "_MEASURED", {}, raising=False)
+    _rewrite(monkeypatch, unions, "theorem_inputs", "measured: dict = {}", "measured: dict = _MEASURED")
+    assert per_sweep() == [len(corpus5), 0]
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("whole", "_digits(max(self._table))", "_digits(max(self._table[1:]))"),
+        ("induced_direct", "top = max(top, table[sub])", "top = max(top, table[sub]) if sub else top"),
+    ],
+    ids=["union-reading", "component-reading"],
+)
+def test_comp_reading_without_the_empty_complex(name, old, new, corpus5, monkeypatch):
+    """Comp reads ``reg_star`` of a union, and of each of its components,
+    as the digit count of the largest entry over the subsets, the empty
+    one included: ``table[0] = 1`` is the empty complex, so an edgeless
+    graph reads 1.  One mutant drops ``table[0]`` from the union's reading,
+    and so reads 0 on the edgeless union of two vertices; one drops it from
+    each component's, and so reads 0 on every isolated vertex.  Each is
+    caught by ``test_lemma_comp_on_unions``, Comp over the unions of the
+    n <= 5 corpus.  First recorded with Comp's table reading (the
+    CHANGES.md entry on verify sweeps that keep what they already hold)."""
+
+    def comp():
+        (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], union_total_cap=8)
+        return rep
+
+    assert comp().passed
+    _rewrite(monkeypatch, ro.SubgraphRegularity, name, old, new)
+    violations = comp().violations
+    assert violations and all("!= component sum" in detail for _, detail in violations)
