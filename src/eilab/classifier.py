@@ -1,4 +1,5 @@
-"""The headline equivalence, decided from both sides independently.
+"""The headline equivalence, decided from both sides independently, and
+the one per-graph record that every verdict and sweep reads.
 
 For any graph, the regularity of its edge ideal reaches the upper bound
 ``matching number + 1`` exactly when every connected component is either a
@@ -10,25 +11,32 @@ shape tests of ``cameron_walker``: no homology, no matching search and no
 vertex cap.  The numeric side compares the homological oracle with the
 matching number, both summed over the components: ``reg - 1`` and ``nu``
 add over them, and the oracle's ``union_reg_star`` is the one statement of
-the first.  So a verdict is fixed by its components' records, and the code
-says so in two steps: ``_parts`` measures each component's shape, matching
-number and ``reg_star`` at each characteristic, and ``_verdicts`` reads the
-verdicts off a list of such records.  ``classify`` is the two in turn.  A
-sweep keeps each input graph's records and reads the verdicts of a union
-of two inputs off their records joined, with no union graph built; it
-hands ``_parts`` one dict for all its inputs, so a component met again is
-measured once.  The regularities come from one subset walk of the
-component (``regularity_oracle.subgraph_regularity``), read at each
-characteristic by ``SubgraphRegularity.at``, which walks again only at a
-characteristic that divides the walk's torsion.
+the first.  So a verdict is fixed by its components' records, and
+``_verdicts`` reads it off them.
+
+A record (``_GraphFacts``) holds one graph's facts, each computed at its
+first ask and kept: the subgraph readings, ``reg_star`` at each
+characteristic, ``nu``, ``nu0``, ``mm`` and the component shape.  The
+readings come from one subset walk of the graph
+(``regularity_oracle.subgraph_regularity``), read at each characteristic
+by ``SubgraphRegularity.at``, which walks again only at a characteristic
+that divides the walk's torsion.  ``_record`` takes a graph's record from a
+dict keyed by component: a connected graph's record is its own entry, and
+a disconnected graph's holds its components' entries.  ``classify`` hands
+it a fresh dict; the verify sweep (``harness.verify``) hands it one dict
+for the sweep, so that the theorem, the lemma checks and Comp share each
+component's walk, ``nu`` and ``nu0``, and a union's verdicts are read off
+its two graphs' records with no union built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import copy
+
 from . import cameron_walker, graph_core, matchings, regularity_oracle
-from .errors import NotApplicable, NotConnected
+from .errors import CapExceeded, NotApplicable, NotConnected
 from .graph_core import Graph, _bits
 from .regularity_oracle import FieldSpec
 
@@ -84,36 +92,13 @@ def component_shape(comp: Graph) -> str:
 def classify(g: Graph, chars=(0,)) -> list[ClassificationVerdict]:
     """Evaluate both sides of the equivalence on one graph: one verdict per
     characteristic in ``chars``, in the order given, duplicates kept."""
-    return _verdicts(_parts(g, chars, {}), chars)
+    return _verdicts(chars, _record(g, {}))
 
 
-def _parts(g: Graph, chars, measured: dict) -> list[tuple[str, int, dict[int, int]]]:
-    """Each component's ``(shape, nu, regs)``, in component order, where
-    ``regs`` maps each characteristic of ``chars`` to its ``reg_star``.
-    Each is taken from ``measured``, keyed by the component, or measured
-    and recorded there; a connected graph is its own component, so a
-    sweep's dict is keyed by its input graphs."""
-    if g.n == 0:
-        raise NotApplicable("classification needs at least one vertex")
-    regularity_oracle.refuse_past_cap(g)
-    parts = []
-    for _, comp in graph_core.components(g):
-        if comp not in measured:
-            sub = regularity_oracle.subgraph_regularity(comp)
-            regs = {c: sub.at(FieldSpec(c)).whole() for c in dict.fromkeys(chars)}
-            measured[comp] = (component_shape(comp), matchings.nu(comp), regs)
-        parts.append(measured[comp])
-    return parts
-
-
-def _verdicts(parts, chars) -> list[ClassificationVerdict]:
-    """The verdicts of a graph whose components have the given ``(shape,
-    nu, regs)``: both sides of the equivalence add over the components,
-    ``nu`` in the target and ``reg - 1`` in ``union_reg_star``."""
-    shapes = tuple(shape for shape, _, _ in parts)
-    structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
-    target = sum(nu for _, nu, _ in parts) + 1
-    regs = [(c, regularity_oracle.union_reg_star(r[c] for _, _, r in parts)) for c in chars]
+def _verdicts(chars, *records) -> list[ClassificationVerdict]:
+    """``classify``'s verdicts on the disjoint union of the graphs of
+    ``records`` (``_sides``)."""
+    shapes, structural, target, regs = _sides(chars, *records)
     return [
         ClassificationVerdict(
             structural=structural,
@@ -125,3 +110,108 @@ def _verdicts(parts, chars) -> list[ClassificationVerdict]:
         )
         for c, reg in regs
     ]
+
+
+def _sides(chars, *records):
+    """Both sides of the equivalence on the disjoint union of the graphs of
+    ``records``, read off their components' records: the shapes, whether
+    all are pentagon or Cameron-Walker, the target ``nu + 1`` and each
+    characteristic's ``reg_star``.  Both add over the components, ``nu`` in
+    the target and ``reg - 1`` in ``union_reg_star``.  A graph with no
+    vertex, or past the oracle's cap, is refused before any fact is asked."""
+    parts = [part for record in records for _, part in record.components()]
+    n = sum(part.graph.n for part in parts)
+    if n == 0:
+        raise NotApplicable("classification needs at least one vertex")
+    regularity_oracle.refuse_past_cap(n)
+    measured = [([part.reg(c) for c in chars], part.shape(), part.nu()) for part in parts]
+    shapes = tuple(shape for _, shape, _ in measured)
+    structural = all(s in ("pentagon", "star", "star-triangle", "bipartite-pendant") for s in shapes)
+    target = sum(nu for _, _, nu in measured) + 1
+    regs = [(c, regularity_oracle.union_reg_star(r[k] for r, _, _ in measured)) for k, c in enumerate(chars)]
+    return shapes, structural, target, regs
+
+
+# -- the one per-graph record ---------------------------------------------------
+
+
+class _GraphFacts:
+    """One graph's facts, each computed at its first ask and kept, and for a
+    disconnected graph its components' records (``_record``).
+
+    The char-0 readings are one walk of the graph; ``at(c)`` shares that
+    table with every characteristic that divides none of its torsion.  A
+    refusal is kept in place of its fact, so every reader of the fact is
+    refused.  The readings are kept under ``("readings", c)``, the
+    only tuple keys, and ``drop_tables`` drops them; ``reg_star`` at ``c``
+    is kept under ``c``."""
+
+    __slots__ = ("graph", "_known", "_parts")
+
+    def __init__(self, g: Graph, parts=None):
+        self.graph = g
+        self._known: dict = {}
+        self._parts = parts
+
+    def components(self) -> list:
+        """Each component's ``(vertex mask, record)``, in component order:
+        the record itself for a connected graph."""
+        return [(self.graph.full_mask, self)] if self._parts is None else self._parts
+
+    def _fact(self, key, compute, *args):
+        """The fact under ``key``, ``compute(*args)`` at the first ask and
+        then kept.  A refusal is kept in place of its value, as a copy with
+        no traceback or context that could tie it back to the record, and
+        raised again, as a fresh copy, at every ask."""
+        known = self._known
+        if key not in known:
+            try:
+                known[key] = compute(*args)
+            except CapExceeded as exc:
+                known[key] = copy.copy(exc)
+        value = known[key]
+        if isinstance(value, CapExceeded):
+            raise copy.copy(value)
+        return value
+
+    def readings(self, c: int) -> regularity_oracle.SubgraphRegularity:
+        if c == 0:
+            return self._fact(("readings", 0), regularity_oracle.subgraph_regularity, self.graph)
+        return self._fact(("readings", c), lambda: self.readings(0).at(FieldSpec(c)))
+
+    def reg(self, c: int) -> int:
+        return self._fact(c, lambda: self.readings(c).whole())
+
+    def nu(self) -> int:
+        return self._fact("nu", matchings.nu, self.graph)
+
+    def nu0(self) -> int:
+        return self._fact("nu0", matchings.nu0, self.graph)
+
+    def mm(self) -> int:
+        return self._fact("mm", matchings.mm, self.graph)
+
+    def shape(self) -> str:
+        return self._fact("shape", component_shape, self.graph)
+
+    def drop_tables(self) -> None:
+        """Drop the readings, and the components' readings, keeping the
+        small facts: for a record kept past its graph's turn."""
+        self._known = {key: value for key, value in self._known.items() if type(key) is not tuple}
+        for _, part in self._parts or ():
+            part.drop_tables()
+
+
+def _record(g: Graph, known: dict) -> _GraphFacts:
+    """``g``'s record, from ``known``, a dict from each component to its
+    record, where a component's record is made at its first ask: for a
+    connected graph its own entry, for any other a new record holding its
+    components' entries with their vertex masks."""
+    parts = []
+    for verts, comp in graph_core.components(g):
+        if comp not in known:
+            known[comp] = _GraphFacts(comp)
+        parts.append((verts, known[comp]))
+    if len(parts) == 1:
+        return parts[0][1]
+    return _GraphFacts(g, [(sum(1 << v for v in verts), part) for verts, part in parts])

@@ -12,25 +12,33 @@ the 7,815 candidates.  Each one left is labelled by
 orders, searched from the graph's maximum independent sets; the labelled
 forms are deduplicated as they are made, and each vertex count is sorted
 by graph6 string.
-Sweeps then check the classification theorem and each supporting lemma
-over a corpus, optionally including two-component disjoint unions, in one
-process.  A union is a pair of indices into the corpus, and is built only
-where a check walks it or a report names it (``unions``).
 
-Each per-graph check states its lemma and returns the detail strings of
-its violations, calling its searches in any order: each refuses past its
-own cap.  The sweep names the graph by its graph6 string, for a violation
-and a skip (a refused search) alike, so any failure is reproducible.
+``verify`` then checks the classification theorem and each supporting
+lemma over a corpus in one sweep, in one process.  The theorem is one more
+tag of one check table (``_CHECKS``) beside the lemma tags: each tag has a
+check of a graph, of a two-component union, or, for the theorem, both.
+A row pass runs every graph's checks, and a union pass every union's,
+where a union is a pair of indices into the corpus (``unions``).
 
-The lemma suite runs graph-major: each graph gets one ``_GraphFacts``
-record, which every tag's check reads and which is dropped before the
-next graph.  The record computes each fact on first use and keeps it: the
-char-0 subgraph readings (``regularity_oracle.subgraph_regularity``)
-and their ``at(c)``, ``reg_star`` at each characteristic (the digit count
-of the largest entry of that table), ``nu``, ``nu0`` and ``mm``.  So UB,
-FL1, FL2, FL3, C1, C1a, C2 and Squeeze share one walk of the graph, and a
-refusal is kept as well, so that every tag needing the refused fact skips
-the graph.  A report's ``seconds`` is the sum of its tag's check time.
+Each check states its lemma and returns the detail strings of its
+violations, calling its searches in any order: each refuses past its own
+cap.  The sweep names the graph by its graph6 string, for a violation and
+a skip (a refused search) alike, so any failure is reproducible; a union
+is built only then, or where a check walks it.  A report's ``seconds`` is
+the sum of its tag's check time.
+
+Every check reads records (``classifier._GraphFacts``), each computing a
+fact at its first ask and keeping it: the char-0 subgraph readings
+(``regularity_oracle.subgraph_regularity``) and their ``at(c)``,
+``reg_star`` at each characteristic (the digit count of the largest entry
+of that table), ``nu``, ``nu0``, ``mm`` and the component shape.  One dict
+for the sweep, keyed by component, holds them, and a connected graph's
+record is its component's.  So the theorem, UB, FL1, FL2, FL3, C1, C1a, C2
+and Squeeze share one walk of each graph, and the theorem, the lemma tags
+and Comp one ``nu`` and one ``nu0`` of each component.  A refusal is kept
+as well, so that every tag needing the refused fact skips the graph.
+After its row a record drops its subset tables; it stays only if some
+union holds its graph, for the union pass.
 
 FL1, FL2, FL3 and C1a walk no surgery: they read the regularity of
 ``G - x``, ``G - N[x]``, ``G - N[e]`` and any other induced subgraph off
@@ -41,25 +49,11 @@ missing ``u`` or ``v``, so ``reg(G - e)`` is at least the larger of
 ``reg(G - u)`` and ``reg(G - v)``, and only an edge that bound leaves
 undecided is refilled.  C1a builds ``G - e`` only for its matching number.
 
-The theorem sweep builds no union.  Both sides of the equivalence add
-over the components, so a union's verdicts are read off its two graphs'
-records (``unions.theorem_verdicts``): each graph's parts
-(``classifier._parts``: each component's shape, ``nu`` and ``reg_star``
-at each characteristic) are measured at the graph's own row and kept for
-the sweep.  A union with a refused part, or past the oracle cap, is a
-skip.  The parts are measured with one dict for the sweep, keyed by
-component, which is the corpus graph itself for a connected one, so each
-distinct component is measured once.
-
-Comp checks that additivity itself, so it walks each union: it reads the
-regularity of the union and of each of its components off the union's
-one subset table (``regularity_oracle.subgraph_regularity``): the whole
-table, and the submasks of each component's vertices, summed by
-``regularity_oracle.union_reg_star``.  The table is walked once at char
-0 and serves every characteristic that divides none of its torsion,
-through ``SubgraphRegularity.at``.  The components' vertex masks, ``nu``
-and ``nu0`` come from each corpus graph's split (``unions.split``), made
-once per sweep, so no union is split into its components.
+The theorem builds no union.  Both sides of the equivalence add over the
+components, so a union's verdicts are read off its two graphs' component
+records (``classifier._verdicts``).  A union with a refused part, or past
+the oracle cap, is a skip.  Comp checks that additivity itself, so it
+walks each union (``unions.check_comp``).
 
 Squeeze checks Woodroofe's ``reg <= cochord + 1`` without the cover number
 itself: it reads ``reg`` first and asks the cover search only whether a
@@ -75,7 +69,6 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 
 from . import (
     cameron_walker,
@@ -84,12 +77,10 @@ from . import (
     formats_io,
     graph_core,
     matchings,
-    regularity_oracle,
     unions,
 )
 from .errors import CapExceeded, TooLarge, UnknownProperty, WorkBoundExceeded
 from .graph_core import Graph, _bits, _reach, _twin_masks
-from .regularity_oracle import FieldSpec
 
 INTERNAL_ENUMERATION_CAP = 8
 
@@ -245,35 +236,63 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
     return [graph_core.disjoint_union(items[i], items[j]) for i, j in unions.union_index_pairs(items, total_cap)]
 
 
-# -- sweeps ------------------------------------------------------------------------
+# -- the sweep ---------------------------------------------------------------------
 
 
-def _sweeps(checks: dict, items, chars, facts_for, graph_of=lambda g: g) -> list[SweepReport]:
-    """One report per entry of ``checks``, item by item: each item gets
-    ``facts = facts_for(item)``, then every ``check(item, chars, facts)``
-    in turn.  An item is a graph, or whatever ``graph_of`` builds one from.
-    Each detail string a check returns is a violation, and a
-    ``CapExceeded`` a skip, both named by the graph6 string of the item's
-    graph, which is built only then.  A report's ``seconds`` sums its own
-    check's time."""
-    violations: dict[str, list[tuple[str, str]]] = {name: [] for name in checks}
-    skips: dict[str, list[str]] = {name: [] for name in checks}
-    seconds = dict.fromkeys(checks, 0.0)
-    checked = 0
-    for item in items:
-        checked += 1
-        facts = facts_for(item)
-        for name, check in checks.items():
+def verify(graphs, tags, chars, union_total_cap: int = 9, include_unions: bool = True) -> list[SweepReport]:
+    """One report per tag of ``_CHECKS``, in the order given, from one pass
+    over the graphs and then one over their two-component unions
+    (``unions.union_index_pairs``).  A row tag checks each graph, Comp each
+    union, and the theorem both, or the graphs alone without
+    ``include_unions``; the union pass runs only for a tag that checks
+    unions.  Bad tags and union caps are refused before any sweep runs.
+
+    Each graph's record comes from one dict for the sweep, keyed by
+    component (``classifier._record``), and every tag reads it.  A record
+    that some union holds is kept for the union pass with its tables
+    dropped; any other is made afresh and dropped after its row."""
+    for tag in tags:
+        if tag not in _CHECKS:
+            raise UnknownProperty(f"unknown tag {tag!r}; known: {', '.join(_CHECKS)}")
+    graphs = list(graphs)
+    chars = tuple(chars)
+    on_rows = {tag: _CHECKS[tag][0] for tag in tags if _CHECKS[tag][0]}
+    on_unions = {tag: _CHECKS[tag][1] for tag in tags if _CHECKS[tag][1] and (include_unions or tag != "main-theorem")}
+    pairs = unions.union_index_pairs(graphs, union_total_cap) if on_unions else ()
+    # a graph with more vertices than this is in no union
+    held_up_to = union_total_cap - min(g.n for g in graphs) if on_unions and graphs else -1
+    violations: dict[str, list[tuple[str, str]]] = {tag: [] for tag in tags}
+    skips: dict[str, list[str]] = {tag: [] for tag in tags}
+    seconds = dict.fromkeys(tags, 0.0)
+    checked = dict.fromkeys(tags, 0)
+
+    def run(checks, graph_of, *args):
+        """Every check on one item, whose graph ``graph_of`` builds only to
+        name a violation (a detail string) or a skip (a ``CapExceeded``)."""
+        for tag, check in checks.items():
+            checked[tag] += 1
             start = time.monotonic()
             try:
-                violations[name].extend((_g6(graph_of(item)), detail) for detail in check(item, chars, facts))
+                violations[tag].extend((_g6(graph_of()), detail) for detail in check(*args))
             except CapExceeded:
-                skips[name].append(_g6(graph_of(item)))
-            seconds[name] += time.monotonic() - start
+                skips[tag].append(_g6(graph_of()))
+            seconds[tag] += time.monotonic() - start
+
+    records: dict = {}  # component -> its record, for the graphs some union holds
+    held: list = [None] * len(graphs)  # index -> its record, for the union pass
+    for i, g in enumerate(graphs):
+        facts = classifier._record(g, records if g.n <= held_up_to else {})
+        run(on_rows, lambda: g, g, chars, facts)
+        if g.n <= held_up_to:
+            facts.drop_tables()
+            held[i] = facts
         del facts  # before the next graph's record is made
+    for i, j in pairs:
+        first, second = held[i], held[j]
+        run(on_unions, lambda: graph_core.disjoint_union(first.graph, second.graph), chars, first, second)
     return [
-        SweepReport(name, checked, tuple(sorted(violations[name])), tuple(sorted(skips[name])), seconds[name])
-        for name in checks
+        SweepReport(tag, checked[tag], tuple(sorted(violations[tag])), tuple(sorted(skips[tag])), seconds[tag])
+        for tag in tags
     ]
 
 
@@ -284,97 +303,44 @@ def verify_theorem(
     union_total_cap: int = 9,
     workers: int = 1,
 ) -> SweepReport:
-    """Check structural == numeric on every graph, then on every union of
-    two of them (``unions.union_index_pairs``), read off the two graphs'
-    records.
-    Sweeps run in one process; ``workers`` is accepted only as 1."""
+    """``verify``'s main-theorem report: structural == numeric on every
+    graph, then on every union of two of them.  Sweeps run in one process;
+    ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"sweeps run in one process; workers must be 1, got {workers}")
-    graphs = list(graphs)
-    chars = tuple(chars)
-    pairs = unions.union_index_pairs(graphs, union_total_cap) if include_unions else ()
-    inputs = unions.theorem_inputs(graphs, chars)
-    items = chain(((i,) for i in range(len(graphs))), pairs)
-    (report,) = _sweeps({"main-theorem": _check_theorem}, items, chars, lambda item: inputs, inputs.graph)
+    (report,) = verify(graphs, ["main-theorem"], chars, union_total_cap, include_unions)
     return report
 
 
-def verify_lemma_suite(
-    graphs,
-    tags,
-    chars=(0,),
-    union_total_cap: int = 9,
-) -> list[SweepReport]:
-    """One report per requested lemma tag, in the order given, over the
-    given corpus graphs; ``Comp`` runs over their two-component unions
-    instead.  The other tags run graph by graph, sharing one
-    ``_GraphFacts`` record per graph.  Bad tags and union caps are refused
-    before any sweep runs."""
+def verify_lemma_suite(graphs, tags, chars=(0,), union_total_cap: int = 9) -> list[SweepReport]:
+    """``verify``'s reports for the given lemma tags; ``Comp`` checks the
+    graphs' two-component unions, the others the graphs."""
     for tag in tags:
-        if tag not in _LEMMA_CHECKS:
-            raise UnknownProperty(
-                f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}"
-            )
-    pairs = unions.union_index_pairs(graphs, union_total_cap) if "Comp" in tags else ()
-    per_graph = {tag: _LEMMA_CHECKS[tag] for tag in tags if tag != "Comp"}
-    reports = {rep.property_name: rep for rep in _sweeps(per_graph, graphs, chars, _GraphFacts)}
-    if "Comp" in tags:
-        inputs = unions.Inputs(graphs, unions.split)
-        (reports["Comp"],) = _sweeps({"Comp": _LEMMA_CHECKS["Comp"]}, pairs, chars, lambda item: inputs, inputs.graph)
-    return [reports[tag] for tag in tags]
+        if tag not in LEMMA_TAGS:
+            raise UnknownProperty(f"unknown lemma tag {tag!r}; known: {', '.join(LEMMA_TAGS)}")
+    return verify(graphs, tags, chars, union_total_cap)
 
 
 def _g6(g: Graph) -> str:
     return formats_io.encode_graph6(g)
 
 
-# -- per-graph checks ----------------------------------------------------------------
+# -- the checks ------------------------------------------------------------------------
+#
+# A row check ``check(g, chars, facts)`` reads one graph and its record, a
+# union check ``check(chars, first, second)`` the records of the union's two
+# graphs; each returns the detail strings of its violations.
 
 
-class _GraphFacts:
-    """One graph's facts, each computed on first use and then kept: the
-    subgraph readings at each characteristic, ``reg_star`` at each
-    characteristic, ``nu``, ``nu0`` and ``mm``.  A lemma sweep makes one
-    per graph and drops it before the next.
-
-    The char-0 readings are one walk of the graph; ``at(c)`` shares that
-    table with every characteristic that divides none of its torsion.  A
-    refusal is kept in place of its fact (``unions.kept``)."""
-
-    __slots__ = ("graph", "_known")
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self._known: dict = {}
-
-    def _fact(self, key, compute):
-        return unions.kept(self._known, key, compute)
-
-    def readings(self, c: int) -> regularity_oracle.SubgraphRegularity:
-        if c == 0:
-            return self._fact(("readings", 0), lambda: regularity_oracle.subgraph_regularity(self.graph, FieldSpec(0)))
-        return self._fact(("readings", c), lambda: self.readings(0).at(FieldSpec(c)))
-
-    def reg(self, c: int) -> int:
-        return self._fact(("reg", c), lambda: self.readings(c).whole())
-
-    def nu(self) -> int:
-        return self._fact("nu", lambda: matchings.nu(self.graph))
-
-    def nu0(self) -> int:
-        return self._fact("nu0", lambda: matchings.nu0(self.graph))
-
-    def mm(self) -> int:
-        return self._fact("mm", lambda: matchings.mm(self.graph))
-
-
-def _check_theorem(item, chars, inputs):
-    """The verdicts of ``unions.theorem_verdicts`` that disagree."""
+def _check_theorem(chars, *records):
+    """The characteristics where the two sides of the equivalence disagree,
+    read off the records of one graph or of the two graphs of a union
+    (``classifier._sides``)."""
+    shapes, structural, target, regs = classifier._sides(chars, *records)
     return [
-        f"char {v.characteristic}: structural={v.structural} "
-        f"numeric={v.numeric} shapes={v.component_shapes}"
-        for v in unions.theorem_verdicts(item, chars, inputs)
-        if not v.agreement
+        f"char {c}: structural={structural} numeric={reg == target} shapes={shapes}"
+        for c, reg in regs
+        if structural != (reg == target)
     ]
 
 
@@ -453,42 +419,6 @@ def _check_fl3(g, chars, facts):
                     f"char {c}: edge {e}: reg {reg} > "
                     f"max(del={minus}, closed+1={closed + 1})"
                 )
-    return out
-
-
-def _check_comp(item, chars, inputs):
-    """``reg``, ``nu`` and ``nu0`` add over the components of the union
-    ``u`` of the item's two graphs.
-
-    ``reg_star`` of the union is read off its whole subset table, which
-    uses no product formula (an edgeless union has 1, from the empty
-    complex): ``regularity`` would combine the components and compare
-    their sum with itself.  Each component's ``reg_star`` is read off the
-    same table as an induced subgraph, over the subsets of its own
-    vertices alone (``induced_direct``, no pass over the union's whole
-    table), which the walk fills as it would the component's own table.
-    The char-0 table serves every characteristic that divides none of its
-    torsion.  The components, their vertex masks, ``nu`` and ``nu0`` are
-    the two graphs' records (``unions.split``), the second's masks shifted
-    past the first's vertices, so the union is never split itself."""
-    out = []
-    u = inputs.graph(item)
-    base = regularity_oracle.subgraph_regularity(u)
-    parts = []
-    shift = 0
-    for k, split in zip(item, inputs.records(item)):
-        parts += [(mask << shift, nu, nu0) for mask, nu, nu0 in split]
-        shift += inputs.graphs[k].n
-    for c in chars:
-        sub = base.at(FieldSpec(c))
-        reg = sub.whole()
-        reg_sum = regularity_oracle.union_reg_star(sub.induced_direct(mask) for mask, _, _ in parts)
-        if reg != reg_sum:
-            out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
-    if matchings.nu(u) != sum(nu for _, nu, _ in parts):
-        out.append("matching number not additive over components")
-    if matchings.nu0(u) != sum(nu0 for _, _, nu0 in parts):
-        out.append("induced matching number not additive over components")
     return out
 
 
@@ -599,17 +529,19 @@ def _check_squeeze(g, chars, facts):
     return out
 
 
-_LEMMA_CHECKS = {
-    "UB": _check_ub,
-    "FL1": _check_fl1,
-    "FL2": _check_fl2,
-    "FL3": _check_fl3,
-    "Comp": _check_comp,
-    "C1": _check_c1,
-    "C1a": _check_c1a,
-    "C2": _check_c2,
-    "CaWa": _check_cawa,
-    "Squeeze": _check_squeeze,
+# tag -> (row check, union check)
+_CHECKS = {
+    "main-theorem": (lambda g, chars, facts: _check_theorem(chars, facts), _check_theorem),
+    "UB": (_check_ub, None),
+    "FL1": (_check_fl1, None),
+    "FL2": (_check_fl2, None),
+    "FL3": (_check_fl3, None),
+    "Comp": (None, unions.check_comp),
+    "C1": (_check_c1, None),
+    "C1a": (_check_c1a, None),
+    "C2": (_check_c2, None),
+    "CaWa": (_check_cawa, None),
+    "Squeeze": (_check_squeeze, None),
 }
 
-LEMMA_TAGS = tuple(_LEMMA_CHECKS)
+LEMMA_TAGS = tuple(_CHECKS)[1:]

@@ -174,10 +174,10 @@ def union_reg_star(regs) -> int:
     return 1 + sum(reg - 1 for reg in regs)
 
 
-def refuse_past_cap(g: Graph) -> None:
-    """Raise ``CapExceeded`` for a graph past ``ORACLE_VERTEX_CAP``."""
-    if g.n > ORACLE_VERTEX_CAP:
-        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
+def refuse_past_cap(n: int) -> None:
+    """Raise ``CapExceeded`` past ``ORACLE_VERTEX_CAP`` vertices."""
+    if n > ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {n}")
 
 
 # -- the one object per graph -------------------------------------------------
@@ -345,7 +345,7 @@ class _WholeGraph:
     __slots__ = ("_parts", "_char0", "_results")
 
     def __init__(self, g: Graph):
-        refuse_past_cap(g)
+        refuse_past_cap(g.n)
         self._parts = components(g) or [((), g)]  # the empty graph is its own one part
         distinct = dict.fromkeys(comp for _, comp in self._parts)  # each walked once
         self._char0 = {comp: subgraph_regularity(comp)._drop_table() for comp in distinct}
@@ -389,7 +389,7 @@ def _digits(value: int) -> int:
 def _walk_table(g: Graph, char: int) -> tuple[list[int], set[int]]:
     """The whole packed subset table of ``g`` at ``char``, and its torsion;
     refused past the cap."""
-    refuse_past_cap(g)
+    refuse_past_cap(g.n)
     table = [0] * (1 << g.n)
     table[0] = 1  # the empty complex: dim 1 in degree -1
     torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)

@@ -1,19 +1,18 @@
-"""Two-component unions of a sweep's input graphs, read off their parts.
+"""Two-component unions of a sweep's input graphs, read off their records.
 
 A sweep over a corpus also checks each disjoint union of two of its
 graphs.  Such a union is a pair of indices into the corpus, ``(i, j)``
-with ``i <= j`` (``union_index_pairs``), and is built only where a check
-walks it or a report names it (``Inputs.graph``).  Each input graph gets
-one record for the sweep, made at its first ask and kept
-(``Inputs.records``); a refusal is kept in its place (``kept``), so every
-union holding a refused graph is refused too.
+with ``i <= j`` (``union_index_pairs``).  The sweep keeps each graph that
+some union holds with its record (``classifier._GraphFacts``), its tables
+dropped after its row, and hands a union's check the two records.  The
+union itself is built only where a check walks it or a report names it.
 
 Both sides of the paper's equivalence add over the components, so the
-theorem sweep reads a union's verdicts off its two graphs' parts joined
-(``theorem_verdicts``) and builds no union.  Comp checks that additivity
-itself, so it walks each union; the components' vertex masks, ``nu`` and
-``nu0`` come from its two graphs' records (``split``), so no union is
-split.
+theorem reads a union's verdicts off its two graphs' component records
+joined (``classifier._verdicts``), and builds no union.  Comp checks that
+additivity itself (``check_comp``), so it walks each union; the
+components' vertex masks, ``nu`` and ``nu0`` come from the two records, so
+no union is split.
 
 This code is kept out of ``harness``, the package's largest module: a
 process that imports the package from source compiles each module whole,
@@ -23,14 +22,12 @@ run.
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from itertools import islice
 
-from . import classifier, formats_io, graph_core, matchings
-from .errors import CapExceeded, TooLarge
-from .graph_core import Graph
-from .regularity_oracle import ORACLE_VERTEX_CAP
+from . import formats_io, graph_core, matchings, regularity_oracle
+from .errors import TooLarge
+from .regularity_oracle import FieldSpec
 
 
 def union_index_pairs(graphs, total_cap: int = 9):
@@ -51,71 +48,33 @@ def union_index_pairs(graphs, total_cap: int = 9):
     )
 
 
-def kept(known: dict, key, compute):
-    """``known[key]``, computed by ``compute()`` at the first ask and kept.
-    A refusal is kept in place of its value, as a copy with no traceback or
-    context that could tie it back to ``known``, and raised again, as a
-    fresh copy, at every ask."""
-    if key not in known:
-        try:
-            known[key] = compute()
-        except CapExceeded as exc:
-            known[key] = copy.copy(exc)
-    value = known[key]
-    if isinstance(value, CapExceeded):
-        raise copy.copy(value)
-    return value
+def check_comp(chars, first, second):
+    """``reg``, ``nu`` and ``nu0`` add over the components of the union
+    ``u`` of the graphs of two records.
 
-
-class Inputs:
-    """A union sweep's input graphs, each with one record kept for the
-    sweep.  An item is a tuple of indices into ``graphs``: ``(i,)`` for a
-    graph itself, ``(i, j)`` for the union of two.  ``graph(item)`` builds
-    the item's graph.  ``records(item)`` gives each index's record, made by
-    ``measure(graph)`` at its first ask."""
-
-    __slots__ = ("graphs", "_measure", "_records")
-
-    def __init__(self, graphs, measure):
-        self.graphs = graphs
-        self._measure = measure
-        self._records: dict = {}
-
-    def graph(self, item) -> Graph:
-        first, *rest = item
-        g = self.graphs[first]
-        for k in rest:
-            g = graph_core.disjoint_union(g, self.graphs[k])
-        return g
-
-    def records(self, item) -> list:
-        return [kept(self._records, k, lambda: self._measure(self.graphs[k])) for k in item]
-
-
-def theorem_inputs(graphs, chars) -> Inputs:
-    """The theorem sweep's inputs: each graph's record is its parts
-    (``classifier._parts``), measured at ``chars`` with one dict for the
-    sweep, so a component that several inputs hold is measured once."""
-    measured: dict = {}  # component -> (shape, nu, regs), for this sweep only
-    return Inputs(graphs, lambda g: classifier._parts(g, chars, measured))
-
-
-def theorem_verdicts(item, chars, inputs: Inputs) -> list[classifier.ClassificationVerdict]:
-    """``classify``'s verdicts on the item's graph, read off its graphs'
-    records, the parts of a union being those of its first graph and then
-    its second (``classifier._verdicts``).  A union past the oracle cap is
-    refused, as ``classify`` refuses it."""
-    n = sum(inputs.graphs[k].n for k in item)
-    if n > ORACLE_VERTEX_CAP:
-        raise CapExceeded(f"regularity sweep capped at {ORACLE_VERTEX_CAP} vertices, got {n}")
-    parts = [part for record in inputs.records(item) for part in record]
-    return classifier._verdicts(parts, chars)
-
-
-def split(g: Graph) -> list[tuple[int, int, int]]:
-    """Comp's record of one input graph: each component's vertex mask,
-    ``nu`` and ``nu0``."""
-    return [
-        (sum(1 << v for v in verts), matchings.nu(comp), matchings.nu0(comp))
-        for verts, comp in graph_core.components(g)
-    ]
+    ``reg_star`` of the union is read off its whole subset table, which
+    uses no product formula (an edgeless union has 1, from the empty
+    complex): ``regularity`` would combine the components and compare
+    their sum with itself.  Each component's ``reg_star`` is read off the
+    same table as an induced subgraph, over the subsets of its own
+    vertices alone (``induced_direct``, no pass over the union's whole
+    table), which the walk fills as it would the component's own table.
+    The char-0 table serves every characteristic that divides none of its
+    torsion.  The components, their vertex masks, ``nu`` and ``nu0`` are
+    the two records' (``components``), the second's masks shifted past the
+    first's vertices, so the union is never split itself."""
+    out = []
+    u = graph_core.disjoint_union(first.graph, second.graph)
+    base = regularity_oracle.subgraph_regularity(u)
+    parts = first.components() + [(mask << first.graph.n, part) for mask, part in second.components()]
+    for c in chars:
+        sub = base.at(FieldSpec(c))
+        reg = sub.whole()
+        reg_sum = regularity_oracle.union_reg_star(sub.induced_direct(mask) for mask, _ in parts)
+        if reg != reg_sum:
+            out.append(f"char {c}: reg {reg} != component sum {reg_sum}")
+    if matchings.nu(u) != sum(part.nu() for _, part in parts):
+        out.append("matching number not additive over components")
+    if matchings.nu0(u) != sum(part.nu0() for _, part in parts):
+        out.append("induced matching number not additive over components")
+    return out

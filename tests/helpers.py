@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from eilab import classifier, graph_core, unions
+from eilab.errors import CapExceeded
 from eilab.formats_io import encode_graph6
 from eilab.graph_core import Graph, _bits
 from eilab.homology import homology_from_masks
@@ -647,14 +648,29 @@ def keyed_levels(max_n: int) -> list[tuple[Graph, ...]]:
     return levels
 
 
-# -- a union's verdicts two ways ----------------------------------------------------
+# -- a union's verdicts two ways, and a sweep's report by the plainest loop ------------
 
 
 def pair_verdicts(graphs, total_cap: int, chars=(0, 2, 3)):
-    """For each union of ``unions.union_index_pairs``, the theorem sweep's
-    verdicts, read off its two graphs' records, and ``classify``'s on the
-    union built."""
-    inputs = unions.theorem_inputs(graphs, chars)
+    """For each union of ``unions.union_index_pairs``, the verdicts read off
+    its two graphs' records, made from one dict as the sweep makes them
+    (``classifier._record``), and ``classify``'s on the union built."""
+    known: dict = {}
+    records = [classifier._record(g, known) for g in graphs]
     for i, j in unions.union_index_pairs(graphs, total_cap):
         union = graph_core.disjoint_union(graphs[i], graphs[j])
-        yield unions.theorem_verdicts((i, j), chars, inputs), classifier.classify(union, chars)
+        yield classifier._verdicts(chars, records[i], records[j]), classifier.classify(union, chars)
+
+
+def reference_report(check, graphs, chars):
+    """``(checked, violations, skips)`` of ``check(g, chars)`` run on each
+    graph in turn, with nothing shared between graphs: each detail string
+    a violation and each ``CapExceeded`` a skip, named by graph6 and
+    sorted, as a sweep's report is."""
+    violations, skips = [], []
+    for g in graphs:
+        try:
+            violations += [(encode_graph6(g), detail) for detail in check(g, chars)]
+        except CapExceeded:
+            skips.append(encode_graph6(g))
+    return len(graphs), tuple(sorted(violations)), tuple(sorted(skips))

@@ -22,6 +22,7 @@ from helpers import (
     keyed_levels,
     pair_verdicts,
     path,
+    reference_report,
     rp2_minus_vertex_and_edge,
 )
 
@@ -105,26 +106,28 @@ def test_verify_theorem_refuses_workers():
         harness.verify_theorem(graphs, chars=(0,), workers=2)
 
 
+def _plain_theorem(g, chars):
+    """The theorem's detail strings from ``classify`` on ``g`` itself."""
+    return [
+        f"char {v.characteristic}: structural={v.structural} "
+        f"numeric={v.numeric} shapes={v.component_shapes}"
+        for v in classifier.classify(g, chars)
+        if not v.agreement
+    ]
+
+
 def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
     """The theorem sweep takes each distinct component's shape and ``nu``
-    once, from one dict that lives as long as the sweep: a union's parts
-    are read off its two corpus graphs' records, and a second sweep starts
-    afresh.  Its report is the one that plain ``classify`` gives graph by
-    graph, unions built."""
-
-    def plain(g, chars, facts):
-        return [
-            f"char {v.characteristic}: structural={v.structural} "
-            f"numeric={v.numeric} shapes={v.component_shapes}"
-            for v in classifier.classify(g, chars)
-            if not v.agreement
-        ]
-
+    once, from one dict of records that lives as long as the sweep: a
+    union's verdicts are read off its two corpus graphs' records, and a
+    second sweep starts afresh, with no referrer to the first's dict left.
+    Its report is the one that plain ``classify`` gives graph by graph,
+    unions built."""
     graphs = list(corpus5) + harness.union_pairs(corpus5)
-    (reference,) = harness._sweeps({"main-theorem": plain}, graphs, (0, 2), lambda g: None)
+    reference = reference_report(_plain_theorem, graphs, (0, 2))
     measured = []
     stores = []
-    shape, nu, parts = classifier.component_shape, matchings.nu, classifier._parts
+    shape, nu, record = classifier.component_shape, matchings.nu, classifier._record
 
     def counted_shape(comp):
         measured.append(("shape", comp))
@@ -134,20 +137,18 @@ def test_theorem_sweep_measures_each_component_once(corpus5, monkeypatch):
         measured.append(("nu", g))
         return nu(g)
 
-    def recorded(g, chars, store):
-        if not any(s is store for s in stores):
-            stores.append(store)
-        return parts(g, chars, store)
+    def recorded(g, known):
+        if not any(s is known for s in stores):
+            stores.append(known)
+        return record(g, known)
 
     monkeypatch.setattr(classifier, "component_shape", counted_shape)
     monkeypatch.setattr(matchings, "nu", counted_nu)
-    monkeypatch.setattr(classifier, "_parts", recorded)
+    monkeypatch.setattr(classifier, "_record", recorded)
     reports = []
     for _ in range(2):
         rep = harness.verify_theorem(corpus5, chars=(0, 2))
-        assert (rep.property_name, rep.checked, rep.violations, rep.skips) == (
-            reference.property_name, reference.checked, reference.violations, reference.skips
-        )
+        assert (rep.checked, rep.violations, rep.skips) == reference
         assert Counter(measured) == Counter((what, g) for g in corpus5 for what in ("shape", "nu"))
         measured.clear()
         reports.append(rep)
@@ -185,21 +186,21 @@ def test_theorem_union_past_the_cap_is_a_skip():
 
 
 def test_theorem_refused_part_skips_each_union_holding_it(corpus5, monkeypatch):
-    """A graph whose parts are refused is a skip, and so is every union
+    """A graph whose shape is refused is a skip, and so is every union
     holding it, each named by its graph6 string.  The refusal is kept in
-    place of the graph's record, so its parts are asked once."""
+    place of the fact in the graph's record, so the shape is asked once."""
     triangle = complete(3)
     i = corpus5.index(triangle)
     asked = []
-    parts = classifier._parts
+    shape = classifier.component_shape
 
-    def refusing(g, chars, measured):
+    def refusing(g):
         if g == triangle:
             asked.append(g)
             raise CapExceeded("refused")
-        return parts(g, chars, measured)
+        return shape(g)
 
-    monkeypatch.setattr(classifier, "_parts", refusing)
+    monkeypatch.setattr(classifier, "component_shape", refusing)
     rep = harness.verify_theorem(corpus5, chars=(0, 2))
     holding = [gc.disjoint_union(corpus5[a], corpus5[b]) for a, b in unions.union_index_pairs(corpus5) if i in (a, b)]
     assert len(holding) == len(corpus5)
@@ -283,7 +284,7 @@ def test_lemma_comp_reads_whole_graph_walk(corpus5, monkeypatch):
     assert all("!= component sum" in detail for _, detail in rep.violations)
 
 
-def _fl3_reference(g, chars, facts):
+def _fl3_reference(g, chars):
     """FL3 with ``G - e`` refilled at every edge."""
     out = []
     full = g.full_mask
@@ -324,9 +325,8 @@ def test_fl3_refills_only_undecided_edges(corpus7, monkeypatch):
     rp2, rp2_less = flag_rp2_complement(), rp2_minus_vertex_and_edge()
     runs = [(corpus7, (0,))] + [([g], (c,)) for g in (rp2, rp2_less) for c in (0, 2, 3)]
     for graphs, chars in runs:
-        (reference,) = harness._sweeps({"FL3": _fl3_reference}, graphs, chars, lambda g: None)
         (rep,) = harness.verify_lemma_suite(graphs, ["FL3"], chars=chars)
-        assert (rep.checked, rep.violations, rep.skips) == (reference.checked, reference.violations, reference.skips)
+        assert (rep.checked, rep.violations, rep.skips) == reference_report(_fl3_reference, graphs, chars)
     edge_deleted = ro.SubgraphRegularity.edge_deleted
     refilled = []
 
@@ -526,7 +526,7 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
     graphs = [g for g in corpus7 if g.num_edges]
     exact = [chordality.cochord_number(g).k for g in graphs]
     regs = [[ro.regularity(g, ro.FieldSpec(c)).reg_star for c in chars] for g in graphs]
-    reg_star = harness._GraphFacts.reg
+    reg_star = classifier._GraphFacts.reg
     cochord_number = chordality.cochord_number
     caps = Counter()
 
@@ -536,7 +536,7 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
 
     monkeypatch.setattr(chordality, "cochord_number", counted)
     for shift in (0, 1):
-        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + shift * (c == 2))
+        monkeypatch.setattr(classifier._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + shift * (c == 2))
         (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=chars)
         expected = {
             (fio.encode_graph6(g), f"char {c}: reg {r + shift * (c == 2)} > cochord+1 = {k + 1}")
@@ -547,7 +547,7 @@ def test_squeeze_capped_search_decides_the_cochord_bound(corpus7, monkeypatch):
         assert {v for v in rep.violations if "cochord" in v[1]} == expected
         assert rep.skips == ()
         assert bool(expected) == bool(shift)
-    monkeypatch.setattr(harness._GraphFacts, "reg", reg_star)
+    monkeypatch.setattr(classifier._GraphFacts, "reg", reg_star)
     caps.clear()
     (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0,))
     assert rep.passed and not rep.skips
@@ -564,10 +564,10 @@ def test_squeeze_reports_a_wrong_reading(monkeypatch):
     K4's search runs at cap 2 and finds its one-part cover, so both
     characteristics break the bound."""
     k4, c5 = complete(4), cycle(5)
-    reg_star = harness._GraphFacts.reg
+    reg_star = classifier._GraphFacts.reg
 
     def violations(graphs, skew):
-        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + skew.get(c, 0))
+        monkeypatch.setattr(classifier._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + skew.get(c, 0))
         (rep,) = harness.verify_lemma_suite(graphs, ["Squeeze"], chars=(0, 2))
         assert rep.skips == ()
         return rep.violations
@@ -604,7 +604,7 @@ def test_squeeze_refusals(monkeypatch):
         monkeypatch.setattr(chordality, "cochord_number", search)
 
     def report(reg):
-        monkeypatch.setattr(harness._GraphFacts, "reg", lambda facts, c: reg)
+        monkeypatch.setattr(classifier._GraphFacts, "reg", lambda facts, c: reg)
         (rep,) = harness.verify_lemma_suite([c5], ["Squeeze"], chars=(0,))
         return [v for _, v in rep.violations if "cochord" in v], rep.skips
 
@@ -658,8 +658,8 @@ def test_comp_walks_once_per_union(corpus5, monkeypatch):
     assert rep.passed and not rep.skips
     assert walks == [0] * rep.checked
     walks.clear()
-    inputs = unions.Inputs([rp2_minus_vertex_and_edge(), gc.from_edges(1, [])], unions.split)
-    assert harness._check_comp((0, 1), (0, 2, 3), inputs) == []
+    first, second = (classifier._record(g, {}) for g in (rp2_minus_vertex_and_edge(), gc.from_edges(1, [])))
+    assert unions.check_comp((0, 2, 3), first, second) == []
     assert walks == [0, 2]
 
 
@@ -684,6 +684,46 @@ def test_lemma_suite_walks_each_graph_once(corpus6, monkeypatch):
         assert walks == [(g, 0) for g in corpus6], (tags, chars)
 
 
+def test_joint_pass_shares_each_graphs_record(corpus7, monkeypatch):
+    """The theorem and every lemma tag over the n <= 7 corpus, at chars 0
+    and 2, in one pass: its reports are those of the theorem sweep and the
+    lemma suite run apart, and it makes 3,415 whole-table walks, one per
+    corpus graph (996) and one per Comp union (2,419), where the two run
+    apart make 4,411.  ``edge_deleted``'s refills for FL3 and C1a walk no
+    whole table.  The theorem sweep alone asks 996 ``nu`` and 996
+    ``component_shape``, one per corpus graph, and no ``nu0`` or ``mm``."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for owner, name in ((ro, "_walk_table"), (matchings, "nu"), (matchings, "nu0"), (matchings, "mm"), (classifier, "component_shape")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    chars = (0, 2)
+    joint = harness.verify(corpus7, ["main-theorem", *harness.LEMMA_TAGS], chars)
+    assert calls["_walk_table"] == 3415
+    assert all(rep.passed and not rep.skips for rep in joint)
+    assert {rep.property_name: rep.checked for rep in joint} == {
+        "main-theorem": 3415, "Comp": 2419, **{tag: 996 for tag in harness.LEMMA_TAGS if tag != "Comp"}
+    }
+    calls.clear()
+    apart = [harness.verify_theorem(corpus7, chars)]
+    assert {name: calls[name] for name in ("nu", "component_shape", "nu0", "mm")} == {
+        "nu": 996, "component_shape": 996, "nu0": 0, "mm": 0
+    }
+    apart += harness.verify_lemma_suite(corpus7, harness.LEMMA_TAGS, chars)
+    assert calls["_walk_table"] == 4411
+
+    def summary(reports):
+        return [(rep.property_name, rep.checked, rep.violations, rep.skips) for rep in reports]
+
+    assert summary(joint) == summary(apart)
+
+
 def test_lemma_suite_repeats_its_reports(corpus6):
     """Two identical lemma sweeps in one process give equal reports: no
     fact carries over from one sweep, or one graph, to the next."""
@@ -703,14 +743,14 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
     the next graph's record is made; a refusal the record keeps (the
     17-vertex path, past the oracle's cap) holds no traceback or context."""
     records, readings = [], []
-    record, reading = harness._GraphFacts, ro.SubgraphRegularity
+    record, reading = classifier._GraphFacts, ro.SubgraphRegularity
 
     class Record(record):
         __slots__ = ("__weakref__",)
 
-        def __init__(self, g):
+        def __init__(self, g, parts=None):
             assert all(ref() is None for ref in records + readings), "a record outlived its graph"
-            super().__init__(g)
+            super().__init__(g, parts)
             records.append(weakref.ref(self))
 
     class Reading(reading):
@@ -726,7 +766,7 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
     tags = [tag for tag in harness.LEMMA_TAGS if tag != "Comp"]
     gc_module.disable()
     try:
-        monkeypatch.setattr(harness, "_GraphFacts", Record)
+        monkeypatch.setattr(classifier, "_GraphFacts", Record)
         reports = harness.verify_lemma_suite(graphs, tags, chars=(0, 2, 3))
         assert all(ref() is None for ref in records + readings)
         assert len(records) == len(graphs) and len(readings) > len(corpus5)
@@ -745,12 +785,62 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
     assert skipped == {"UB", "FL1", "FL2", "FL3", "C1", "C1a", "Squeeze"}
 
 
+def test_union_pass_keeps_only_small_facts(corpus5, monkeypatch):
+    """The joint pass keeps each corpus graph's record for the union pass
+    with its tables dropped: when the first union is checked, every
+    subgraph reading made for a corpus graph is freed, and each record
+    holds only its small facts.  With the cycle collector off, the records
+    are freed by reference counting when the sweep returns."""
+    readings, records, seen = [], [], []
+    record, reading = classifier._GraphFacts, ro.SubgraphRegularity
+    check_theorem, check_comp = harness._CHECKS["main-theorem"][1], harness._CHECKS["Comp"][1]
+
+    class Record(record):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, g, parts=None):
+            super().__init__(g, parts)
+            records.append(weakref.ref(self))
+
+    class Reading(reading):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            readings.append(weakref.ref(self))
+
+    def watched(check):
+        def on_union(chars, first, second):
+            if not seen:
+                assert all(ref() is None for ref in readings), "a row's reading outlived its row"
+            seen.append((first.graph, second.graph))
+            for facts in (first, second):
+                assert facts.graph in corpus5
+                assert set(facts._known) <= {"shape", "nu", "nu0", "mm", *chars}
+            return check(chars, first, second)
+
+        return on_union
+
+    monkeypatch.setattr(ro, "SubgraphRegularity", Reading)
+    monkeypatch.setattr(classifier, "_GraphFacts", Record)
+    monkeypatch.setitem(harness._CHECKS, "main-theorem", (harness._CHECKS["main-theorem"][0], watched(check_theorem)))
+    monkeypatch.setitem(harness._CHECKS, "Comp", (None, watched(check_comp)))
+    gc_module.disable()
+    try:
+        reports = harness.verify(corpus5, ["main-theorem", *harness.LEMMA_TAGS], (0, 2))
+        assert all(ref() is None for ref in records + readings)
+    finally:
+        gc_module.enable()
+    assert all(rep.passed and not rep.skips for rep in reports)
+    assert len(records) == len(corpus5) and len(seen) == 2 * len(harness.union_pairs(corpus5))
+
+
 def test_comp_reads_components_off_the_union_table(corpus5):
     """Comp reads each component's ``reg_star`` off the union's table, at
     the subsets of the component's vertices.  That equals the component's
     own walk, on the unions of the n <= 5 corpus and on seeded
     relabellings where the components interleave.  Comp passes each of
-    them united with a vertex, its masks read off its own split, at chars
+    them united with a vertex, its masks read off its own record, at chars
     0, 2 and 3."""
     rng = random.Random(2828)
     built = harness.union_pairs(corpus5, 8)
@@ -770,8 +860,8 @@ def test_comp_reads_components_off_the_union_table(corpus5):
             assert sub.induced(mask) == ro.subgraph_regularity(comp).whole()
             assert sub.induced_direct(mask) == sub.induced(mask)
             interleaved += verts != tuple(range(verts[0], verts[-1] + 1))
-        inputs = unions.Inputs([u, gc.from_edges(1, [])], unions.split)
-        assert harness._check_comp((0, 1), (0, 2, 3), inputs) == []
+        first, second = (classifier._record(g, {}) for g in (u, gc.from_edges(1, [])))
+        assert unions.check_comp((0, 2, 3), first, second) == []
     assert interleaved > 20
 
 
@@ -789,8 +879,9 @@ def test_comp_reads_only_each_components_submasks(corpus6, monkeypatch):
 
 
 def test_comp_splits_each_graph_once(corpus5, monkeypatch):
-    """Comp takes each union's components off its two graphs' splits, each
-    made once per sweep, and splits no union itself."""
+    """A sweep takes each union's components off its two graphs' records,
+    each graph split once per sweep when its record is made, and splits no
+    union itself: Comp alone and the joint pass alike."""
     split = []
     components = gc.components
 
@@ -799,19 +890,18 @@ def test_comp_splits_each_graph_once(corpus5, monkeypatch):
         return components(g)
 
     monkeypatch.setattr(gc, "components", counted)
-    for _ in range(2):
-        (rep,) = harness.verify_lemma_suite(corpus5, ["Comp"], chars=(0, 2))
-        assert rep.passed and rep.checked == len(harness.union_pairs(corpus5))
-        assert sorted(split, key=corpus5.index) == list(corpus5)
+    for tags in (["Comp"], ["Comp"], ["main-theorem", *harness.LEMMA_TAGS]):
+        reports = harness.verify(corpus5, tags, chars=(0, 2))
+        assert all(rep.passed and not rep.skips for rep in reports)
+        assert reports[tags.index("Comp")].checked == len(harness.union_pairs(corpus5))
+        assert split == list(corpus5)
         split.clear()
 
 
 def test_sweep_names_each_graph(corpus5, monkeypatch):
     """A check returns bare detail strings; the sweep pairs each with the
     graph6 string of its graph, and sorts the pairs."""
-    monkeypatch.setitem(
-        harness._LEMMA_CHECKS, "UB", lambda g, chars, facts: ["b", "a"] if g.n == 3 else []
-    )
+    monkeypatch.setitem(harness._CHECKS, "UB", (lambda g, chars, facts: ["b", "a"] if g.n == 3 else [], None))
     (rep,) = harness.verify_lemma_suite(corpus5, ["UB"])
     names = sorted(fio.encode_graph6(g) for g in corpus5 if g.n == 3)
     assert rep.violations == tuple((name, d) for name in names for d in ("a", "b"))
@@ -826,7 +916,7 @@ def test_union_cap_past_graph6_limit_refused(monkeypatch):
 
     g40 = path(40)
     monkeypatch.setattr(gc, "disjoint_union", refuse)
-    monkeypatch.setattr(harness, "_sweeps", refuse)
+    monkeypatch.setattr(classifier, "_record", refuse)
     for tags in (["Comp"], ["UB", "Comp"]):
         with pytest.raises(TooLarge, match="unions cap at 62 vertices"):
             harness.verify_lemma_suite([g40], tags, union_total_cap=80)
@@ -852,11 +942,15 @@ def test_unknown_lemma_tag(corpus5, monkeypatch):
     def refuse(g, chars, facts):
         raise AssertionError("a sweep ran before the tags were checked")
 
-    monkeypatch.setitem(harness._LEMMA_CHECKS, "UB", refuse)
-    with pytest.raises(UnknownProperty):
+    monkeypatch.setitem(harness._CHECKS, "UB", (refuse, None))
+    with pytest.raises(UnknownProperty, match="unknown lemma tag 'FL9'"):
         harness.verify_lemma_suite(corpus5, ["FL9"])
     with pytest.raises(UnknownProperty):
         harness.verify_lemma_suite(corpus5, ["UB", "FL9"])
+    with pytest.raises(UnknownProperty, match="unknown lemma tag 'main-theorem'"):
+        harness.verify_lemma_suite(corpus5, ["UB", "main-theorem"])
+    with pytest.raises(UnknownProperty, match="unknown tag 'FL9'; known: main-theorem, UB"):
+        harness.verify(corpus5, ["main-theorem", "UB", "FL9"], (0,))
 
 
 def test_corpus_from_graph6(fixtures_dir):

@@ -17,8 +17,9 @@ from math import comb
 
 import pytest
 
-from eilab import classifier, graph_core, harness, matchings, unions
+from eilab import chordality, classifier, graph_core, harness, matchings, unions
 from eilab import regularity_oracle as ro
+from eilab.errors import CapExceeded, WorkBoundExceeded
 from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
 
@@ -26,11 +27,13 @@ from helpers import (
     brute_betti,
     brute_canonical_form,
     column_string,
+    complete,
     cycle,
     flag_rp2_complement,
     keyed_levels,
     pair_verdicts,
     path,
+    reference_report,
     relabel,
     rp2_minus_vertex_and_edge,
 )
@@ -126,32 +129,32 @@ class _ReferenceFacts:
 def test_record_leaking_into_the_next_graph(corpus6, monkeypatch):
     """The graph-major suite with one record kept from the first graph on
     reads that graph's ``reg``, ``nu``, ``nu0`` and ``mm`` everywhere.
-    Caught by comparing each report with a sweep of its tag alone over
-    ``_ReferenceFacts`` on the n <= 6 corpus.  Only tags that read those
-    four facts run: the leaked subgraph readings would index past the
-    first graph's table instead of reading wrong."""
+    Caught by comparing each report with its tag's check run graph by graph
+    on ``_ReferenceFacts`` (``helpers.reference_report``) on the n <= 6
+    corpus.  Only tags that read those four facts run: the leaked subgraph
+    readings would index past the first graph's table instead of reading
+    wrong."""
     tags = ("UB", "C1", "C2", "Squeeze")
     chars = (0, 2)
 
     def fresh(tag):
-        check = harness._LEMMA_CHECKS[tag]
-        (report,) = harness._sweeps({tag: check}, corpus6, chars, _ReferenceFacts)
-        return report
+        check = harness._CHECKS[tag][0]
+        return (tag, *reference_report(lambda g, chars: check(g, chars, _ReferenceFacts(g)), corpus6, chars))
 
     def summary(reports):
         return [(r.property_name, r.checked, r.violations, r.skips) for r in reports]
 
-    reference = summary(fresh(tag) for tag in tags)
+    reference = [fresh(tag) for tag in tags]
     assert summary(harness.verify_lemma_suite(corpus6, tags, chars=chars)) == reference
-    record = harness._GraphFacts
+    record = classifier._record
     kept = []
 
-    def leaky(g):
+    def leaky(g, known):
         if not kept:
-            kept.append(record(g))
+            kept.append(record(g, known))
         return kept[0]
 
-    monkeypatch.setattr(harness, "_GraphFacts", leaky)
+    monkeypatch.setattr(classifier, "_record", leaky)
     assert summary(harness.verify_lemma_suite(corpus6, tags, chars=chars)) != reference
 
 
@@ -338,13 +341,7 @@ def test_union_verdict_read_off_the_first_part_only(corpus5, monkeypatch):
         return sum(mine != reference for mine, reference in pair_verdicts(corpus5, 9))
 
     assert mismatches() == 0
-    _rewrite(
-        monkeypatch,
-        unions,
-        "theorem_verdicts",
-        "for record in inputs.records(item) for part",
-        "for record in inputs.records(item)[:1] for part",
-    )
+    _rewrite(monkeypatch, classifier, "_sides", "for record in records for _, part", "for record in records[:1] for _, part")
     assert mismatches() == sum(1 for _ in unions.union_index_pairs(corpus5, 9))
 
 
@@ -369,14 +366,9 @@ def test_pair_loop_dropping_the_repeated_graph(corpus5, monkeypatch):
     assert checked == len(corpus5) + len(pairs) < len(corpus5) + len(reference)
 
 
-def test_module_global_theorem_dict(corpus5, monkeypatch):
-    """The theorem sweep's dict from each component to its record lives as
-    long as the sweep.  A mutant that keeps one dict in the module answers
-    a second sweep from the first, measuring nothing.  Caught by counting
-    ``component_shape`` calls per sweep, as
-    ``test_theorem_sweep_measures_each_component_once`` does.  First
-    recorded with the per-sweep dict (the CHANGES.md entry on verify
-    sweeps that keep what they already hold)."""
+def _shapes_per_sweep(corpus5, monkeypatch) -> list[int]:
+    """The ``component_shape`` calls of each of two theorem sweeps in a row
+    over the n <= 5 corpus and its unions."""
     shape = classifier.component_shape
     measured = []
 
@@ -384,19 +376,52 @@ def test_module_global_theorem_dict(corpus5, monkeypatch):
         measured.append(comp)
         return shape(comp)
 
-    def per_sweep():
-        counts = []
-        for _ in range(2):
-            harness.verify_theorem(corpus5, chars=(0,))
-            counts.append(len(measured))
-            measured.clear()
-        return counts
-
     monkeypatch.setattr(classifier, "component_shape", counted)
-    assert per_sweep() == [len(corpus5)] * 2
-    monkeypatch.setattr(unions, "_MEASURED", {}, raising=False)
-    _rewrite(monkeypatch, unions, "theorem_inputs", "measured: dict = {}", "measured: dict = _MEASURED")
-    assert per_sweep() == [len(corpus5), 0]
+    counts = []
+    for _ in range(2):
+        harness.verify_theorem(corpus5, chars=(0,))
+        counts.append(len(measured))
+        measured.clear()
+    return counts
+
+
+def test_module_global_theorem_dict(corpus5, monkeypatch):
+    """The sweep's dict from each component to its record lives as long as
+    the sweep.  A mutant that keeps one dict in the module answers a second
+    sweep from the first, measuring nothing.  Caught by counting
+    ``component_shape`` calls per sweep, as
+    ``test_theorem_sweep_measures_each_component_once`` does.  First
+    recorded with the per-sweep dict (the CHANGES.md entry on verify
+    sweeps that keep what they already hold)."""
+    assert _shapes_per_sweep(corpus5, monkeypatch) == [len(corpus5)] * 2
+    monkeypatch.setattr(harness, "_RECORDS", {}, raising=False)
+    _rewrite(monkeypatch, harness, "verify", "records: dict = {}", "records: dict = _RECORDS")
+    assert _shapes_per_sweep(corpus5, monkeypatch) == [len(corpus5), 0]
+
+
+def test_record_dict_keyed_by_vertex_count(corpus5, monkeypatch):
+    """The sweep's dict is keyed by component.  A mutant that keys it by
+    the component's vertex count hands every graph the record of the first
+    graph of its size, so the sweep measures one shape per vertex count and
+    reads other graphs' verdicts.  Caught by counting ``component_shape``
+    calls per sweep (``test_theorem_sweep_measures_each_component_once``),
+    and by ``classify`` on each union built
+    (``test_pair_verdicts_equal_classify_on_the_union``)."""
+
+    def mismatches():
+        return sum(mine != reference for mine, reference in pair_verdicts(corpus5, 9, (0,)))
+
+    assert _shapes_per_sweep(corpus5, monkeypatch) == [len(corpus5)] * 2
+    assert mismatches() == 0
+    _rewrite(
+        monkeypatch,
+        classifier,
+        "_record",
+        "if comp not in known:\n            known[comp] = _GraphFacts(comp)\n        parts.append((verts, known[comp]))",
+        "if comp.n not in known:\n            known[comp.n] = _GraphFacts(comp)\n        parts.append((verts, known[comp.n]))",
+    )
+    assert _shapes_per_sweep(corpus5, monkeypatch) == [len({g.n for g in corpus5})] * 2
+    assert mismatches() > 0
 
 
 @pytest.mark.parametrize(
@@ -426,3 +451,129 @@ def test_comp_reading_without_the_empty_complex(name, old, new, corpus5, monkeyp
     _rewrite(monkeypatch, ro.SubgraphRegularity, name, old, new)
     violations = comp().violations
     assert violations and all("!= component sum" in detail for _, detail in violations)
+
+
+def _rewrite_check(monkeypatch, tag: str, name: str, old: str, new: str) -> None:
+    """``_rewrite`` of a row check of ``harness``, and its entry in the
+    check table, which holds the function itself."""
+    _rewrite(monkeypatch, harness, name, old, new)
+    monkeypatch.setitem(harness._CHECKS, tag, (getattr(harness, name), None))
+
+
+def _fl3_refills(corpus6, monkeypatch) -> int:
+    """The ``edge_deleted`` refills of the FL3 sweep over the n <= 6 corpus
+    at char 0, whose report must pass."""
+    edge_deleted = ro.SubgraphRegularity.edge_deleted
+    refilled = []
+
+    def counted(self, u, v):
+        refilled.append((u, v))
+        return edge_deleted(self, u, v)
+
+    monkeypatch.setattr(ro.SubgraphRegularity, "edge_deleted", counted)
+    (rep,) = harness.verify_lemma_suite(corpus6, ["FL3"], chars=(0,))
+    assert (rep.checked, rep.violations, rep.skips) == (len(corpus6), (), ())
+    return len(refilled)
+
+
+_FL3_PRUNE = "if reg <= max(shared, closed + 1):"
+_FL3_SHARED = "shared = max(sub.induced(full ^ 1 << u), sub.induced(full ^ 1 << v))"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(_FL3_PRUNE, "if True:"), (_FL3_SHARED, _FL3_SHARED.replace("max", "min", 1))],
+    ids=["prune-every-edge", "min-shared-bound"],
+)
+def test_fl3_refill_bound_mutants(old, new, corpus6, monkeypatch):
+    """FL3 refills ``G - e`` only where ``reg(G)`` exceeds both
+    ``reg(G - N[e]) + 1`` and the larger of ``reg(G - u)`` and
+    ``reg(G - v)``.  One mutant prunes every edge, and so refills none and
+    can miss a violation; one takes the smaller of the two, a weaker bound,
+    and so refills more edges than needed.  The reports still pass on true
+    readings; each is caught by the count of refilled edges that
+    ``test_fl3_refills_only_undecided_edges`` pins: 32 on the n <= 6
+    corpus at char 0 (its 222 up to 7 vertices less the 190 on 7).  First
+    recorded with FL3's bound (the FL3 refill entry in CHANGES.md)."""
+    assert _fl3_refills(corpus6, monkeypatch) == 32
+    _rewrite_check(monkeypatch, "FL3", "_check_fl3", old, new)
+    assert _fl3_refills(corpus6, monkeypatch) != 32
+
+
+def _squeeze_outcomes(monkeypatch):
+    """Squeeze's reports, and the caps of its cover searches, on four
+    planted cases at chars 0 and 2 (``test_squeeze_refusals``,
+    ``test_squeeze_reports_a_wrong_reading``): C5 (reg 3, need 2) with a
+    search refusing at its work bound; C5 read 7 (need 6, cap 4) with a
+    search refusing at its cap; K4 read 3 and 4 (need 3, cap 2), where the
+    search finds its one-part cover; and K4 as it is (reg 2, need 1), with
+    a search that would refuse."""
+    reg_star = classifier._GraphFacts.reg
+    cochord_number = chordality.cochord_number
+    caps = []
+
+    def report(g, skew, error=None):
+        def search(h, cap=4):
+            caps.append(cap)
+            if error:
+                raise error("refused", best_bound=3)
+            return cochord_number(h, cap)
+
+        monkeypatch.setattr(chordality, "cochord_number", search)
+        monkeypatch.setattr(classifier._GraphFacts, "reg", lambda facts, c: reg_star(facts, c) + skew.get(c, 0))
+        (rep,) = harness.verify_lemma_suite([g], ["Squeeze"], chars=(0, 2))
+        return rep.violations, rep.skips
+
+    c5, k4 = cycle(5), complete(4)
+    outcomes = [
+        report(c5, {}, WorkBoundExceeded),
+        report(c5, {0: 4, 2: 4}, CapExceeded),
+        report(k4, {0: 1, 2: 2}),
+        report(k4, {}, CapExceeded),
+    ]
+    monkeypatch.setattr(classifier._GraphFacts, "reg", reg_star)
+    monkeypatch.setattr(chordality, "cochord_number", cochord_number)
+    return outcomes, caps
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("    except WorkBoundExceeded:\n        raise\n", ""),
+        ("for c, reg in regs if reg > k + 1)", "for c, reg in regs if reg > need)"),
+        ("if need <= 1:", "if need < 1:"),
+        ("        if cap < need - 1:\n            raise\n", ""),
+    ],
+    ids=["work-bound-passes", "need-for-cover", "search-at-need-1", "cap-4-passes"],
+)
+def test_squeeze_capped_search_mutants(old, new, monkeypatch):
+    """Squeeze asks the cover search only whether a cover with fewer than
+    ``need = max(reg) - 1`` parts exists.  Four mutants: one lets the work
+    bound through as the bound holding; one compares each ``reg`` with
+    ``need`` instead of the cover number plus one; one searches at ``need
+    == 1``, where the bound already holds; one passes a refusal at cap 4
+    below ``need - 1``.  Each is caught by the planted cases of
+    ``test_squeeze_refusals`` and ``test_squeeze_reports_a_wrong_reading``
+    (``_squeeze_outcomes``).  First recorded with the capped search (the
+    Squeeze entry in CHANGES.md)."""
+    c5, k4 = (encode_graph6(g) for g in (cycle(5), complete(4)))
+    chain = "chain broken: 2 <= 4 <= 3 <= 3"
+    reference = (
+        [
+            ((), (c5,)),
+            ((), (c5,)),
+            (
+                (
+                    (k4, "char 0: reg 3 > cochord+1 = 2"),
+                    (k4, "char 2: " + chain),
+                    (k4, "char 2: reg 4 > cochord+1 = 2"),
+                ),
+                (),
+            ),
+            ((), ()),
+        ],
+        [1, 4, 2],
+    )
+    assert _squeeze_outcomes(monkeypatch) == reference
+    _rewrite_check(monkeypatch, "Squeeze", "_check_squeeze", old, new)
+    assert _squeeze_outcomes(monkeypatch) != reference
