@@ -15,9 +15,9 @@ the first.  So a verdict is fixed by its components' records, and
 ``_verdicts`` reads it off them.
 
 A record (``_GraphFacts``) holds one graph's facts, each computed at its
-first ask and kept: the subgraph readings, ``reg_star`` at each
-characteristic, ``nu``, ``nu0``, ``mm`` and the component shape.  The
-readings come from one subset walk of the graph
+first ask and kept in a slot of its own: the subgraph readings,
+``reg_star`` at each characteristic, ``nu``, ``nu0``, ``mm`` and the
+component shape.  The readings come from one subset walk of the graph
 (``regularity_oracle.subgraph_regularity``), read at each characteristic
 by ``SubgraphRegularity.at``, which walks again only at a characteristic
 that divides the walk's torsion.  ``_record`` takes a graph's record from a
@@ -142,64 +142,82 @@ class _GraphFacts:
     The char-0 readings are one walk of the graph; ``at(c)`` shares that
     table with every characteristic that divides none of its torsion.  A
     refusal is kept in place of its fact, so every reader of the fact is
-    refused.  The readings are kept under ``("readings", c)``, the
-    only tuple keys, and ``drop_tables`` drops them; ``reg_star`` at ``c``
-    is kept under ``c``."""
+    refused.  Each fact has a slot, ``None`` until its first ask; the
+    readings and ``reg_star`` at each characteristic sit in flat tuples
+    ``(c, fact, c', fact', ...)``.  ``drop_tables`` drops the readings, so
+    a record kept for a union pass is a few words, with no dict."""
 
-    __slots__ = ("graph", "_known", "_parts")
+    __slots__ = ("graph", "_parts", "_readings", "_regs", "_nu", "_nu0", "_mm", "_shape")
 
     def __init__(self, g: Graph, parts=None):
         self.graph = g
-        self._known: dict = {}
         self._parts = parts
+        self._readings = self._regs = ()
+        self._nu = self._nu0 = self._mm = self._shape = None
 
     def components(self) -> list:
         """Each component's ``(vertex mask, record)``, in component order:
         the record itself for a connected graph."""
         return [(self.graph.full_mask, self)] if self._parts is None else self._parts
 
-    def _fact(self, key, compute, *args):
-        """The fact under ``key``, ``compute(*args)`` at the first ask and
-        then kept.  A refusal is kept in place of its value, as a copy with
-        no traceback or context that could tie it back to the record, and
-        raised again, as a fresh copy, at every ask."""
-        known = self._known
-        if key not in known:
-            try:
-                known[key] = compute(*args)
-            except CapExceeded as exc:
-                known[key] = copy.copy(exc)
-        value = known[key]
+    def _fact(self, slot: str, compute, *args):
+        """The fact in ``slot``, ``compute(*args)`` at the first ask; a
+        kept refusal is raised again as a fresh copy."""
+        value = getattr(self, slot)
+        if value is None:
+            value = _kept(compute, *args)
+            setattr(self, slot, value)
+        if isinstance(value, CapExceeded):
+            raise copy.copy(value)
+        return value
+
+    def _at(self, slot: str, c: int, compute):
+        """The fact at ``c`` in the flat tuple ``slot``, as ``_fact``."""
+        pairs = getattr(self, slot)
+        keys = pairs[::2]
+        if c in keys:
+            value = pairs[2 * keys.index(c) + 1]
+        else:
+            value = _kept(compute)
+            setattr(self, slot, getattr(self, slot) + (c, value))  # compute may have added a pair
         if isinstance(value, CapExceeded):
             raise copy.copy(value)
         return value
 
     def readings(self, c: int) -> regularity_oracle.SubgraphRegularity:
-        if c == 0:
-            return self._fact(("readings", 0), regularity_oracle.subgraph_regularity, self.graph)
-        return self._fact(("readings", c), lambda: self.readings(0).at(FieldSpec(c)))
+        walk = regularity_oracle.subgraph_regularity
+        return self._at("_readings", c, lambda: self.readings(0).at(FieldSpec(c)) if c else walk(self.graph))
 
     def reg(self, c: int) -> int:
-        return self._fact(c, lambda: self.readings(c).whole())
+        return self._at("_regs", c, lambda: self.readings(c).whole())
 
     def nu(self) -> int:
-        return self._fact("nu", matchings.nu, self.graph)
+        return self._fact("_nu", matchings.nu, self.graph)
 
     def nu0(self) -> int:
-        return self._fact("nu0", matchings.nu0, self.graph)
+        return self._fact("_nu0", matchings.nu0, self.graph)
 
     def mm(self) -> int:
-        return self._fact("mm", matchings.mm, self.graph)
+        return self._fact("_mm", matchings.mm, self.graph)
 
     def shape(self) -> str:
-        return self._fact("shape", component_shape, self.graph)
+        return self._fact("_shape", component_shape, self.graph)
 
     def drop_tables(self) -> None:
         """Drop the readings, and the components' readings, keeping the
-        small facts: for a record kept past its graph's turn."""
-        self._known = {key: value for key, value in self._known.items() if type(key) is not tuple}
+        other facts: for a record kept past its graph's turn."""
+        self._readings = ()
         for _, part in self._parts or ():
             part.drop_tables()
+
+
+def _kept(compute, *args):
+    """``compute(*args)``, or the refusal it raises as a copy with no
+    traceback or context that could tie it back to a record."""
+    try:
+        return compute(*args)
+    except CapExceeded as exc:
+        return copy.copy(exc)
 
 
 def _record(g: Graph, known: dict) -> _GraphFacts:
@@ -207,11 +225,10 @@ def _record(g: Graph, known: dict) -> _GraphFacts:
     record, where a component's record is made at its first ask: for a
     connected graph its own entry, for any other a new record holding its
     components' entries with their vertex masks."""
-    parts = []
-    for verts, comp in graph_core.components(g):
-        if comp not in known:
-            known[comp] = _GraphFacts(comp)
-        parts.append((verts, known[comp]))
-    if len(parts) == 1:
-        return parts[0][1]
-    return _GraphFacts(g, [(sum(1 << v for v in verts), part) for verts, part in parts])
+    if g.n and g.is_connected():
+        record = known.get(g)
+        if record is None:
+            record = known[g] = _GraphFacts(g)
+        return record
+    parts = graph_core.components(g)
+    return _GraphFacts(g, [(sum(1 << v for v in verts), _record(comp, known)) for verts, comp in parts])

@@ -72,11 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of field characteristics",
     )
     p.add_argument("--allow-skips", action="store_true")
-    p.add_argument(
-        "--no-unions",
-        action="store_true",
-        help="check the theorem on the graphs alone, not their two-component unions (Comp checks unions regardless)",
-    )
+    p.add_argument("--no-unions", action="store_true", help="theorem on the graphs alone (Comp keeps its unions)")
     p.add_argument("--from-file", metavar="FILE", help="graph6 corpus instead of enumeration")
     p.set_defaults(func=_cmd_verify)
 

@@ -27,18 +27,14 @@ a skip (a refused search) alike, so any failure is reproducible; a union
 is built only then, or where a check walks it.  A report's ``seconds`` is
 the sum of its tag's check time.
 
-Every check reads records (``classifier._GraphFacts``), each computing a
-fact at its first ask and keeping it: the char-0 subgraph readings
-(``regularity_oracle.subgraph_regularity``) and their ``at(c)``,
-``reg_star`` at each characteristic (the digit count of the largest entry
-of that table), ``nu``, ``nu0``, ``mm`` and the component shape.  One dict
-for the sweep, keyed by component, holds them, and a connected graph's
-record is its component's.  So the theorem, UB, FL1, FL2, FL3, C1, C1a, C2
-and Squeeze share one walk of each graph, and the theorem, the lemma tags
-and Comp one ``nu`` and one ``nu0`` of each component.  A refusal is kept
-as well, so that every tag needing the refused fact skips the graph.
-After its row a record drops its subset tables; it stays only if some
-union holds its graph, for the union pass.
+Every check reads records (``classifier._GraphFacts``), which compute
+each fact at its first ask and keep it, a refusal too, so that every tag
+needing a refused fact skips the graph.  One dict for the sweep, keyed by
+component, holds them, and a connected graph's record is its component's.
+So the theorem, UB, FL1, FL2, FL3, C1, C1a, C2 and Squeeze share one walk
+of each graph, and the theorem, the lemma tags and Comp one ``nu`` and one
+``nu0`` of each component.  After its row a record drops its subset
+tables; it stays only if some union holds its graph, for the union pass.
 
 FL1, FL2, FL3 and C1a walk no surgery: they read the regularity of
 ``G - x``, ``G - N[x]``, ``G - N[e]`` and any other induced subgraph off
@@ -239,13 +235,13 @@ def union_pairs(graphs, total_cap: int = 9) -> list[Graph]:
 # -- the sweep ---------------------------------------------------------------------
 
 
-def verify(graphs, tags, chars, union_total_cap: int = 9, include_unions: bool = True) -> list[SweepReport]:
+def verify(graphs, tags, chars, union_total_cap: int = 9) -> list[SweepReport]:
     """One report per tag of ``_CHECKS``, in the order given, from one pass
     over the graphs and then one over their two-component unions
     (``unions.union_index_pairs``).  A row tag checks each graph, Comp each
-    union, and the theorem both, or the graphs alone without
-    ``include_unions``; the union pass runs only for a tag that checks
-    unions.  Bad tags and union caps are refused before any sweep runs.
+    union, and the theorem both; the union pass runs only for a tag that
+    checks unions, and a cap below two vertices leaves none.  Bad tags and
+    union caps are refused before any sweep runs.
 
     Each graph's record comes from one dict for the sweep, keyed by
     component (``classifier._record``), and every tag reads it.  A record
@@ -257,7 +253,7 @@ def verify(graphs, tags, chars, union_total_cap: int = 9, include_unions: bool =
     graphs = list(graphs)
     chars = tuple(chars)
     on_rows = {tag: _CHECKS[tag][0] for tag in tags if _CHECKS[tag][0]}
-    on_unions = {tag: _CHECKS[tag][1] for tag in tags if _CHECKS[tag][1] and (include_unions or tag != "main-theorem")}
+    on_unions = {tag: _CHECKS[tag][1] for tag in tags if _CHECKS[tag][1]}
     pairs = unions.union_index_pairs(graphs, union_total_cap) if on_unions else ()
     # a graph with more vertices than this is in no union
     held_up_to = union_total_cap - min(g.n for g in graphs) if on_unions and graphs else -1
@@ -304,11 +300,11 @@ def verify_theorem(
     workers: int = 1,
 ) -> SweepReport:
     """``verify``'s main-theorem report: structural == numeric on every
-    graph, then on every union of two of them.  Sweeps run in one process;
-    ``workers`` is accepted only as 1."""
+    graph, then, with ``include_unions``, on every union of two of them.
+    Sweeps run in one process; ``workers`` is accepted only as 1."""
     if workers != 1:
         raise ValueError(f"sweeps run in one process; workers must be 1, got {workers}")
-    (report,) = verify(graphs, ["main-theorem"], chars, union_total_cap, include_unions)
+    (report,) = verify(graphs, ["main-theorem"], chars, union_total_cap if include_unions else 0)
     return report
 
 
@@ -544,4 +540,4 @@ _CHECKS = {
     "Squeeze": (_check_squeeze, None),
 }
 
-LEMMA_TAGS = tuple(_CHECKS)[1:]
+LEMMA_TAGS = tuple(tag for tag in _CHECKS if tag != "main-theorem")

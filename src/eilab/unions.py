@@ -22,6 +22,7 @@ run.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import islice
 
@@ -39,8 +40,9 @@ def union_index_pairs(graphs, total_cap: int = 9):
     if total_cap > formats_io.MAX_VERTICES:
         raise TooLarge(f"unions cap at {formats_io.MAX_VERTICES} vertices, got {total_cap}")
     sizes = [g.n for g in graphs]
-    # limit -> the indices, ascending, of the graphs with at most that many vertices
-    fits = {limit: [j for j, n in enumerate(sizes) if n <= limit] for limit in {total_cap - n for n in sizes}}
+    # limit -> the indices, ascending, of the graphs with at most that many
+    # vertices, packed: a sweep holds them while its row pass runs
+    fits = {limit: array("l", (j for j, n in enumerate(sizes) if n <= limit)) for limit in {total_cap - n for n in sizes}}
     return (
         (i, j)
         for i, n in enumerate(sizes)

@@ -774,7 +774,7 @@ def test_lemma_records_die_with_their_graph(corpus5, monkeypatch):
         for _ in range(2):
             with pytest.raises(CapExceeded, match="capped at 16 vertices"):
                 kept.reg(2)
-        refusal = kept._known[("readings", 0)]
+        refusal = kept._readings[1]
         assert (refusal.__traceback__, refusal.__context__) == (None, None)
         del kept, refusal
         assert records[-1]() is None
@@ -789,8 +789,9 @@ def test_union_pass_keeps_only_small_facts(corpus5, monkeypatch):
     """The joint pass keeps each corpus graph's record for the union pass
     with its tables dropped: when the first union is checked, every
     subgraph reading made for a corpus graph is freed, and each record
-    holds only its small facts.  With the cycle collector off, the records
-    are freed by reference counting when the sweep returns."""
+    holds no readings, its other facts in slots of their own.  With the
+    cycle collector off, the records are freed by reference counting when
+    the sweep returns."""
     readings, records, seen = [], [], []
     record, reading = classifier._GraphFacts, ro.SubgraphRegularity
     check_theorem, check_comp = harness._CHECKS["main-theorem"][1], harness._CHECKS["Comp"][1]
@@ -816,7 +817,7 @@ def test_union_pass_keeps_only_small_facts(corpus5, monkeypatch):
             seen.append((first.graph, second.graph))
             for facts in (first, second):
                 assert facts.graph in corpus5
-                assert set(facts._known) <= {"shape", "nu", "nu0", "mm", *chars}
+                assert facts._readings == () and not hasattr(facts, "__dict__")
             return check(chars, first, second)
 
         return on_union
@@ -880,8 +881,9 @@ def test_comp_reads_only_each_components_submasks(corpus6, monkeypatch):
 
 def test_comp_splits_each_graph_once(corpus5, monkeypatch):
     """A sweep takes each union's components off its two graphs' records,
-    each graph split once per sweep when its record is made, and splits no
-    union itself: Comp alone and the joint pass alike."""
+    and splits no union itself: Comp alone and the joint pass alike.  A
+    connected graph is its own one component, so only a disconnected input
+    is split, once per sweep when its record is made."""
     split = []
     components = gc.components
 
@@ -889,12 +891,14 @@ def test_comp_splits_each_graph_once(corpus5, monkeypatch):
         split.append(g)
         return components(g)
 
+    apart = gc.disjoint_union(gc.from_edges(2, [(0, 1)]), gc.from_edges(1, []))
+    graphs = list(corpus5) + [apart]
     monkeypatch.setattr(gc, "components", counted)
     for tags in (["Comp"], ["Comp"], ["main-theorem", *harness.LEMMA_TAGS]):
-        reports = harness.verify(corpus5, tags, chars=(0, 2))
+        reports = harness.verify(graphs, tags, chars=(0, 2))
         assert all(rep.passed and not rep.skips for rep in reports)
-        assert reports[tags.index("Comp")].checked == len(harness.union_pairs(corpus5))
-        assert split == list(corpus5)
+        assert reports[tags.index("Comp")].checked == len(harness.union_pairs(graphs))
+        assert split == [apart]
         split.clear()
 
 

@@ -417,8 +417,8 @@ def test_record_dict_keyed_by_vertex_count(corpus5, monkeypatch):
         monkeypatch,
         classifier,
         "_record",
-        "if comp not in known:\n            known[comp] = _GraphFacts(comp)\n        parts.append((verts, known[comp]))",
-        "if comp.n not in known:\n            known[comp.n] = _GraphFacts(comp)\n        parts.append((verts, known[comp.n]))",
+        "record = known.get(g)\n        if record is None:\n            record = known[g] = _GraphFacts(g)",
+        "record = known.get(g.n)\n        if record is None:\n            record = known[g.n] = _GraphFacts(g)",
     )
     assert _shapes_per_sweep(corpus5, monkeypatch) == [len({g.n for g in corpus5})] * 2
     assert mismatches() > 0
