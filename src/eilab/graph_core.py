@@ -7,11 +7,15 @@ per vertex, which is what every search in this package indexes against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
 
 CANONICAL_LIMIT_DEFAULT = 10
+
+# Maps the ASCII digits of ``bin`` to the bytes 0 and 1.
+_BINARY_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
@@ -241,6 +245,32 @@ def maximal_independent_sets(g: Graph) -> Iterator[int]:
             stack.append((indep | 1 << v, cand & ~closed[v], done & ~closed[v]))
             cand ^= 1 << v
             done |= 1 << v
+
+
+def masks_without_isolated_vertex(g: Graph) -> Iterator[int]:
+    """The nonempty vertex masks ``W`` with no vertex isolated in ``G[W]``,
+    ascending.
+
+    One bit per mask: ``has[x]`` sets bit ``W`` for each ``W`` holding
+    ``x``, and ``near[x]`` for each ``W`` holding a neighbour of ``x``.
+    Each vertex clears the masks that hold it and none of its neighbours,
+    and the bits left are read in order off their binary digits."""
+    size = 1 << g.n
+    has = [0] * g.n
+    repeat = 1  # one bit per period 2^(x+1) of x's bit, from the top vertex down
+    for x in reversed(range(g.n)):
+        upper = repeat << (1 << x)
+        has[x] = (upper - repeat) << (1 << x)  # the top half of each period
+        repeat |= upper
+    near = [0] * g.n
+    for u, v in g._edges:
+        near[u] |= has[v]
+        near[v] |= has[u]
+    alive = (1 << size) - 2  # every nonempty mask
+    for x in range(g.n):
+        alive &= ~has[x] | near[x]
+    del has, near  # freed before the 2^n-byte selector is made
+    return compress(range(size), bin(alive)[:1:-1].encode().translate(_BINARY_DIGIT))
 
 
 def canonical_key(g: Graph) -> int:

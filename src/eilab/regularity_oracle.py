@@ -14,11 +14,15 @@ reduced homology of ``Ind(G[W])`` in degree ``k - 1`` is its digit ``k``,
 ``_WIDTH`` bits wide.  No dim exceeds the number of faces of its degree,
 at most ``comb(ORACLE_VERTEX_CAP, ORACLE_VERTEX_CAP // 2)``, so the top
 bit of every digit stays clear.  Three observations spare most of the
-work: the first two fill table entries without building a complex, the
-last the whole table of a disconnected graph:
+work: the first spares most subsets a visit, the second fills table
+entries without building a complex, the last spares the whole table of a
+disconnected graph:
 
 * a vertex isolated inside ``G[W]`` makes the independence complex a cone,
-  with no reduced homology;
+  with no reduced homology, so the table starts at 0 and the walk visits
+  only the subsets with no isolated vertex
+  (``graph_core.masks_without_isolated_vertex``): on a sparse graph a
+  small share of the ``2^n``;
 * for a vertex ``v``, ``Ind(G[W])`` is the union of ``Ind(G[W - v])`` and
   the cone ``v * Ind(G[W - N[v]])``, which meet in ``Ind(G[W - N[v]])``
   (Adamaszek's splitting).  When no degree has homology in both, the
@@ -55,11 +59,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import comb
+from operator import le
 
 from .errors import CapExceeded, NotApplicable
-from .graph_core import Graph, _bits, _check_edge, components
+from .graph_core import Graph, _bits, _check_edge, components, masks_without_isolated_vertex
 from .homology import homology_from_masks
 
 ORACLE_VERTEX_CAP = 16
@@ -254,12 +259,15 @@ class SubgraphRegularity:
             top_value = max(islice(table, 1, None), default=0)
             if top_value:
                 top = _digits(top_value) - 1
-                best = best_size = 0
-                for w_mask in compress(range(len(table)), map((1 << _WIDTH * top).__le__, table)):
-                    size = w_mask.bit_count()
+                # the masks with homology in the top degree; ``le`` maps
+                # faster than a bound ``__le__``
+                tops = list(compress(range(len(table)), map(le, repeat(1 << _WIDTH * top), table)))
+                least = min(map(int.bit_count, tops))
+                best = 0
+                for w_mask in tops:
                     diff = w_mask ^ best
-                    if not best or size < best_size or size == best_size and diff & -diff & w_mask:
-                        best, best_size = w_mask, size
+                    if w_mask.bit_count() == least and (not best or diff & -diff & w_mask):
+                        best = w_mask
                 witness = tuple(_bits(best))
             self._decoded = (self.whole(), witness, betti)
         return self._decoded
@@ -390,9 +398,9 @@ def _walk_table(g: Graph, char: int) -> tuple[list[int], set[int]]:
     """The whole packed subset table of ``g`` at ``char``, and its torsion;
     refused past the cap."""
     refuse_past_cap(g.n)
-    table = [0] * (1 << g.n)
+    table = [0] * (1 << g.n)  # every mask left out below is a cone
     table[0] = 1  # the empty complex: dim 1 in degree -1
-    torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)
+    torsion = _fill([g.adj_mask(v) for v in range(g.n)], masks_without_isolated_vertex(g), table, char)
     return table, torsion
 
 
@@ -424,25 +432,33 @@ def _fill(adj: list[int], masks, table: list[int], char: int) -> set[int]:
     shared: dict[int, int] = {}
     for w_mask in masks:
         low = w_mask & -w_mask
-        if closed[low] & w_mask == low:
+        near = closed[low]
+        if near & w_mask == low:
             table[w_mask] = 0  # an isolated vertex makes the complex a cone
             continue
-        rest = w_mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            a = table[w_mask ^ bit]
-            b = table[w_mask & ~closed[bit]]
-            if not a:  # the common case: all the homology comes from the link
-                value = b << width
-                break
-            if not (a + mid) & (b + mid) & high:  # dims are never negative
-                value = a + (b << width)
-                break
+        a = table[w_mask ^ low]
+        b = table[w_mask & ~near]
+        if not a:  # the common case: all the homology comes from the link
+            value = b << width
+        elif not (a + mid) & (b + mid) & high:  # dims are never negative
+            value = a + (b << width)
         else:
-            dims, diagonal = _piece_dims(adj, w_mask, char)
-            torsion.update(diagonal)
-            value = sum(d << width * k for k, d in enumerate(dims, 1))
+            rest = w_mask ^ low
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                a = table[w_mask ^ bit]
+                b = table[w_mask & ~closed[bit]]
+                if not a:
+                    value = b << width
+                    break
+                if not (a + mid) & (b + mid) & high:
+                    value = a + (b << width)
+                    break
+            else:
+                dims, diagonal = _piece_dims(adj, w_mask, char)
+                torsion.update(diagonal)
+                value = sum(d << width * k for k, d in enumerate(dims, 1))
         table[w_mask] = shared.setdefault(value, value)
     return torsion
 

@@ -1,6 +1,6 @@
 """Shared graph builders and independent brute-force oracles.
 
-Everything here but the last three sections is deliberately written
+Everything here but the last four sections is deliberately written
 against the most naive definitions (subset enumeration, every vertex
 order, dense Fraction elimination) with no code shared with the package
 internals, so the tests exercise genuinely separate routes.
@@ -19,7 +19,7 @@ from eilab.errors import CapExceeded
 from eilab.formats_io import encode_graph6
 from eilab.graph_core import Graph, _bits
 from eilab.homology import homology_from_masks
-from eilab.regularity_oracle import FieldSpec, _independent_masks
+from eilab.regularity_oracle import FieldSpec, _fill, _independent_masks
 
 
 # -- builders -----------------------------------------------------------------
@@ -674,3 +674,19 @@ def reference_report(check, graphs, chars):
         except CapExceeded:
             skips.append(encode_graph6(g))
     return len(graphs), tuple(sorted(violations)), tuple(sorted(skips))
+
+
+# -- the subset walk over every subset ------------------------------------------------
+#
+# The reference for ``regularity_oracle._walk_table``, which hands the kernel
+# only the subsets with no isolated vertex: the same kernel over every
+# nonempty subset, which writes each cone's 0 by its own test.
+
+
+def all_subsets_walk(g: Graph, char: int) -> tuple[list[int], set[int]]:
+    """The packed subset table of ``g`` at ``char`` and its torsion, from
+    ``regularity_oracle._fill`` over every nonempty subset, ascending."""
+    table = [0] * (1 << g.n)
+    table[0] = 1  # the empty complex: dim 1 in degree -1
+    torsion = _fill([g.adj_mask(v) for v in range(g.n)], range(1, 1 << g.n), table, char)
+    return table, torsion

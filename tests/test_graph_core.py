@@ -178,6 +178,19 @@ def test_components_shift_route_matches_drop_route(corpus6):
     assert routes[True] > 2 * len(unions) and routes[False] > 100
 
 
+def test_masks_without_isolated_vertex(corpus6):
+    """The masks listed are exactly the nonempty subsets in which every
+    vertex has a neighbour, ascending: on the n <= 6 corpus, a few
+    disconnected graphs, edgeless graphs and the empty graph."""
+    graphs = list(corpus6) + [gc.disjoint_union(cycle(5), path(2)), gc.disjoint_union(edgeless(2), path(3))]
+    graphs += [edgeless(k) for k in range(4)]
+    for g in graphs:
+        expected = [
+            w for w in range(1, 1 << g.n) if all(g.adj_mask(v) & w for v in range(g.n) if w >> v & 1)
+        ]
+        assert list(gc.masks_without_isolated_vertex(g)) == expected, g.edges
+
+
 def test_canonical_form_relabel_invariance():
     p4 = path(4)
     rev = relabel(p4, [3, 2, 1, 0])

@@ -24,6 +24,7 @@ from eilab.formats_io import encode_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
 
 from helpers import (
+    all_subsets_walk,
     brute_betti,
     brute_canonical_form,
     column_string,
@@ -297,6 +298,42 @@ def test_mm_cover_formula_mutants(owner, name, old, new, caught_on, corpus6, mon
     assert caught is not None
     assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
     assert matchings.mm(caught_on) != len(matchings._min_maximal_edges(caught_on))
+
+
+_NEAR = "near = [0] * g.n\n    for u, v in g._edges:\n        near[u] |= has[v]\n        near[v] |= has[u]"
+
+
+@pytest.mark.parametrize(
+    "old, new, caught_on",
+    [
+        (_NEAR, _NEAR.replace("[0]", "[-1]").replace("|=", "&="), path(3)),
+        ("compress(range(size),", "compress(range(size - 1),", path(2)),
+    ],
+    ids=["any-neighbour-absent", "full-mask-left-out"],
+)
+def test_isolated_vertex_selector_mutants(old, new, caught_on, corpus5, monkeypatch):
+    """The walk hands its kernel only the masks that
+    ``graph_core.masks_without_isolated_vertex`` lists; every other entry
+    keeps the 0 of a cone.  One mutant clears a mask when any neighbour of
+    one of its vertices is absent, not when all are, and so leaves an end
+    and the middle vertex of ``P_3``, two points, at 0.  One never lists
+    the full mask,
+    and so leaves the edge of ``K_2`` at 0.  Each is caught by the
+    comparison with ``helpers.all_subsets_walk``
+    (``test_walk_matches_all_subsets_walk``), first on the named graph in
+    corpus order.  First recorded with the selector (its entry in
+    CHANGES.md)."""
+
+    def first_mismatch():
+        return next((g for g in corpus5 if ro._walk_table(g, 0) != all_subsets_walk(g, 0)), None)
+
+    assert first_mismatch() is None
+    _rewrite(monkeypatch, graph_core, "masks_without_isolated_vertex", old, new)
+    # The walk holds its own reference to the selector.
+    monkeypatch.setattr(ro, "masks_without_isolated_vertex", graph_core.masks_without_isolated_vertex)
+    caught = first_mismatch()
+    assert caught is not None
+    assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
 
 
 def _split_and_whole(g, char: int):

@@ -16,6 +16,7 @@ from eilab.regularity_oracle import FieldSpec
 
 from helpers import (
     SimplicialComplex,
+    all_subsets_walk,
     brute_betti,
     brute_homology,
     brute_rank,
@@ -403,6 +404,26 @@ def test_packed_table_digits_match_per_subset_reference():
                         decoded[t] = value >> ro._WIDTH * (t + 1) & ro._DIGIT
                 ref = {t: d for t, d in reduced_homology_dims(complex_, FieldSpec(char)).items() if d}
                 assert decoded == ref, (g.n, w, char)
+
+
+def _random_graph(n: int, m: int, seed: int) -> gc.Graph:
+    return gc.from_edges(n, random.Random(seed).sample(list(combinations(range(n), 2)), m))
+
+
+def test_walk_matches_all_subsets_walk(corpus7):
+    """The walk over the subsets with no isolated vertex gives the table
+    and torsion of ``helpers.all_subsets_walk``, which visits every
+    subset: at chars 0, 2 and 3 on the n <= 7 corpus, its unions of at
+    most 9 vertices, the flag RP^2 graph and ``JWaqbO\\euT?``; at char 0
+    on ``C_16`` and on seeded ``G(14, m)`` and ``G(16, m)``."""
+    graphs = list(corpus7) + harness.union_pairs(corpus7, 9) + [flag_rp2_complement(), rp2_minus_vertex_and_edge()]
+    for g in graphs:
+        for char in (0, 2, 3):
+            assert ro._walk_table(g, char) == all_subsets_walk(g, char), (encode_graph6(g), char)
+    large = [cycle(16)] + [_random_graph(14, m, m) for m in (20, 45)]
+    large += [_random_graph(16, m, m) for m in (20, 24, 32, 48)]
+    for g in large:
+        assert ro._walk_table(g, 0) == all_subsets_walk(g, 0), encode_graph6(g)
 
 
 def test_piece_dims_gets_only_irreducible_pieces(monkeypatch):
