@@ -87,13 +87,13 @@ class _Budget:
 def refine_bounds(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundsInterval:
     """Recursive tightening by components and the vertex recursion.
 
-    Memoized on canonical keys; never widens the static interval.  When
+    Memoized on canonical forms; never widens the static interval.  When
     the node budget runs out the best interval so far comes back flagged.
     """
     if g.num_edges == 0:
         raise NotApplicable("bounds are defined for graphs with at least one edge")
     state = _Budget(budget)
-    memo: dict[int, tuple[int, int]] = {}
+    memo: dict[Graph, tuple[int, int]] = {}
     trace: list[TraceStep] = []
     static = static_bounds(g)
     lo, hi = _refine(g, state, memo, trace, top=static)
@@ -108,7 +108,7 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: Bounds
         return (1, 1)
     key = None
     if g.n <= graph_core.CANONICAL_LIMIT_DEFAULT:
-        key = graph_core.canonical_key(g)
+        key = graph_core.canonical_form(g)
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -273,70 +273,6 @@ def masks_without_isolated_vertex(g: Graph) -> Iterator[int]:
     return compress(range(size), bin(alive)[:1:-1].encode().translate(_BINARY_DIGIT))
 
 
-def canonical_key(g: Graph) -> int:
-    """Exact isomorphism key: equal keys exactly when graphs are isomorphic.
-
-    Colour refinement plus individualization-refinement (McKay-Piperno,
-    *Practical graph isomorphism, II*, 2014).  The one-cell partition is
-    refined to an equitable one; each vertex of the first non-singleton
-    cell is individualized in turn and the partition refined again, down to
-    discrete leaves.  A leaf packs the graph relabelled in leaf order into
-    one integer, a leading 1 and then the ``n``-bit adjacency mask of each
-    position in turn; the key is the smallest leaf.  In a target cell only
-    one vertex of each twin class is tried: swapping two twins is an
-    automorphism that fixes the partition, so their subtrees give the same
-    leaves.
-
-    Much faster than :func:`canonical_form`, which stays the reference and
-    the output form; the two keys are not comparable with each other.
-    """
-    n = g.n
-    if n > CANONICAL_LIMIT_DEFAULT:
-        raise TooLarge(f"canonical_key capped at {CANONICAL_LIMIT_DEFAULT} vertices, got {n}")
-    adj = g._adj
-    twins = None
-    best = None
-
-    def search(cells: list[int]) -> None:
-        nonlocal best, twins
-        for i, cell in enumerate(cells):
-            if cell & (cell - 1):
-                break
-        else:
-            order = [cell.bit_length() - 1 for cell in cells]
-            pos = [0] * n
-            for p, v in enumerate(order):
-                pos[v] = p
-            leaf = 1
-            for v in order:
-                mask = 0
-                for u in _bits(adj[v]):
-                    mask |= 1 << pos[u]
-                leaf = leaf << n | mask
-            if best is None or leaf < best:
-                best = leaf
-            return
-        if twins is None:
-            twins = _twin_masks(adj)
-        tried = 0
-        for v in _bits(cell):
-            if twins[v] & tried:
-                continue
-            tried |= 1 << v
-            # The partition was equitable, so the new singleton is the only
-            # splitter needed: counts into the rest of the cell follow.
-            split = cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1 :]
-            search(_equitable(adj, split, [1 << v]))
-
-    # Splitting by the whole vertex set gives the degree partition first.
-    cells = [g.full_mask] if n else []
-    try:
-        search(_equitable(adj, cells, list(cells)))
-    finally:
-        search = None  # break its self-reference, so nothing waits for the collector
-    return best
-
-
 def canonical_form(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``: equal results exactly when
     graphs are isomorphic.
@@ -526,35 +462,3 @@ def _twin_masks(adj: Sequence[int]) -> list[int]:
         open_class[mask] = open_class.get(mask, 0) | 1 << v
         closed_class[mask | 1 << v] = closed_class.get(mask | 1 << v, 0) | 1 << v
     return [(open_class[mask] | closed_class[mask | 1 << v]) ^ 1 << v for v, mask in enumerate(adj)]
-
-
-def _equitable(adj: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
-    """Refine an ordered partition (cells as masks) until it is equitable.
-
-    Splitters are taken from ``queue`` in order; each one splits every cell
-    by the number of neighbours its vertices have in the splitter, the parts
-    in increasing order of that count, and the parts join the queue.  The
-    partition must already be equitable towards every cell not queued.
-    Every step depends on positions and counts only, so the result commutes
-    with relabelling the graph.
-    """
-    n = len(adj)
-    k = 0
-    while k < len(queue) and len(cells) < n:
-        splitter = queue[k]
-        k += 1
-        out = []
-        for cell in cells:
-            if cell & (cell - 1):
-                by_count: dict[int, int] = {}
-                for v in _bits(cell):
-                    d = (adj[v] & splitter).bit_count()
-                    by_count[d] = by_count.get(d, 0) | 1 << v
-                if len(by_count) > 1:
-                    parts = [by_count[d] for d in sorted(by_count)]
-                    out += parts
-                    queue += parts
-                    continue
-            out.append(cell)
-        cells = out
-    return cells

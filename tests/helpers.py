@@ -632,19 +632,16 @@ def _close_down(mask: int, seen: set[int]) -> None:
 def keyed_levels(max_n: int) -> list[tuple[Graph, ...]]:
     """The connected graphs on 1, 2, ..., ``max_n`` vertices, one level per
     vertex count.  Every graph of a level, attached by a new vertex to every
-    nonempty subset of its vertices, is keyed by ``canonical_key``; each
-    class is labelled by ``canonical_form``, and the level sorted by graph6
-    string."""
+    nonempty subset of its vertices, is labelled by ``canonical_form``; the
+    distinct forms make the level, sorted by graph6 string."""
     levels = [(graph_core.from_edges(1, []),)]
     for n in range(2, max_n + 1):
-        seen: dict[int, Graph] = {}
+        seen: set[Graph] = set()
         for g in levels[-1]:
             for attach in range(1, 1 << (n - 1)):
                 new_edges = [(v, n - 1) for v in range(n - 1) if attach >> v & 1]
-                cand = graph_core.from_edges(n, list(g.edges) + new_edges)
-                seen.setdefault(graph_core.canonical_key(cand), cand)
-        forms = (graph_core.canonical_form(g) for g in seen.values())
-        levels.append(tuple(sorted(forms, key=encode_graph6)))
+                seen.add(graph_core.canonical_form(graph_core.from_edges(n, list(g.edges) + new_edges)))
+        levels.append(tuple(sorted(seen, key=encode_graph6)))
     return levels
 
 

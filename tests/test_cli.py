@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
 import pytest
 
+import eilab
 from eilab import cli, formats_io, harness
 from eilab import graph_core as gc
 
@@ -17,7 +21,6 @@ from helpers import cycle, path
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io
-        import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = cli.main(argv)
@@ -402,7 +405,6 @@ def test_unreadable_input_is_bad_data(capsys, monkeypatch, tmp_path, case):
     """Input that cannot be read, or is not UTF-8, exits 1 with one error
     line and no traceback."""
     import io
-    import sys
 
     missing = str(tmp_path / "nonexistent")
     bad = tmp_path / "bad.g6"
@@ -421,3 +423,18 @@ def test_unreadable_input_is_bad_data(capsys, monkeypatch, tmp_path, case):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {argv[-1]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "5", "--connected"], ["verify", "--max-n", "3"]])
+def test_closed_stdout_is_no_traceback(argv):
+    """A reader that closes the pipe first (``| head``) ends the run with
+    exit 1 and nothing on stderr, whichever subcommand was writing."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eilab.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "eilab.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""

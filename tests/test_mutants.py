@@ -17,10 +17,10 @@ from math import comb
 
 import pytest
 
-from eilab import chordality, classifier, graph_core, harness, matchings, unions
+from eilab import bounds_engine, chordality, classifier, graph_core, harness, matchings, unions
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, WorkBoundExceeded
-from eilab.formats_io import encode_graph6
+from eilab.formats_io import encode_graph6, parse_graph6
 from eilab.regularity_oracle import ORACLE_VERTEX_CAP, FieldSpec
 
 from helpers import (
@@ -296,7 +296,7 @@ def test_mm_cover_formula_mutants(owner, name, old, new, caught_on, corpus6, mon
     monkeypatch.setattr(matchings, "maximal_independent_sets", graph_core.maximal_independent_sets)
     caught = first_mismatch()
     assert caught is not None
-    assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
+    assert graph_core.canonical_form(caught) == graph_core.canonical_form(caught_on)
     assert matchings.mm(caught_on) != len(matchings._min_maximal_edges(caught_on))
 
 
@@ -333,7 +333,26 @@ def test_isolated_vertex_selector_mutants(old, new, caught_on, corpus5, monkeypa
     monkeypatch.setattr(ro, "masks_without_isolated_vertex", graph_core.masks_without_isolated_vertex)
     caught = first_mismatch()
     assert caught is not None
-    assert graph_core.canonical_key(caught) == graph_core.canonical_key(caught_on)
+    assert graph_core.canonical_form(caught) == graph_core.canonical_form(caught_on)
+
+
+def test_bounds_memo_keyed_by_the_labelled_graph(monkeypatch):
+    """``bounds_engine._refine`` keys its memo by ``canonical_form``, so
+    every isomorphic subgraph the vertex recursion reaches is one hit.  A
+    mutant that keys it by the labelled graph misses the hits between
+    relabelled copies and spends more of the node budget: on ``G?LTE?`` at
+    budget 5 it runs out, though the interval stays [3, 4].  Caught by the
+    flag, which the sha256 of ``eilab bounds`` over the connected 8-vertex
+    graphs at ``--budget 5`` pins as well."""
+    g = parse_graph6("G?LTE?")
+
+    def refined():
+        iv = bounds_engine.refine_bounds(g, budget=5)
+        return iv.lo, iv.hi, iv.budget_exhausted
+
+    assert refined() == (3, 4, False)
+    _rewrite(monkeypatch, bounds_engine, "_refine", "key = graph_core.canonical_form(g)", "key = g")
+    assert refined() == (3, 4, True)
 
 
 def _split_and_whole(g, char: int):
