@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import chordality, graph_core, matchings
 from .errors import NotApplicable
-from .graph_core import CloseVertex, DeleteVertex, Graph
+from .graph_core import Graph, _drop_vertices
 
 RULE_KATZMAN = "Katzman"
 RULE_HA_VAN_TUYL = "HaVanTuyl"
@@ -139,12 +139,8 @@ def _refine(g: Graph, budget: _Budget, memo, trace: list[TraceStep], top: Bounds
         for x in order:
             if lo == hi or budget.exhausted:
                 break
-            del_lo, del_hi = _refine(
-                graph_core.apply_surgery(g, DeleteVertex(x)), budget, memo, trace
-            )
-            cls_lo, cls_hi = _refine(
-                graph_core.apply_surgery(g, CloseVertex(x)), budget, memo, trace
-            )
+            del_lo, del_hi = _refine(_drop_vertices(g, 1 << x), budget, memo, trace)
+            cls_lo, cls_hi = _refine(_drop_vertices(g, g.adj_mask(x) | 1 << x), budget, memo, trace)
             new_lo = max(lo, min(del_lo, cls_lo + 1))
             new_hi = min(hi, max(del_hi, cls_hi + 1))
             if (new_lo, new_hi) != (lo, hi):

@@ -165,6 +165,8 @@ def _load_documents(args) -> tuple[list[GraphDocument], str | None]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         return [], f"invalid JSON: line {exc.lineno}: {exc.msg}"
+    except RecursionError:
+        return [], "invalid JSON: nested too deeply"
     docs: list[GraphDocument] = []
     entries = payload if isinstance(payload, list) else [payload]
     for i, entry in enumerate(entries):
@@ -172,8 +174,7 @@ def _load_documents(args) -> tuple[list[GraphDocument], str | None]:
             g = formats_io.parse_edge_list(entry)
         except (MalformedDocument, EilabError) as exc:
             return docs, f"document {i}: {exc}"
-        name = entry.get("name") if isinstance(entry, dict) else None
-        docs.append(GraphDocument("edgelist-json", json.dumps(entry), g, name))
+        docs.append(GraphDocument("edgelist-json", json.dumps(entry), g, entry.get("name")))
     return docs, None
 
 

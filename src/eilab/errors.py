@@ -16,7 +16,7 @@ class SelfLoopRejected(EilabError):
 
 
 class InvalidSurgery(EilabError):
-    """A surgery references a vertex or edge missing from the source graph."""
+    """An edge named for deletion (``SubgraphRegularity.edge_deleted``) is not in the graph."""
 
 
 class TooLarge(EilabError):

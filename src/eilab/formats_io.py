@@ -93,16 +93,21 @@ def encode_graph6(g: Graph) -> str:
 
 def parse_edge_list(doc: str | dict) -> Graph:
     """Parse an edge-list document ``{"name"?, "n", "edges"}``; other keys
-    are ignored."""
+    are ignored.  A ``name``, unless null, must be a string."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedDocument("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("edge-list document must be a JSON object")
     if "n" not in doc or "edges" not in doc:
         raise MalformedDocument("edge-list document needs 'n' and 'edges' fields")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise MalformedDocument("'name' must be a string")
     n = doc["n"]
     edges = doc["edges"]
     if not _is_int(n) or not isinstance(edges, list):

@@ -1,4 +1,4 @@
-"""Immutable simple graphs and the vertex/edge surgeries the lemmas need.
+"""Immutable simple graphs, their subgraphs cut by vertex masks, and canonical forms.
 
 Vertices are dense integers ``0..n-1`` and adjacency is kept as one bitmask
 per vertex, which is what every search in this package indexes against.
@@ -6,7 +6,6 @@ per vertex, which is what every search in this package indexes against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -16,6 +15,12 @@ CANONICAL_LIMIT_DEFAULT = 10
 
 # Maps the ASCII digits of ``bin`` to the bytes 0 and 1.
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+# The edge ``(u, v)`` of every pair of vertices below ``_SHARED``, made once:
+# the graphs of a corpus share these in place of a tuple per edge each.
+_SHARED = 16
+_PAIRS = tuple(tuple((u, v) for v in range(_SHARED)) for u in range(_SHARED))
 
 
 class Graph:
@@ -37,7 +42,7 @@ class Graph:
             u = v + 1
             while mask:
                 if mask & 1:
-                    edges.append((v, u))
+                    edges.append(_PAIRS[v][u] if u < _SHARED else (v, u))
                 mask >>= 1
                 u += 1
         self._edges = tuple(edges)
@@ -124,62 +129,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Place ``g2`` after ``g1`` on a fresh vertex range."""
     adj = list(g1._adj) + [m << g1.n for m in g2._adj]
     return Graph(g1.n + g2.n, adj)
-
-
-# -- surgeries ...............................................................
-
-
-@dataclass(frozen=True)
-class DeleteVertex:
-    """Remove a vertex and its incident edges."""
-
-    vertex: int
-
-
-@dataclass(frozen=True)
-class CloseVertex:
-    """Remove the closed neighborhood of a vertex."""
-
-    vertex: int
-
-
-@dataclass(frozen=True)
-class DeleteEdge:
-    """Remove an edge; both endpoints remain."""
-
-    edge: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CloseEdge:
-    """Remove the union of both endpoints' closed neighborhoods."""
-
-    edge: tuple[int, int]
-
-
-SurgeryKind = DeleteVertex | CloseVertex | DeleteEdge | CloseEdge
-
-
-def apply_surgery(g: Graph, surgery: SurgeryKind) -> Graph:
-    """Apply one surgery, returning a new graph on the surviving vertices in order."""
-    match surgery:
-        case DeleteVertex(vertex=v):
-            _check_vertex(g, v)
-            return _drop_vertices(g, 1 << v)
-        case CloseVertex(vertex=v):
-            _check_vertex(g, v)
-            return _drop_vertices(g, g.adj_mask(v) | 1 << v)
-        case DeleteEdge(edge=e):
-            u, v = _check_edge(g, e)
-            adj = list(g._adj)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            return Graph(g.n, adj)
-        case CloseEdge(edge=e):
-            u, v = _check_edge(g, e)
-            drop = g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v
-            return _drop_vertices(g, drop)
-    raise InvalidSurgery(f"unknown surgery {surgery!r}")
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -439,11 +388,6 @@ def _drop_vertices(g: Graph, drop_mask: int) -> Graph:
         for u in _bits(mask):
             adj[index[v]] |= 1 << index[u]
     return Graph(len(keep), adj)
-
-
-def _check_vertex(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise InvalidSurgery(f"vertex {v} not in graph on {g.n} vertices")
 
 
 def _check_edge(g: Graph, e: Sequence[int]) -> tuple[int, int]:

@@ -283,19 +283,40 @@ def test_json_array_input(capsys, tmp_path):
     assert lines[1].startswith("edge,2,1") and lines[2].startswith("g1,3,2")
 
 
-def test_oversized_document_flushes_earlier_rows(capsys, tmp_path):
+def test_deeply_nested_json_is_no_traceback():
+    """JSON nested past the parser's recursion limit is bad data: exit 1,
+    one error line and no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eilab.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "eilab.cli", "reg", "--json", "-"],
+        input=b"[" * 100_000, capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr
+    assert done.stderr == b"error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"n": 3000, "edges": []}, "edge-list documents cap at 62 vertices, got 3000"),
+        ({"name": {"a": 1}, "n": 3, "edges": [[0, 1]]}, "'name' must be a string"),
+    ],
+    ids=["oversized", "non-string-name"],
+)
+def test_bad_document_flushes_earlier_rows(capsys, tmp_path, bad, message):
     """A vertex count past the 62-vertex cap is bad data, not a crash deep
-    in the matching search."""
+    in the matching search; a ``name`` that is not a string is bad data,
+    not a row id."""
     c5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
     path = tmp_path / "two.json"
-    path.write_text(json.dumps([c5, {"n": 3000, "edges": []}]))
+    path.write_text(json.dumps([c5, bad]))
     code = cli.main(["invariants", "--json", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     lines = captured.out.strip().split("\r\n")
     assert len(lines) == 2 and lines[1].startswith("g0,5,5,2,1,2,2")
-    assert captured.err.startswith("error: document 1: ")
-    assert "Traceback" not in captured.err
+    assert captured.err == f"error: document 1: {message}\n"
 
 
 @pytest.mark.parametrize(

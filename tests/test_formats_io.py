@@ -126,6 +126,11 @@ def test_parse_edge_list_schema_errors():
         fio.parse_edge_list('{"n":true,"edges":[]}')
     with pytest.raises(MalformedDocument):
         fio.parse_edge_list('{"n":2,"edges":[[0,true]]}')
+    with pytest.raises(MalformedDocument, match="invalid JSON: nested too deeply"):
+        fio.parse_edge_list("[" * 100_000)
+    with pytest.raises(MalformedDocument, match="'name' must be a string"):
+        fio.parse_edge_list('{"name":{"a":1},"n":3,"edges":[[0,1]]}')
+    assert fio.parse_edge_list('{"name":null,"n":2,"edges":[]}') == edgeless(2)
     with pytest.raises(TooLarge, match="62"):
         fio.parse_edge_list('{"n":63,"edges":[]}')
     assert fio.parse_edge_list('{"n":62,"edges":[]}') == edgeless(62)

@@ -7,9 +7,8 @@ import pytest
 
 from eilab import graph_core as gc
 from eilab import harness
-from eilab.errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
+from eilab.errors import InvalidVertex, SelfLoopRejected, TooLarge
 from eilab.formats_io import encode_graph6, parse_graph6
-from eilab.graph_core import CloseEdge, CloseVertex, DeleteEdge, DeleteVertex
 
 from helpers import brute_canonical_form, column_string, complete, cycle, edgeless, path, relabel
 
@@ -52,6 +51,14 @@ def test_from_edges_empty_and_dedup():
     assert g.num_edges == 2
 
 
+def test_edges_share_their_pair_tuples():
+    """Graphs below 16 vertices share one ``(u, v)`` tuple per vertex pair,
+    so a corpus holds no copy per edge; larger graphs list the same pairs."""
+    assert cycle(5).edges[0] is path(3).edges[0]
+    g = gc.from_edges(20, [(15, 16), (3, 17), (14, 15)])
+    assert g.edges == ((3, 17), (14, 15), (15, 16)) and g.edges[1] is cycle(16).edges[-1]
+
+
 def test_from_edges_errors():
     with pytest.raises(InvalidVertex):
         gc.from_edges(2, [(0, 2)])
@@ -73,55 +80,16 @@ def test_complement_involution(corpus5):
         assert gc.complement(gc.complement(g)) == g
 
 
-def test_surgery_close_edge_p4():
-    p4 = path(4)
-    out = gc.apply_surgery(p4, CloseEdge((1, 2)))
-    assert out.n == 0
-
-
-def test_surgery_close_vertex_c5():
-    c5 = cycle(5)
-    out = gc.apply_surgery(c5, CloseVertex(0))
-    assert out == gc.from_edges(2, [(0, 1)])  # the edge 2-3 between the non-neighbors of 0
-
-
-def test_surgery_delete_edge_keeps_vertices():
-    c5 = cycle(5)
-    out = gc.apply_surgery(c5, DeleteEdge((0, 1)))
-    assert out.n == 5 and out.num_edges == 4
-    assert out.is_connected()
-
-
-def test_surgery_delete_vertex():
-    c5 = cycle(5)
-    out = gc.apply_surgery(c5, DeleteVertex(2))
-    assert out.n == 4
-    # vertices 0, 1, 3, 4 keep their order: the path 1-0-4-3 as 1-0-3-2
-    assert out.edges == ((0, 1), (0, 3), (2, 3))
-
-
-def test_surgery_errors():
-    p4 = path(4)
-    with pytest.raises(InvalidSurgery):
-        gc.apply_surgery(p4, DeleteVertex(9))
-    with pytest.raises(InvalidSurgery):
-        gc.apply_surgery(p4, DeleteEdge((0, 2)))
-
-
-def test_close_vertex_equals_induced_on_complement_of_neighborhood(corpus5):
-    for g in corpus5:
-        for v in range(g.n):
-            closed = gc.apply_surgery(g, CloseVertex(v))
-            keep = [u for u in range(g.n) if not (g.adj_mask(v) | 1 << v) >> u & 1]
-            assert closed == gc.induced_subgraph(g, keep)
-
-
 def test_induced_subgraph():
     c5 = cycle(5)
     p = gc.induced_subgraph(c5, [0, 1, 2, 3])
     assert p == path(4)
     assert gc.induced_subgraph(c5, []).n == 0
     assert gc.induced_subgraph(c5, range(5)) == c5
+    # vertices 0, 1, 3, 4 keep their order: the path 1-0-4-3 as 1-0-3-2
+    assert gc.induced_subgraph(c5, [0, 1, 3, 4]).edges == ((0, 1), (0, 3), (2, 3))
+    assert gc.induced_subgraph(c5, [2, 3]) == gc.from_edges(2, [(0, 1)])  # C5 - N[0]
+    assert gc.induced_subgraph(path(4), []).n == 0  # P4 - N[{1, 2}]
     with pytest.raises(InvalidVertex):
         gc.induced_subgraph(c5, [7])
 
@@ -299,7 +267,7 @@ def test_canonical_form_on_random_graphs_and_edge_flips():
         p = rng.choice((0.2, 0.4, 0.5, 0.7))
         g = gc.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         u, v = rng.sample(range(n), 2)
-        flipped = gc.apply_surgery(g, DeleteEdge((u, v))) if g.has_edge(u, v) else gc.from_edges(n, g.edges + ((u, v),))
+        flipped = gc.from_edges(n, set(g.edges) ^ {(min(u, v), max(u, v))})
         graphs += [g, _shuffled(g, rng), flipped, _shuffled(flipped, rng)]
     _assert_forms_match_networkx(graphs)
 

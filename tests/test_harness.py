@@ -398,16 +398,15 @@ def test_lemma_checks_refuse_before_uncapped_nu(monkeypatch):
 
 def test_subgraph_checks_build_no_surgery(corpus6, monkeypatch):
     """FL1, FL2, FL3 and C1a read every regularity off the graph's own
-    table: with ``regularity`` and ``apply_surgery`` refusing, they pass on
-    the n <= 6 corpus at chars 0, 2 and 3 with no skip, as they did when
-    they walked each surgery, and they leave the oracle's one-graph
-    record empty."""
+    table: with ``regularity`` and ``_drop_vertices`` refusing, they pass
+    on the n <= 6 corpus at chars 0, 2 and 3 with no skip, so they build
+    no subgraph, and they leave the oracle's one-graph record empty."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a subgraph check called regularity or apply_surgery")
+        raise AssertionError("a subgraph check called regularity or _drop_vertices")
 
     monkeypatch.setattr(ro, "regularity", refuse)
-    monkeypatch.setattr(gc, "apply_surgery", refuse)
+    monkeypatch.setattr(gc, "_drop_vertices", refuse)
     ro._whole_graph.cache_clear()
     reports = harness.verify_lemma_suite(corpus6, ["FL1", "FL2", "FL3", "C1a"], chars=(0, 2, 3))
     assert [(rep.checked, rep.violations, rep.skips) for rep in reports] == [(len(corpus6), (), ())] * 4

@@ -355,6 +355,22 @@ def test_bounds_memo_keyed_by_the_labelled_graph(monkeypatch):
     assert refined() == (3, 4, True)
 
 
+def test_vertex_recursion_cutting_only_the_neighbours(monkeypatch):
+    """``bounds_engine._refine`` cuts ``G - x`` as
+    ``_drop_vertices(g, 1 << x)``.  A mutant that drops ``N(x)`` there in
+    place of ``x`` narrows the interval of ``F?NF_`` past its regularity,
+    3, and the refinement finds it empty.  Caught by
+    ``test_soundness_against_oracle``, whose first failing graph in the
+    n <= 7 corpus it is."""
+    g = parse_graph6("F?NF_")
+    assert ro.regularity(g, FieldSpec(0)).reg_star == 3
+    iv = bounds_engine.refine_bounds(g)
+    assert (iv.lo, iv.hi, iv.budget_exhausted) == (3, 3, False)
+    _rewrite(monkeypatch, bounds_engine, "_refine", "_drop_vertices(g, 1 << x)", "_drop_vertices(g, g.adj_mask(x))")
+    with pytest.raises(AssertionError, match="refinement produced an empty interval"):
+        bounds_engine.refine_bounds(g)
+
+
 def _split_and_whole(g, char: int):
     """``reg_star`` from ``regularity``, which combines the components'
     readings, and from the walk over every subset of the whole graph."""

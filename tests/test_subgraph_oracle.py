@@ -30,10 +30,20 @@ def _surgery_readings(sub: ro.SubgraphRegularity, g: gc.Graph):
 
 
 def _surgery_reference(g: gc.Graph, char: int):
-    """The same values by ``apply_surgery`` and ``regularity``."""
-    surgeries = [s for x in range(g.n) for s in (gc.DeleteVertex(x), gc.CloseVertex(x))]
-    surgeries += [s for e in g.edges for s in (gc.DeleteEdge(e), gc.CloseEdge(e))]
-    graphs = [g] + [gc.apply_surgery(g, s) for s in surgeries]
+    """The same values by building each subgraph as its own graph, with
+    ``induced_subgraph`` or ``from_edges``, and walking it by ``regularity``."""
+
+    def without(drop: int) -> gc.Graph:
+        return gc.induced_subgraph(g, [y for y in range(g.n) if not drop >> y & 1])
+
+    graphs = [g]
+    for x in range(g.n):
+        graphs += [without(1 << x), without(g.adj_mask(x) | 1 << x)]
+    for u, v in g.edges:
+        graphs += [
+            gc.from_edges(g.n, [e for e in g.edges if e != (u, v)]),
+            without(g.adj_mask(u) | g.adj_mask(v) | 1 << u | 1 << v),
+        ]
     return [ro.regularity(h, FieldSpec(char)).reg_star for h in graphs]
 
 
