@@ -7,7 +7,7 @@ import pytest
 
 from eilab import graph_core as gc
 from eilab import harness
-from eilab.errors import InvalidVertex, SelfLoopRejected, TooLarge
+from eilab.errors import InvalidSurgery, InvalidVertex, SelfLoopRejected, TooLarge
 from eilab.formats_io import encode_graph6, parse_graph6
 
 from helpers import brute_canonical_form, column_string, complete, cycle, edgeless, path, relabel
@@ -80,16 +80,61 @@ def test_complement_involution(corpus5):
         assert gc.complement(gc.complement(g)) == g
 
 
+def test_surgery_close_edge_p4():
+    """P4 minus N[{1, 2}] is empty."""
+    p4 = path(4)
+    out = gc.induced_subgraph(p4, [w for w in range(4) if not (p4.adj_mask(1) | p4.adj_mask(2)) >> w & 1])
+    assert out.n == 0
+
+
+def test_surgery_close_vertex_c5():
+    c5 = cycle(5)
+    out = gc._drop_vertices(c5, c5.adj_mask(0) | 1 << 0)
+    assert out == gc.from_edges(2, [(0, 1)])  # the edge 2-3 between the non-neighbors of 0
+
+
+def test_surgery_delete_edge_keeps_vertices():
+    c5 = cycle(5)
+    out = gc.from_edges(c5.n, [e for e in c5.edges if e != (0, 1)])
+    assert out.n == 5 and out.num_edges == 4
+    assert out.is_connected()
+
+
+def test_surgery_delete_vertex():
+    c5 = cycle(5)
+    out = gc._drop_vertices(c5, 1 << 2)
+    assert out.n == 4
+    # vertices 0, 1, 3, 4 keep their order: the path 1-0-4-3 as 1-0-3-2
+    assert out.edges == ((0, 1), (0, 3), (2, 3))
+
+
+def test_surgery_errors():
+    """An edge that is not there is refused as a surgery error, a vertex
+    that is not there as an invalid vertex."""
+    p4 = path(4)
+    with pytest.raises(InvalidVertex):
+        gc.induced_subgraph(p4, [9])
+    with pytest.raises(InvalidSurgery):
+        gc._check_edge(p4, (0, 2))
+    assert gc._check_edge(p4, (2, 1)) == (1, 2)
+
+
+def test_close_vertex_equals_induced_on_complement_of_neighborhood(corpus5):
+    """The bounds engine's ``G - N[x]`` cut is the induced subgraph on the
+    vertices outside ``N[x]``."""
+    for g in corpus5:
+        for v in range(g.n):
+            closed = gc._drop_vertices(g, g.adj_mask(v) | 1 << v)
+            keep = [u for u in range(g.n) if not (g.adj_mask(v) | 1 << v) >> u & 1]
+            assert closed == gc.induced_subgraph(g, keep)
+
+
 def test_induced_subgraph():
     c5 = cycle(5)
     p = gc.induced_subgraph(c5, [0, 1, 2, 3])
     assert p == path(4)
     assert gc.induced_subgraph(c5, []).n == 0
     assert gc.induced_subgraph(c5, range(5)) == c5
-    # vertices 0, 1, 3, 4 keep their order: the path 1-0-4-3 as 1-0-3-2
-    assert gc.induced_subgraph(c5, [0, 1, 3, 4]).edges == ((0, 1), (0, 3), (2, 3))
-    assert gc.induced_subgraph(c5, [2, 3]) == gc.from_edges(2, [(0, 1)])  # C5 - N[0]
-    assert gc.induced_subgraph(path(4), []).n == 0  # P4 - N[{1, 2}]
     with pytest.raises(InvalidVertex):
         gc.induced_subgraph(c5, [7])
 
