@@ -174,7 +174,8 @@ def _load_documents(args) -> tuple[list[GraphDocument], str | None]:
             g = formats_io.parse_edge_list(entry)
         except (MalformedDocument, EilabError) as exc:
             return docs, f"document {i}: {exc}"
-        docs.append(GraphDocument("edgelist-json", json.dumps(entry), g, entry.get("name")))
+        name = entry.get("name") if isinstance(entry, dict) else None
+        docs.append(GraphDocument("edgelist-json", json.dumps(entry), g, name))
     return docs, None
 
 

@@ -17,12 +17,6 @@ CANONICAL_LIMIT_DEFAULT = 10
 _BINARY_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
-# The edge ``(u, v)`` of every pair of vertices below ``_SHARED``, made once:
-# the graphs of a corpus share these in place of a tuple per edge each.
-_SHARED = 16
-_PAIRS = tuple(tuple((u, v) for v in range(_SHARED)) for u in range(_SHARED))
-
-
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``.
 
@@ -42,7 +36,7 @@ class Graph:
             u = v + 1
             while mask:
                 if mask & 1:
-                    edges.append(_PAIRS[v][u] if u < _SHARED else (v, u))
+                    edges.append((v, u))
                 mask >>= 1
                 u += 1
         self._edges = tuple(edges)

@@ -283,6 +283,17 @@ def test_json_array_input(capsys, tmp_path):
     assert lines[1].startswith("edge,2,1") and lines[2].startswith("g1,3,2")
 
 
+def test_json_string_entry_is_a_document(capsys, tmp_path):
+    """An array entry may itself be a JSON string holding a document; its
+    row id is its index."""
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps([json.dumps({"n": 2, "edges": []})]))
+    code = cli.main(["invariants", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.strip().split("\r\n")[1].startswith("g0,2,0")
+
+
 def test_deeply_nested_json_is_no_traceback():
     """JSON nested past the parser's recursion limit is bad data: exit 1,
     one error line and no traceback."""

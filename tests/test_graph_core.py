@@ -51,14 +51,6 @@ def test_from_edges_empty_and_dedup():
     assert g.num_edges == 2
 
 
-def test_edges_share_their_pair_tuples():
-    """Graphs below 16 vertices share one ``(u, v)`` tuple per vertex pair,
-    so a corpus holds no copy per edge; larger graphs list the same pairs."""
-    assert cycle(5).edges[0] is path(3).edges[0]
-    g = gc.from_edges(20, [(15, 16), (3, 17), (14, 15)])
-    assert g.edges == ((3, 17), (14, 15), (15, 16)) and g.edges[1] is cycle(16).edges[-1]
-
-
 def test_from_edges_errors():
     with pytest.raises(InvalidVertex):
         gc.from_edges(2, [(0, 2)])
