@@ -165,6 +165,8 @@ def _load_documents(args) -> tuple[list[GraphDocument], str | None]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         return [], f"invalid JSON: line {exc.lineno}: {exc.msg}"
+    except ValueError:  # an integer past Python's digit limit
+        return [], "invalid JSON: number too long"
     except RecursionError:
         return [], "invalid JSON: nested too deeply"
     docs: list[GraphDocument] = []

@@ -99,6 +99,8 @@ def parse_edge_list(doc: str | dict) -> Graph:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise MalformedDocument("invalid JSON: number too long") from exc
         except RecursionError as exc:
             raise MalformedDocument("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
@@ -115,12 +117,12 @@ def parse_edge_list(doc: str | dict) -> Graph:
     if n > MAX_VERTICES:
         raise TooLarge(f"edge-list documents cap at {MAX_VERTICES} vertices, got {n}")
     pairs = []
-    for e in edges:
+    for i, e in enumerate(edges):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise MalformedDocument(f"edge entry {e!r} is not a 2-element list")
+            raise MalformedDocument(f"edge {i} is not a 2-element list")
         u, v = e
         if not _is_int(u) or not _is_int(v):
-            raise MalformedDocument(f"edge entry {e!r} has non-integer endpoints")
+            raise MalformedDocument(f"edge {i} has non-integer endpoints")
         pairs.append((u, v))
     return graph_core.from_edges(n, pairs)
 

@@ -140,9 +140,7 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
 
     The vertex tuples partition ``0..n-1``; each component graph is relabeled
     to a dense range, vertex ``i`` standing for the tuple's ``i``-th entry.
-    A component on consecutive vertices, as every part of a
-    ``disjoint_union`` of connected graphs is, takes its adjacency masks
-    shifted down to its first vertex.
+    A connected graph is its own one component.
     """
     out = []
     seen = 0
@@ -151,13 +149,7 @@ def components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
             continue
         mask = _reach(g._adj, 1 << v)
         seen |= mask
-        if mask == g.full_mask:
-            out.append((tuple(range(g.n)), g))
-        elif not (mask >> v) & (mask >> v) + 1:  # all ones: v, v + 1, ..., end - 1
-            end = mask.bit_length()
-            out.append((tuple(range(v, end)), Graph(end - v, [m >> v for m in g._adj[v:end]])))
-        else:
-            out.append((tuple(_bits(mask)), _drop_vertices(g, g.full_mask ^ mask)))
+        out.append((tuple(_bits(mask)), g if mask == g.full_mask else _drop_vertices(g, g.full_mask ^ mask)))
     return out
 
 

@@ -1,14 +1,14 @@
 """Exact reduced homology of a simplicial complex, its faces given as
 vertex masks.
 
-Each boundary map is brought to a diagonal by unimodular integer steps:
-elimination on pivots +1 or -1, then Euclid on the core left.  The rank
-over characteristic ``c`` is the pivot count plus the number of diagonal
-entries that ``c`` does not divide, so one exact integer path serves every
-field, and a characteristic dividing none of the other entries (the
-torsion) has the char-0 ranks.  Floating point is never used, and every
-complex is checked against its Euler characteristic.  Nothing here knows
-of graphs or of the oracle's packed subset table.
+Each boundary map is brought to a diagonal by unimodular integer steps
+(Euclid on rows and columns).  The rank over characteristic ``c`` is the
+number of diagonal entries that ``c`` does not divide, so one exact
+integer path serves every field, and a characteristic dividing none of the
+entries other than 1 (the torsion) has the char-0 ranks.  Floating point
+is never used, and every complex is checked against its Euler
+characteristic.  Nothing here knows of graphs or of the oracle's packed
+subset table.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 def homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, ...], set[int]]:
     """Reduced homology dims (degrees 0..maxdim) from faces given as masks,
-    and the diagonal entries other than +1 and -1 (as absolute values) of
-    the boundary maps' diagonal forms.
+    and the diagonal entries above 1 (as absolute values) of the boundary
+    maps' diagonal forms.
 
     ``by_dim[d]`` lists the d-dimensional faces.  Raises if the alternating
     sum of the computed dims disagrees with the reduced Euler characteristic
@@ -30,8 +30,8 @@ def homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, 
     ranks[0] = 1  # the augmentation map onto the empty face
     torsion: set[int] = set()
     for d in range(1, maxdim + 1):
-        pivots, diagonal = _boundary_form(by_dim[d - 1], by_dim[d])
-        ranks[d] = pivots + sum(1 for p in diagonal if char == 0 or p % char)
+        diagonal = _diagonal(_boundary_columns(by_dim[d - 1], by_dim[d]))
+        ranks[d] = sum(1 for p in diagonal if char == 0 or p % char)
         torsion.update(p for p in diagonal if p > 1)
     dims = tuple(
         len(by_dim[t]) - ranks[t] - ranks[t + 1] for t in range(maxdim + 1)
@@ -44,10 +44,9 @@ def homology_from_masks(by_dim: list[list[int]], char: int) -> tuple[tuple[int, 
     return dims, torsion
 
 
-def _boundary_form(rows_faces: list[int], cols_faces: list[int]) -> tuple[int, list[int]]:
-    """The boundary map from ``cols_faces`` to ``rows_faces`` brought to a
-    diagonal by unimodular steps: returns the unit pivot count and the
-    absolute values of the diagonal left from the core."""
+def _boundary_columns(rows_faces: list[int], cols_faces: list[int]) -> list[dict[int, int]]:
+    """The boundary map from ``cols_faces`` to ``rows_faces`` as sparse
+    signed columns ``{row: +1 or -1}``."""
     row_index = {m: i for i, m in enumerate(rows_faces)}
     cols = []
     for face in cols_faces:
@@ -60,40 +59,7 @@ def _boundary_form(rows_faces: list[int], cols_faces: list[int]) -> tuple[int, l
             sign = -sign
             m ^= low
         cols.append(col)
-    pivots, core = _eliminate_units(cols)
-    return pivots, _diagonal(core)
-
-
-def _eliminate_units(cols: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Sparse integer column reduction that pivots only on entries +1 or -1.
-
-    Columns are ``{row: value}`` maps and are updated in place.  Each column
-    in turn has its largest row cleared by the pivot column led there, until
-    that row has no pivot; if the entry left there is +1 or -1 the column
-    becomes that row's pivot, otherwise it joins the core.  Once every pivot
-    is known, the core columns are cleared of every pivot row.  Pivot
-    columns are triangular with unit leads, and adding integer multiples of
-    columns is unimodular, so the rank over the integers and over every
-    field is the pivot count plus the rank of the returned nonzero columns,
-    which no longer meet a pivot row.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    core = []
-    for col in cols:
-        while col:
-            r = max(col)
-            if r not in pivots:
-                if col[r] == 1 or col[r] == -1:
-                    pivots[r] = col
-                else:
-                    core.append(col)
-                break
-            _subtract(col, pivots[r], col[r] * pivots[r][r])  # a unit is its own inverse
-    for col in core:
-        while rows := [r for r in col if r in pivots]:
-            r = max(rows)
-            _subtract(col, pivots[r], col[r] * pivots[r][r])
-    return len(pivots), [col for col in core if col]
+    return cols
 
 
 def _subtract(col: dict[int, int], other: dict[int, int], f: int) -> None:

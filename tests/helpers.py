@@ -352,6 +352,21 @@ def sparse_random_graphs() -> list[Graph]:
 # -- independent homology oracle -------------------------------------------------
 
 
+def seeded_matrices() -> list[tuple[int, list[dict[int, int]]]]:
+    """600 seeded integer matrices of at most 6 x 6, each as its row count
+    and its sparse columns ``{row: value}``: 300 with units among their
+    entries and 300 with none."""
+    rng = random.Random(31)
+    out = []
+    for entries in [(-3, -2, -1, 1, 2, 3)] * 300 + [(-6, -4, -3, -2, 2, 3, 4, 5, 6, 10)] * 300:
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        out.append((n_rows, [
+            {r: rng.choice(entries) for r in range(n_rows) if rng.random() < 0.5}
+            for _ in range(n_cols)
+        ]))
+    return out
+
+
 def brute_rank(mat: list[list[int]], char: int) -> int:
     """Rank of an integer matrix over Q (Fraction) or GF(char), dense."""
     if not mat or not mat[0]:

@@ -295,16 +295,22 @@ def test_json_string_entry_is_a_document(capsys, tmp_path):
 
 
 def test_deeply_nested_json_is_no_traceback():
-    """JSON nested past the parser's recursion limit is bad data: exit 1,
-    one error line and no traceback."""
+    """JSON nested past the parser's recursion limit, or holding an integer
+    past Python's 4,300-digit limit, is bad data: exit 1, one error line
+    and no traceback."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eilab.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-m", "eilab.cli", "reg", "--json", "-"],
-        input=b"[" * 100_000, capture_output=True, env=env, timeout=60,
-    )
-    assert done.returncode == 1
-    assert b"Traceback" not in done.stderr
-    assert done.stderr == b"error: invalid JSON: nested too deeply\n"
+    long_int = b'{"n": 3, "edges": [[0, 1' + b"1" * 5000 + b"]]}"
+    for data, message in [
+        (b"[" * 100_000, b"error: invalid JSON: nested too deeply\n"),
+        (long_int, b"error: invalid JSON: number too long\n"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "eilab.cli", "reg", "--json", "-"],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert b"Traceback" not in done.stderr
+        assert done.stderr == message
 
 
 def _invariants_with_bad_second_document(capsys, tmp_path, bad):
@@ -325,6 +331,15 @@ def test_oversized_document_flushes_earlier_rows(capsys, tmp_path):
     in the matching search."""
     err = _invariants_with_bad_second_document(capsys, tmp_path, {"n": 3000, "edges": []})
     assert err == "error: document 1: edge-list documents cap at 62 vertices, got 3000\n"
+
+
+def test_long_edge_entry_error_names_its_index(capsys, tmp_path):
+    """An edge entry that is not a pair is named by its index, so a long
+    entry does not come back in the error line."""
+    bad = {"n": 3, "edges": [[0, 1], list(range(100_000))]}
+    err = _invariants_with_bad_second_document(capsys, tmp_path, bad)
+    assert err == "error: document 1: edge 1 is not a 2-element list\n"
+    assert len(err) < 200
 
 
 def test_non_string_name_flushes_earlier_rows(capsys, tmp_path):

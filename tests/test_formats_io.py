@@ -128,6 +128,12 @@ def test_parse_edge_list_schema_errors():
         fio.parse_edge_list('{"n":2,"edges":[[0,true]]}')
     with pytest.raises(MalformedDocument, match="invalid JSON: nested too deeply"):
         fio.parse_edge_list("[" * 100_000)
+    with pytest.raises(MalformedDocument, match="^invalid JSON: number too long$"):
+        fio.parse_edge_list('{"n":3,"edges":[[0,1' + "1" * 5000 + "]]}")
+    with pytest.raises(MalformedDocument, match=r"^edge 1 is not a 2-element list$"):
+        fio.parse_edge_list({"n": 3, "edges": [[0, 1], list(range(100_000))]})
+    with pytest.raises(MalformedDocument, match=r"^edge 0 has non-integer endpoints$"):
+        fio.parse_edge_list({"n": 3, "edges": [[0, "1" * 100_000]]})
     with pytest.raises(MalformedDocument, match="'name' must be a string"):
         fio.parse_edge_list('{"name":{"a":1},"n":3,"edges":[[0,1]]}')
     assert fio.parse_edge_list('{"name":null,"n":2,"edges":[]}') == edgeless(2)

@@ -154,11 +154,12 @@ def test_components_reglue(corpus5):
 
 
 def test_components_shift_route_matches_drop_route(corpus6):
-    """A component on consecutive vertices is built by shifting its
-    adjacency masks down, any other by ``_drop_vertices``.  Both routes
-    give the same parts: on the unions of the n <= 6 corpus, whose parts
-    are all consecutive, and on seeded relabellings of those unions with
-    an isolated vertex added, whose parts mostly interleave."""
+    """Every component of a disconnected graph is cut by
+    ``_drop_vertices``, whether its vertices are consecutive or not, and
+    the parts partition the vertices into connected sets, in vertex order:
+    on the unions of the n <= 6 corpus, whose parts are all consecutive,
+    and on seeded relabellings of those unions with an isolated vertex
+    added, whose parts mostly interleave."""
     from eilab import harness
 
     unions = harness.union_pairs(corpus6, 9)

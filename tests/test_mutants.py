@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from eilab import bounds_engine, chordality, classifier, graph_core, harness, matchings, unions
+from eilab import bounds_engine, chordality, classifier, graph_core, harness, homology, matchings, unions
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, WorkBoundExceeded
 from eilab.formats_io import encode_graph6, parse_graph6
@@ -27,6 +27,7 @@ from helpers import (
     all_subsets_walk,
     brute_betti,
     brute_canonical_form,
+    brute_rank,
     column_string,
     complete,
     cycle,
@@ -37,6 +38,7 @@ from helpers import (
     reference_report,
     relabel,
     rp2_minus_vertex_and_edge,
+    seeded_matrices,
 )
 
 
@@ -399,6 +401,44 @@ def test_torsion_rule_reusing_the_char0_table_everywhere(monkeypatch):
     assert _split_and_whole(rp2, 2) == (4, 4)
     _rewrite(monkeypatch, ro.SubgraphRegularity, "at", "not any(p % c == 0 for p in self.torsion)", "True")
     assert _split_and_whole(rp2, 2) == (3, 4)
+
+
+def test_diagonal_leaving_a_pivot_before_its_row_and_column_clear(monkeypatch):
+    """``homology._diagonal`` records a pivot only once Euclid has cleared
+    its row and column; otherwise a smaller remainder becomes the next
+    pivot.  A mutant that records every pivot at once drops the remainders
+    and reads wrong ranks.  Caught by the rank comparison with
+    ``helpers.brute_rank`` on the seeded matrices, the reference of
+    ``test_unit_elimination_keeps_rank``.  First run on a scratch copy with
+    the one exact rank path (its entry in CHANGES.md)."""
+
+    def mismatches():
+        return sum(
+            sum(1 for p in homology._diagonal([dict(col) for col in cols]) if char == 0 or p % char)
+            != brute_rank([[col.get(r, 0) for r in range(n_rows)] for col in cols], char)
+            for n_rows, cols in seeded_matrices()
+            for char in (0, 2, 3, 5)
+        )
+
+    assert mismatches() == 0
+    _rewrite(monkeypatch, homology, "_diagonal", "if clear:", "if True:")
+    assert mismatches() > 0
+
+
+def test_rank_counting_every_diagonal_entry_at_a_prime(monkeypatch):
+    """``homology_from_masks`` counts a diagonal entry towards the rank at
+    characteristic ``c`` only if ``c`` does not divide it.  A mutant that
+    counts every entry reads the flag RP^2 graph's char-2 walk as its
+    char-0 one, ``reg_star`` 3.  Caught by the field dependence that
+    ``test_characteristic_dependence_flag_rp2`` pins, 4 at char 2.  First
+    run on a scratch copy with the one exact rank path (its entry in
+    CHANGES.md)."""
+    rp2 = flag_rp2_complement()
+    assert _split_and_whole(rp2, 2) == (4, 4)
+    _rewrite(monkeypatch, homology, "homology_from_masks", "if char == 0 or p % char", "")
+    # The walk holds its own reference to the kernel.
+    monkeypatch.setattr(ro, "homology_from_masks", homology.homology_from_masks)
+    assert _split_and_whole(rp2, 2) == (3, 3)
 
 
 def test_union_verdict_read_off_the_first_part_only(corpus5, monkeypatch):

@@ -11,7 +11,7 @@ from eilab import harness, homology
 from eilab import matchings as M
 from eilab import regularity_oracle as ro
 from eilab.errors import CapExceeded, NotApplicable
-from eilab.formats_io import encode_graph6
+from eilab.formats_io import encode_graph6, parse_graph6
 from eilab.regularity_oracle import FieldSpec
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     reduced_homology_dims,
     relabel,
     rp2_minus_vertex_and_edge,
+    seeded_matrices,
     star,
 )
 
@@ -143,7 +144,7 @@ def test_witness_is_first_by_tie_break(corpus6):
 
 
 def test_betti_table_matches_brute_force(corpus6):
-    """The fast path (cones, splits, unit pivots, dense cores) against
+    """The fast path (cones, splits, built pieces) against
     Hochster's formula evaluated with dense elimination over every vertex
     subset."""
     rng = random.Random(4242)
@@ -499,6 +500,46 @@ def test_piece_dims_matches_reference_homology(corpus7):
     assert 0 < torsion_free < len(seen) and (rp2.n, rp2.edges) in seen
 
 
+def test_kernel_matches_reference_on_the_pieces_built(corpus7, monkeypatch):
+    """Every complex the walk builds, on the graphs where it builds any, has
+    the dims of ``helpers.brute_homology`` on the same faces at chars 0, 2,
+    3 and 5: the one 16-face piece of ``GK~vno``, torsion-free, and the
+    pieces of the flag RP^2 graph, of ``JWaqbO\\euT?`` and of RP^2 plus a
+    4-cycle, with torsion 2.  The walk of the n <= 7 corpus builds no
+    complex, and that of ``GK~vno`` one at each characteristic."""
+    built = []
+    kernel = ro.homology_from_masks
+
+    def record(by_dim, char):
+        dims, torsion = kernel(by_dim, char)
+        built.append((by_dim, dims, torsion))
+        return dims, torsion
+
+    monkeypatch.setattr(ro, "homology_from_masks", record)
+    for g in corpus7:
+        ro._walk_table(g, 0)
+    assert not built
+    rp2, gk = flag_rp2_complement(), parse_graph6("GK~vno")
+    cases = [
+        (gk, ()),
+        (rp2, (2,)),
+        (rp2_minus_vertex_and_edge(), (2,)),
+        (gc.disjoint_union(rp2, cycle(4)), (2,)),
+    ]
+    for g, torsion in cases:
+        for char in (0, 2, 3, 5):
+            built.clear()
+            ro._walk_table(g, char)
+            assert built, (g.edges, char)
+            if g is gk:
+                assert [sum(map(len, by_dim)) for by_dim, _, _ in built] == [16]
+            for by_dim, dims, diagonal in built:
+                faces = [tuple(gc._bits(face)) for level in by_dim for face in level]
+                assert brute_homology(faces, char) == {-1: 0, **dict(enumerate(dims))}, (g.edges, char)
+                assert tuple(sorted(diagonal)) == torsion, (g.edges, char)
+        assert ro.subgraph_regularity(g).torsion == torsion
+
+
 def test_cliques_and_bowtie_build_no_complex(monkeypatch):
     """The table fills every subset of a complete graph or of two triangles
     sharing a vertex without building a complex: a connected subset has a
@@ -519,21 +560,15 @@ def test_cliques_and_bowtie_build_no_complex(monkeypatch):
 
 
 def test_unit_elimination_keeps_rank():
-    """Pivot count plus the rank read from the diagonal form of the left-over
-    core equals the rank of the whole matrix at chars 0, 2, 3 and 5, on
-    small integer matrices with units and on matrices with none."""
-    rng = random.Random(31)
-    for entries in [(-3, -2, -1, 1, 2, 3)] * 300 + [(-6, -4, -3, -2, 2, 3, 4, 5, 6, 10)] * 300:
-        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
-        cols = [
-            {r: rng.choice(entries) for r in range(n_rows) if rng.random() < 0.5}
-            for _ in range(n_cols)
-        ]
+    """The rank read from ``homology._diagonal``'s diagonal form of the whole
+    matrix (the entries the characteristic does not divide) equals its rank
+    at chars 0, 2, 3 and 5, on small integer matrices with units and on
+    matrices with none (``helpers.seeded_matrices``)."""
+    for n_rows, cols in seeded_matrices():
         dense = [[col.get(r, 0) for r in range(n_rows)] for col in cols]
-        pivots, core = homology._eliminate_units([dict(col) for col in cols])
-        diagonal = homology._diagonal(core)
+        diagonal = homology._diagonal([dict(col) for col in cols])
         for char in (0, 2, 3, 5):
-            rank = pivots + sum(1 for p in diagonal if char == 0 or p % char)
+            rank = sum(1 for p in diagonal if char == 0 or p % char)
             assert rank == brute_rank(dense, char), (cols, char)
 
 
